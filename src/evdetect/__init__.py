@@ -19,9 +19,7 @@ from .engine import (
     EngineConfig,
     OnlineDetector,
     anomaly_score,
-    build_attention_cache,
     format_event,
-    incremental_update,
 )
 from .evaluation import Confusion, confusion, precision_recall_f1, roc_auc
 from .memory import Reading, StreamState

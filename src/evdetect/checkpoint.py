@@ -7,6 +7,8 @@ as a JSON string under a reserved key.
 from __future__ import annotations
 
 import json
+import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,9 +32,18 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
 
 
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with np.load(path) as npz:
-        arrays = {k: npz[k] for k in npz.files if k != FORMAT_KEY}
-        meta = json.loads(npz[FORMAT_KEY].tobytes().decode("utf-8"))
+    """Read a container; a truncated or foreign file raises ValueError."""
+    try:
+        npz = np.load(path)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ValueError(f"not a {kind} file (not an npz archive): {path}")
+        with npz:
+            arrays = {k: npz[k] for k in npz.files if k != FORMAT_KEY}
+            meta = json.loads(npz[FORMAT_KEY].tobytes().decode("utf-8"))
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"not a readable {kind} file: {path} ({exc})") from exc
+    except KeyError as exc:
+        raise ValueError(f"not a {kind} file (no {FORMAT_KEY}): {path}") from exc
     if meta.get("format") != kind:
         raise ValueError(f"not a {kind} file: {path}")
     if meta.get("version") != FORMAT_VERSION:
@@ -96,12 +107,7 @@ def load_model_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> Non
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
-    meta = {
-        "dims": vars(params.dims).copy() if not hasattr(params.dims, "__dataclass_fields__") else {
-            k: getattr(params.dims, k) for k in params.dims.__dataclass_fields__
-        },
-        "stats": {"mean": stats.mean, "std": stats.std, "count": stats.count},
-    }
+    meta = {"dims": asdict(params.dims), "stats": asdict(stats)}
     write_container(path, MODEL_FORMAT, meta, model_arrays(params))
 
 

@@ -1,20 +1,22 @@
 """Online detection engine: per-reading ingestion, reconstruction scoring and
 dynamic thresholding, with an incremental attention cache for fast inference.
 
-The cache exploits two facts about the first encoder block at inference time:
-its queries are learned constants (so the post-self-attention query block is
-frozen), and each cross-attention logit splits into a content part (a dot
-product with the reading's embedded feature, computed once when the reading
-enters the global window) and a positional part (precomputable for every
-relative offset). Assembling the logit matrix then costs O(gm*e0) additions
-per step instead of O(gm*e0*C) multiply-adds.
+Every reading is scored by the one array forward, `model.mtr_forward`; the
+cache, when enabled, is a branch inside it. The cache exploits two facts about
+the first encoder block at inference time: its queries are learned constants
+(so the post-self-attention query block is frozen), and each cross-attention
+logit splits into a content part (a dot product with the reading's embedded
+feature, computed once when the reading enters the global window) and a
+positional part (precomputable for every relative offset). Assembling the
+logit matrix then costs O(gm*e0) additions per step instead of O(gm*e0*C)
+multiply-adds.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime
 
 import numpy as np
@@ -22,17 +24,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
-from .model import (
-    LN_EPS,
-    ModelDims,
-    ModelParams,
-    decode_local,
-    embed_window,
-    mtr_forward,
-    multi_head_attention,
-    trd_forward,
-)
-from .nn import Tensor, layer_norm, linear_forward, no_grad, relu, softmax_rows
+from .model import ModelDims, ModelParams, mtr_forward, self_attend
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -62,14 +54,13 @@ class EngineConfig:
 
 @dataclass
 class DetectionEvent:
-    """Per-timestamp output. `lm_kw` is the raw local window for operator context."""
+    """Per-timestamp output; `error` is set when the reading was rejected."""
 
     t: datetime
     score: float | None
     threshold: float | None
     label: int
     phase: str
-    lm_kw: tuple | None = None
     error: str | None = None
 
 
@@ -118,12 +109,7 @@ class AttentionCache:
     def __init__(self, params: ModelParams):
         dims = params.dims
         p = params.enc1
-        with no_grad():
-            q0 = params.enc1_queries
-            x1_t = (q0 + multi_head_attention(q0, q0, p.self_attn)).layer_norm(
-                p.ln1.gain, p.ln1.bias, LN_EPS
-            )
-        self.fixed_queries = x1_t.data.copy()
+        self.fixed_queries = self_attend(params.enc1_queries.data, p)
         d = dims.C // dims.heads
         scale = 1.0 / math.sqrt(d)
         self.eff_queries = np.stack(
@@ -140,7 +126,6 @@ class AttentionCache:
         self.ring_count = 0
         self._logits = np.empty_like(self.pos_logits)
         self.update_madds = dims.heads * dims.e0 * dims.C
-        self.total_updates = 0
 
     def push(self, feature: np.ndarray) -> None:
         """Record the content logits of a feature entering the global window."""
@@ -149,7 +134,6 @@ class AttentionCache:
         self.ring[:, :, self.ring_ptr + self.gm] = col
         self.ring_ptr = (self.ring_ptr + 1) % self.gm
         self.ring_count = min(self.ring_count + 1, self.gm)
-        self.total_updates += 1
 
     def _content_view(self) -> np.ndarray:
         if self.ring_count < self.gm:
@@ -166,16 +150,6 @@ class AttentionCache:
         Reuses an internal scratch buffer; consume before the next call.
         """
         return np.add(self.pos_logits, self._content_view(), out=self._logits)
-
-
-def build_attention_cache(params: ModelParams) -> AttentionCache:
-    return AttentionCache(params)
-
-
-def incremental_update(cache: AttentionCache, new_feature: np.ndarray) -> AttentionCache:
-    """O(e0*C)-per-head update when one reading enters the global window."""
-    cache.push(np.asarray(new_feature, dtype=np.float64))
-    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +182,8 @@ class OnlineDetector:
     def _embed_scalar(self, value_norm: float) -> np.ndarray:
         return value_norm * self.params.embed_w.data[0] + self.params.embed_b.data
 
-    # -- forward paths ---------------------------------------------------------
-
-    def _reconstruct_plain(self, lm_norm: np.ndarray, gm_norm: np.ndarray) -> np.ndarray:
-        return mtr_forward(lm_norm, gm_norm, self.params)
-
-    def _reconstruct_cached(self, lm_norm: np.ndarray, gm_norm: np.ndarray) -> np.ndarray:
-        p = self.params
-        dims = p.dims
-        enc1 = p.enc1
-        cache = self.cache
-
-        gm_feats = gm_norm[:, None] @ p.embed_w.data + p.embed_b.data + p.pos_gm
-        logits = cache.assemble_logits()
-        heads = []
-        for k in range(dims.heads):
-            v = gm_feats @ enc1.cross_attn.wv[k].data
-            heads.append(softmax_rows(logits[k]) @ v)
-        cross = np.concatenate(heads, axis=-1) @ enc1.cross_attn.wo.data
-        x2 = layer_norm(cache.fixed_queries + cross, enc1.ln2.gain.data, enc1.ln2.bias.data, LN_EPS)
-        ffn = linear_forward(relu(linear_forward(x2, enc1.w1.data, enc1.b1.data)), enc1.w2.data, enc1.b2.data)
-        enc1_out = layer_norm(x2 + ffn, enc1.ln3.gain.data, enc1.ln3.bias.data, LN_EPS)
-
-        with no_grad():
-            encoded = trd_forward(p.enc2_queries, Tensor(enc1_out), p.enc2)
-            lm_feats = embed_window(Tensor(lm_norm), p.pos_lm, p)
-            return decode_local(lm_feats, encoded, p).data
-
     def _score(self, lm_norm: np.ndarray, gm_norm: np.ndarray) -> float:
-        if self.cache is not None:
-            rec = self._reconstruct_cached(lm_norm, gm_norm)
-        else:
-            rec = self._reconstruct_plain(lm_norm, gm_norm)
-        score = anomaly_score(lm_norm, rec)
+        score = anomaly_score(lm_norm, mtr_forward(lm_norm, gm_norm, self.params, self.cache))
         if not np.isfinite(score):
             raise FloatingPointError("non-finite anomaly score")
         return score
@@ -256,17 +199,15 @@ class OnlineDetector:
             )
         if self.cache is not None and spilled is not None:
             norm = (spilled.power - self.stats.mean) / self.stats.std
-            incremental_update(self.cache, self._embed_scalar(norm))
+            self.cache.push(self._embed_scalar(norm))
 
         snap = self.stream.snapshot()
         if snap is None:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
 
         lm_read, gm_read = snap
-        lm_raw = np.array([r.power for r in lm_read])
-        gm_raw = np.array([r.power for r in gm_read])
-        lm_norm = normalize(lm_raw, self.stats)
-        gm_norm = normalize(gm_raw, self.stats)
+        lm_norm = normalize(np.array([r.power for r in lm_read]), self.stats)
+        gm_norm = normalize(np.array([r.power for r in gm_read]), self.stats)
         score = self._score(lm_norm, gm_norm)
 
         if self.spot is None:
@@ -279,14 +220,7 @@ class OnlineDetector:
                     refit_stride=self.config.refit_stride,
                     max_peaks=self.config.max_peaks,
                 )
-            return DetectionEvent(
-                t=reading.t,
-                score=score,
-                threshold=None,
-                label=0,
-                phase=CALIBRATING,
-                lm_kw=tuple(lm_raw),
-            )
+            return DetectionEvent(t=reading.t, score=score, threshold=None, label=0, phase=CALIBRATING)
 
         threshold = self.spot.z_q
         cls = spot_step(self.spot, score)
@@ -296,26 +230,15 @@ class OnlineDetector:
             threshold=threshold,
             label=1 if cls == ANOMALY else 0,
             phase=DETECTING,
-            lm_kw=tuple(lm_raw),
         )
 
     # -- checkpointing ----------------------------------------------------------
 
     def save(self, path) -> None:
-        cfg = self.config
         meta = {
-            "dims": {k: getattr(self.params.dims, k) for k in self.params.dims.__dataclass_fields__},
-            "stats": {"mean": self.stats.mean, "std": self.stats.std, "count": self.stats.count},
-            "config": {
-                "lm": cfg.lm,
-                "gm": cfg.gm,
-                "q": cfg.q,
-                "calibration_len": cfg.calibration_len,
-                "init_level": cfg.init_level,
-                "cache_enabled": cfg.cache_enabled,
-                "refit_stride": cfg.refit_stride,
-                "max_peaks": cfg.max_peaks,
-            },
+            "dims": asdict(self.params.dims),
+            "stats": asdict(self.stats),
+            "config": asdict(self.config),
             "stream": {
                 "total_seen": self.stream.total_seen,
                 "lm_t": [r.t.isoformat() for r in self.stream.lm_buffer],
@@ -367,7 +290,7 @@ class OnlineDetector:
             spilled = det.stream.push(Reading(datetime.fromisoformat(t_iso), float(power), bool(filled)))
             if det.cache is not None and spilled is not None:
                 norm = (spilled.power - det.stats.mean) / det.stats.std
-                incremental_update(det.cache, det._embed_scalar(norm))
+                det.cache.push(det._embed_scalar(norm))
         det.stream.total_seen = stream_meta["total_seen"]
 
         det.calib_scores = [float(v) for v in arrays["engine.calib_scores"]]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import Tensor, concat_last, no_grad, softmax_rows, uniform_init
+from .nn import Tensor, concat_last, layer_norm, relu, softmax_rows, uniform_init
 
 LN_EPS = 1e-5
 
@@ -238,11 +238,61 @@ def mtr_forward_t(lm_values: Tensor, gm_values: Tensor, p: ModelParams) -> Tenso
     return decode_local(lm_feats, encoded, p)
 
 
-def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Inference-only forward on plain arrays (no graph recorded)."""
+# ---------------------------------------------------------------------------
+# Inference forward on plain arrays (the same arithmetic as the Tensor ops,
+# without graph nodes)
+# ---------------------------------------------------------------------------
+
+
+def _mha(x: np.ndarray, memory: np.ndarray, p: AttentionParams, logits: np.ndarray | None = None) -> np.ndarray:
+    """`multi_head_attention` on arrays; `logits` (h x n x m), when given,
+    stands in for the scaled query-key products."""
+    scale = 1.0 / math.sqrt(p.wq[0].shape[1])
+    heads = []
+    for k, (wq, wk, wv) in enumerate(zip(p.wq, p.wk, p.wv)):
+        if logits is None:
+            lg = (x @ wq.data) @ np.swapaxes(memory @ wk.data, -1, -2) * scale
+        else:
+            lg = logits[k]
+        heads.append(softmax_rows(lg) @ (memory @ wv.data))
+    return np.concatenate(heads, axis=-1) @ p.wo.data
+
+
+def _ln(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
+    return layer_norm(x, p.gain.data, p.bias.data, LN_EPS)
+
+
+def self_attend(tokens: np.ndarray, p: TRDParams) -> np.ndarray:
+    """First stage of a TRD block on arrays: self-attention, residual, norm."""
+    return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
+
+
+def _trd(tokens: np.ndarray, memory: np.ndarray, p: TRDParams, cache=None) -> np.ndarray:
+    """`trd_forward` on arrays. With `cache` (enc1 only), the post-self-attention
+    queries and the cross-attention logits are read from it."""
+    if cache is None:
+        x1, logits = self_attend(tokens, p), None
+    else:
+        x1, logits = cache.fixed_queries, cache.assemble_logits()
+    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn, logits), p.ln2)
+    ffn = relu(x2 @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
+    return _ln(x2 + ffn, p.ln3)
+
+
+def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None) -> np.ndarray:
+    """Inference forward on plain (batched) arrays; equals `mtr_forward_t`.
+
+    `cache` (an `engine.AttentionCache` over this global window, single window
+    only) supplies enc1's post-self-attention queries and cross-attention logits.
+    """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
     if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
         raise ValueError("window lengths do not match model dims")
-    with no_grad():
-        return mtr_forward_t(Tensor(lm_values), Tensor(gm_values), p).data
+    embed_w, embed_b = p.embed_w.data, p.embed_b.data
+    lm_feats = lm_values[..., None] @ embed_w + embed_b + p.pos_lm
+    gm_feats = gm_values[..., None] @ embed_w + embed_b + p.pos_gm
+    stage1 = _trd(p.enc1_queries.data, gm_feats, p.enc1, cache)
+    encoded = _trd(p.enc2_queries.data, stage1, p.enc2)
+    out = _trd(lm_feats, encoded, p.dec) @ p.head_w.data + p.head_b.data
+    return out[..., 0]

@@ -1,8 +1,9 @@
 """Dense numerical kernels, reverse-mode autodiff and an Adam optimizer.
 
 Everything works on float64 numpy arrays. The `Tensor` class records a
-computation graph only while gradients are enabled (see `no_grad`), so the
-same forward code serves both training and fast inference.
+computation graph only while gradients are enabled (see `no_grad`); it serves
+training and the gradient checks. Inference runs on plain arrays through the
+functional kernels below (`model.mtr_forward`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Functional kernels (shared by the autodiff ops and the cached inference path)
+# Functional kernels (shared by the autodiff ops and the array inference forward)
 # ---------------------------------------------------------------------------
 
 
@@ -120,13 +121,12 @@ class Tensor:
     dimensions and broadcast through every op.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.name = name
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
 

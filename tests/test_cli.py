@@ -232,6 +232,26 @@ class TestDetect:
         assert main(["detect", "--resume-engine", str(engine_ckpt), str(second), "--out", str(part_b)]) == 0
         assert part_a.read_text() + part_b.read_text() == whole.read_text()
 
+    def test_truncated_checkpoint_exits_one(self, workdir, tiny_setup, capsys):
+        truncated = workdir / "truncated.npz"
+        data = tiny_setup["ckpt"].read_bytes()
+        truncated.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        code = main(["detect", "--resume-engine", str(truncated), str(tiny_setup["detect_csv"]),
+                     "--out", str(workdir / "never.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name, save", [("no_meta.npz", np.savez), ("plain.npy", np.save)])
+    def test_foreign_checkpoint_exits_one(self, workdir, tiny_setup, capsys, name, save):
+        foreign = workdir / name
+        save(foreign, np.zeros(3))
+        capsys.readouterr()
+        code = main(["detect", "--checkpoint", str(foreign), str(tiny_setup["detect_csv"]),
+                     "--out", str(workdir / "never.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_jobs_fan_out(self, workdir, tiny_setup):
         out_dir = workdir / "fanout"
         second = workdir / "detect2.csv"

@@ -20,9 +20,7 @@ from evdetect.engine import (
     EngineConfig,
     OnlineDetector,
     anomaly_score,
-    build_attention_cache,
     format_event,
-    incremental_update,
 )
 from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams
@@ -115,7 +113,7 @@ class TestPhases:
 class TestAttentionCache:
     def test_positional_logit_shape(self):
         params = ModelParams(SMALL, seed=4)
-        cache = build_attention_cache(params)
+        cache = AttentionCache(params)
         assert cache.pos_logits.shape == (SMALL.heads, SMALL.e0, SMALL.gm)
         for head in cache.pos_logits:
             # per head: one positional entry per (window slot, query token)
@@ -123,8 +121,8 @@ class TestAttentionCache:
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
-        a = build_attention_cache(params)
-        b = build_attention_cache(params)
+        a = AttentionCache(params)
+        b = AttentionCache(params)
         np.testing.assert_array_equal(a.pos_logits, b.pos_logits)
         np.testing.assert_array_equal(a.fixed_queries, b.fixed_queries)
         np.testing.assert_array_equal(a.eff_queries, b.eff_queries)
@@ -153,8 +151,8 @@ class TestAttentionCache:
         costs = {}
         for gm in (16, 64):
             dims = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=gm, e0=6, e1=3)
-            cache = build_attention_cache(ModelParams(dims, seed=8))
-            incremental_update(cache, np.ones(8))
+            cache = AttentionCache(ModelParams(dims, seed=8))
+            cache.push(np.ones(8))
             costs[gm] = cache.update_madds
         assert costs[16] == costs[64] == 2 * 6 * 8  # heads * e0 * C
 
@@ -280,10 +278,10 @@ class TestLogitTimeSublinear:
     def _cache_at(gm, seed=21):
         dims = ModelDims(C=8, hidden=8, heads=2, lm=8, gm=gm, e0=16, e1=8)
         params = ModelParams(dims, seed=seed)
-        cache = build_attention_cache(params)
+        cache = AttentionCache(params)
         rng = np.random.default_rng(gm)
         for _ in range(gm):
-            incremental_update(cache, rng.normal(size=8))
+            cache.push(rng.normal(size=8))
         return params, cache
 
     def test_per_step_update_time_independent_of_gm(self):
@@ -297,7 +295,7 @@ class TestLogitTimeSublinear:
             for _ in range(7):
                 start = time.perf_counter()
                 for _ in range(2000):
-                    incremental_update(cache, feat)
+                    cache.push(feat)
                 best = min(best, time.perf_counter() - start)
             return best
 

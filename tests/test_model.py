@@ -193,6 +193,16 @@ class TestForward:
             single = mtr_forward(lm[i], gm[i], params)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
+    def test_array_forward_equals_tensor_forward_exactly(self):
+        # the inference forward is the training forward without graph nodes
+        params = ModelParams(ModelDims(), seed=17)
+        rng = np.random.default_rng(18)
+        lm = rng.normal(size=(6, 8))
+        gm = rng.normal(size=(6, 32))
+        with no_grad():
+            want = mtr_forward_t(Tensor(lm), Tensor(gm), params).data
+        np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
+
     def test_attention_rows_sum_to_one_inside_model(self):
         # the softmax op guarantees this; spot-check through a hooked forward
         rng = np.random.default_rng(13)
