@@ -196,12 +196,17 @@ DETECT_DEFAULTS = {
 
 
 def _iter_stdin_readings():
-    for raw in sys.stdin:
+    """`timestamp,power_kw` rows from stdin; a malformed row raises ValueError."""
+    for lineno, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line or line.startswith("timestamp"):
             continue
         parts = line.split(",")
-        yield Reading(datetime.fromisoformat(parts[0]), float(parts[1]))
+        try:
+            reading = Reading(datetime.fromisoformat(parts[0]), float(parts[1]))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"stdin line {lineno}: expected 'timestamp,power_kw', got {line!r}") from exc
+        yield reading
 
 
 def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig, save_engine=None, resume=None):
@@ -233,7 +238,7 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
     for reading in readings:
         event = detector.step(reading)
         n_steps += 1
-        if event.phase != WARMUP:
+        if event.phase != WARMUP or event.error is not None:
             out_fh.write(format_event(event) + "\n")
             if input_path == "-":
                 out_fh.flush()

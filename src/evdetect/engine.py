@@ -9,7 +9,9 @@ logit splits into a content part (a dot product with the reading's embedded
 feature, computed once when the reading enters the global window) and a
 positional part (precomputable for every relative offset). Assembling the
 logit matrix then costs O(gm*e0) additions per step instead of O(gm*e0*C)
-multiply-adds.
+multiply-adds. The second encoder block's queries are learned constants too,
+so the cache also freezes its self-attention stage and that stage's
+cross-attention query projection.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def anomaly_score(lm_values, lm_hat) -> float:
 
 
 class AttentionCache:
-    """Precomputed pieces of the first encoder block's cross-attention.
+    """Precomputed, input-independent pieces of the encoder blocks.
 
+    enc1 (cross-attention over the global window):
     fixed_queries: post-self-attention query block (e0 x C), frozen at build.
     eff_queries:   per-head effective queries folded with the key projection
                    and the 1/sqrt(d) scale (h x e0 x C).
@@ -104,22 +107,27 @@ class AttentionCache:
     ring:          per-reading content logit parts, written twice into a
                    (h x e0 x 2gm) buffer so the chronological window is always
                    a contiguous copy-free slice.
+
+    enc2 (its queries are learned constants too, so its whole self-attention
+    stage is frozen):
+    enc2_fixed_queries: post-self-attention query block (e1 x C).
+    enc2_cross_q:       its per-head cross-attention query projection (h x e1 x d).
+
+    All of these are computed from the stacked head weights (`wq_all`, ...)
+    at build time; rebuild the cache after the weights change.
     """
 
     def __init__(self, params: ModelParams):
         dims = params.dims
         p = params.enc1
         self.fixed_queries = self_attend(params.enc1_queries.data, p)
-        d = dims.C // dims.heads
-        scale = 1.0 / math.sqrt(d)
-        self.eff_queries = np.stack(
-            [
-                (self.fixed_queries @ wq.data) @ wk.data.T * scale
-                for wq, wk in zip(p.cross_attn.wq, p.cross_attn.wk)
-            ]
-        )
+        scale = 1.0 / math.sqrt(dims.C // dims.heads)
+        attn = p.cross_attn
+        self.eff_queries = (self.fixed_queries @ attn.wq_all) @ attn.wk_all.swapaxes(-1, -2) * scale
         # slot j (oldest first) pairs with relative offset lm+gm-1-j
         self.pos_logits = np.einsum("hec,gc->heg", self.eff_queries, params.pos_gm)
+        self.enc2_fixed_queries = self_attend(params.enc2_queries.data, params.enc2)
+        self.enc2_cross_q = self.enc2_fixed_queries @ params.enc2.cross_attn.wq_all
         self.gm = dims.gm
         self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
         self.ring_ptr = 0
@@ -190,13 +198,17 @@ class OnlineDetector:
 
     # -- the per-reading step -------------------------------------------------
 
+    def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
+        return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
+
     def step(self, reading: Reading) -> DetectionEvent:
+        # a rejected reading never enters the buffers, so the stream goes on
+        if not math.isfinite(reading.power):
+            return self._rejected(reading, f"non-finite reading power {reading.power}")
         try:
             spilled = self.stream.push(reading)
         except StreamOrderError as exc:
-            return DetectionEvent(
-                t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=str(exc)
-            )
+            return self._rejected(reading, str(exc))
         if self.cache is not None and spilled is not None:
             norm = (spilled.power - self.stats.mean) / self.stats.std
             self.cache.push(self._embed_scalar(norm))

@@ -67,7 +67,18 @@ def positional_encoding(tau: int, C: int) -> np.ndarray:
 
 
 def positional_table(taus, C: int) -> np.ndarray:
-    return np.stack([positional_encoding(int(t), C) for t in taus])
+    """`positional_encoding` rows for a sequence of offsets, in one broadcast."""
+    taus = np.asarray(taus, dtype=np.float64)
+    if np.any(taus < 0):
+        raise ValueError("offset must be nonnegative")
+    if C % 2 != 0:
+        raise ValueError("C must be even")
+    i = np.arange(C // 2, dtype=np.float64)
+    angle = taus[:, None] / np.power(10000.0, 2.0 * i / C)
+    table = np.empty((len(taus), C), dtype=np.float64)
+    table[:, 0::2] = np.sin(angle)
+    table[:, 1::2] = np.cos(angle)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +87,25 @@ def positional_table(taus, C: int) -> np.ndarray:
 
 
 class AttentionParams:
-    """Per-head query/key/value projections plus a shared output projection."""
+    """Per-head query/key/value projections plus a shared output projection.
+
+    `wq_all`/`wk_all`/`wv_all` hold all heads as one (heads, C, d) array each;
+    the per-head `Tensor`s in `wq`/`wk`/`wv` wrap views of them, so an in-place
+    update through either (Adam, checkpoint loading) is seen by both.
+    """
 
     def __init__(self, rng: np.random.Generator, C: int, heads: int):
         d = C // heads
-        self.wq = [Tensor(uniform_init(rng, (C, d), C, d), requires_grad=True) for _ in range(heads)]
-        self.wk = [Tensor(uniform_init(rng, (C, d), C, d), requires_grad=True) for _ in range(heads)]
-        self.wv = [Tensor(uniform_init(rng, (C, d), C, d), requires_grad=True) for _ in range(heads)]
+
+        def stacked() -> np.ndarray:
+            return np.stack([uniform_init(rng, (C, d), C, d) for _ in range(heads)])
+
+        self.wq_all = stacked()
+        self.wk_all = stacked()
+        self.wv_all = stacked()
+        self.wq = [Tensor(w, requires_grad=True) for w in self.wq_all]
+        self.wk = [Tensor(w, requires_grad=True) for w in self.wk_all]
+        self.wv = [Tensor(w, requires_grad=True) for w in self.wv_all]
         self.wo = Tensor(uniform_init(rng, (C, C), C, C), requires_grad=True)
 
     def tensors(self) -> list[Tensor]:
@@ -244,18 +267,23 @@ def mtr_forward_t(lm_values: Tensor, gm_values: Tensor, p: ModelParams) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def _mha(x: np.ndarray, memory: np.ndarray, p: AttentionParams, logits: np.ndarray | None = None) -> np.ndarray:
-    """`multi_head_attention` on arrays; `logits` (h x n x m), when given,
-    stands in for the scaled query-key products."""
-    scale = 1.0 / math.sqrt(p.wq[0].shape[1])
-    heads = []
-    for k, (wq, wk, wv) in enumerate(zip(p.wq, p.wk, p.wv)):
-        if logits is None:
-            lg = (x @ wq.data) @ np.swapaxes(memory @ wk.data, -1, -2) * scale
-        else:
-            lg = logits[k]
-        heads.append(softmax_rows(lg) @ (memory @ wv.data))
-    return np.concatenate(heads, axis=-1) @ p.wo.data
+def _mha(
+    x: np.ndarray, memory: np.ndarray, p: AttentionParams, logits: np.ndarray | None = None, q: np.ndarray | None = None
+) -> np.ndarray:
+    """`multi_head_attention` on arrays, all heads at once.
+
+    Each projection is one broadcast matmul against the (h, C, d) stacks, so
+    heads sit on a new axis -3. `logits` (h x n x m), when given, stands in for
+    the scaled query-key products; `q` (h x n x d) for the query projections.
+    """
+    mem = memory[..., None, :, :]
+    if logits is None:
+        if q is None:
+            q = x[..., None, :, :] @ p.wq_all
+        logits = q @ (mem @ p.wk_all).swapaxes(-1, -2) * (1.0 / math.sqrt(p.wq_all.shape[-1]))
+    # (.., h, n, d) -> (.., n, h*d): the heads side by side, as `concat_last`
+    joined = (softmax_rows(logits) @ (mem @ p.wv_all)).swapaxes(-3, -2)
+    return joined.reshape(*joined.shape[:-2], -1) @ p.wo.data
 
 
 def _ln(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
@@ -267,14 +295,11 @@ def self_attend(tokens: np.ndarray, p: TRDParams) -> np.ndarray:
     return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
 
 
-def _trd(tokens: np.ndarray, memory: np.ndarray, p: TRDParams, cache=None) -> np.ndarray:
-    """`trd_forward` on arrays. With `cache` (enc1 only), the post-self-attention
-    queries and the cross-attention logits are read from it."""
-    if cache is None:
-        x1, logits = self_attend(tokens, p), None
-    else:
-        x1, logits = cache.fixed_queries, cache.assemble_logits()
-    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn, logits), p.ln2)
+def _trd(x1: np.ndarray, memory: np.ndarray, p: TRDParams, logits=None, q=None) -> np.ndarray:
+    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`:
+    cross-attention over `memory` (with precomputed `logits` or `q`, see
+    `_mha`), FFN, post-norm residuals."""
+    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn, logits, q), p.ln2)
     ffn = relu(x2 @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
     return _ln(x2 + ffn, p.ln3)
 
@@ -283,7 +308,9 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
     """Inference forward on plain (batched) arrays; equals `mtr_forward_t`.
 
     `cache` (an `engine.AttentionCache` over this global window, single window
-    only) supplies enc1's post-self-attention queries and cross-attention logits.
+    only) supplies the input-independent pieces of both encoder blocks: enc1's
+    post-self-attention queries and cross-attention logits, and enc2's
+    post-self-attention queries and their per-head cross-attention projection.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
@@ -292,7 +319,11 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
     embed_w, embed_b = p.embed_w.data, p.embed_b.data
     lm_feats = lm_values[..., None] @ embed_w + embed_b + p.pos_lm
     gm_feats = gm_values[..., None] @ embed_w + embed_b + p.pos_gm
-    stage1 = _trd(p.enc1_queries.data, gm_feats, p.enc1, cache)
-    encoded = _trd(p.enc2_queries.data, stage1, p.enc2)
-    out = _trd(lm_feats, encoded, p.dec) @ p.head_w.data + p.head_b.data
+    if cache is None:
+        stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), gm_feats, p.enc1)
+        encoded = _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
+    else:
+        stage1 = _trd(cache.fixed_queries, gm_feats, p.enc1, logits=cache.assemble_logits())
+        encoded = _trd(cache.enc2_fixed_queries, stage1, p.enc2, q=cache.enc2_cross_q)
+    out = _trd(self_attend(lm_feats, p.dec), encoded, p.dec) @ p.head_w.data + p.head_b.data
     return out[..., 0]

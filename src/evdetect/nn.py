@@ -44,10 +44,13 @@ def softmax(v) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Stable softmax along the last axis."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Stable softmax along the last axis.
+
+    The reductions call the ufuncs directly: the same arithmetic as
+    `x.max`/`e.sum`, without the method wrappers' per-call overhead.
+    """
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -68,11 +71,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     bias = np.asarray(bias, dtype=np.float64)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ValueError("layer_norm: gain/bias length must equal the row width")
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    # `ndarray.mean` is a sum followed by a division by the row width; calling
+    # the reduction directly keeps that arithmetic and skips the wrapper
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred**2, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    return xhat * gain + bias
+    return centred * inv_std * gain + bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:

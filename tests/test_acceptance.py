@@ -271,31 +271,36 @@ def test_c09_fifo_memory_oracle():
 
 
 def test_c10_encoder_scaling_is_affine():
-    def encode_time(gm, C=128, reps=100, trials=7):
+    def encoder(gm, C=128):
         dims = ModelDims(C=C, hidden=16, heads=2, lm=8, gm=gm, e0=8, e1=4)
         params = ModelParams(dims, seed=39)
         feats = Tensor(np.random.default_rng(gm).normal(size=(gm, C)))
         with no_grad():
             encode_global(feats, params)
-        best = float("inf")
-        for _ in range(trials):
-            start = time.perf_counter()
-            with no_grad():
-                for _ in range(reps):
-                    encode_global(feats, params)
-            best = min(best, (time.perf_counter() - start) / reps)
-        return best
+        return params, feats
 
     gms = np.array([32, 64, 128, 256])
-    best_r2 = -np.inf
-    for _ in range(3):  # timing is noisy; any clean measurement suffices
-        times = np.array([encode_time(int(g)) for g in gms])
+    encoders = [encoder(int(g)) for g in gms]
+    reps, trials = 20, 35
+    times = np.full(len(gms), np.inf)
+    # the gm points take turns inside each trial, so a slow stretch of a shared
+    # host slows every point alike, and each point keeps its best time of all
+    # trials so far; when the host changes speed mid-round, a further round
+    # lets every point reach the new floor (timing is noisy; any clean fit
+    # suffices)
+    for _ in range(3):
+        for _ in range(trials):
+            for i, (params, feats) in enumerate(encoders):
+                start = time.perf_counter()
+                with no_grad():
+                    for _ in range(reps):
+                        encode_global(feats, params)
+                times[i] = min(times[i], (time.perf_counter() - start) / reps)
         slope, intercept = np.polyfit(gms, times, 1)
         pred = slope * gms + intercept
         r2 = 1.0 - np.sum((times - pred) ** 2) / np.sum((times - times.mean()) ** 2)
-        best_r2 = max(best_r2, r2)
-        if best_r2 >= 0.98:
+        if r2 >= 0.98:
             break
     assert slope > 0
-    assert best_r2 >= 0.98
-    _passed(10, f"encode wall-time affine over gm in {{32,64,128,256}}, R^2 = {best_r2:.4f}")
+    assert r2 >= 0.98
+    _passed(10, f"encode wall-time affine over gm in {{32,64,128,256}}, R^2 = {r2:.4f}")

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, config precedence, round trips."""
 
+import io
 import json
 import os
 import subprocess
@@ -174,6 +175,40 @@ class TestDetect:
         assert proc.returncode == 0
         lines = proc.stdout.strip().split("\n")
         assert len(lines) == 120 - 39
+
+    @pytest.mark.parametrize("bad_row", [5, 60])  # inside the warmup, then after it
+    def test_stdin_nan_reading_is_an_error_event(self, tiny_setup, bad_row):
+        # a non-finite reading is rejected before it enters the windows
+        rows = [
+            f"2019-01-01T{h:02d}:{m:02d}:00,{0.5 + 0.01 * ((h * 60 + m) % 7)}" for h in range(2) for m in range(60)
+        ]
+        bad_t = rows[bad_row].split(",")[0]
+        rows[bad_row] = f"{bad_t},nan"
+        proc = run_cli(
+            ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "-", "--calibration-len", "100", "--q", "1e-3"],
+            input="timestamp,power_kw\n" + "\n".join(rows) + "\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        events = [json.loads(l) for l in proc.stdout.strip().split("\n")]
+        errors = [e for e in events if "error" in e]
+        assert len(errors) == 1
+        assert errors[0]["t"] == bad_t and errors[0]["score"] is None
+        scored = [e for e in events if "error" not in e]
+        assert len(scored) == 120 - 1 - 39
+        assert all(np.isfinite(e["score"]) for e in scored)
+
+    @pytest.mark.parametrize(
+        "bad", ["2019-01-01T00:05:00", "2019-01-01T00:05:00;0.5", "yesterday,0.5", "2019-01-01T00:05:00,lots"]
+    )
+    def test_malformed_stdin_row_exits_one(self, tiny_setup, capsys, monkeypatch, bad):
+        rows = ["timestamp,power_kw", "2019-01-01T00:03:00,0.5", "2019-01-01T00:04:00,0.5", bad]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
+        capsys.readouterr()
+        code = main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), "-"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stdin line 4: ")
+        assert bad in err
 
     def test_multiple_inputs_need_out_dir(self, workdir, tiny_setup):
         proc = run_cli(

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+from evdetect.checkpoint import load_model, save_model
+from evdetect.data import SeriesStats
 from evdetect.model import (
     LN_EPS,
     ModelDims,
@@ -16,9 +18,10 @@ from evdetect.model import (
     mtr_forward,
     mtr_forward_t,
     positional_encoding,
+    positional_table,
     trd_forward,
 )
-from evdetect.nn import Tensor, grad_check, no_grad
+from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, no_grad
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
 
@@ -37,9 +40,19 @@ class TestPositionalEncoding:
             enc = positional_encoding(int(rng.integers(0, 10_000)), 16)
             assert np.all(np.abs(enc) <= 1.0)
 
+    def test_table_equals_per_offset_rows_exactly(self):
+        for C in (2, 8, 16):
+            taus = range(C + 40, -1, -1)
+            want = np.stack([positional_encoding(t, C) for t in taus])
+            np.testing.assert_array_equal(positional_table(taus, C), want)
+        with pytest.raises(ValueError):
+            positional_table([2, -1], 8)
+
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             positional_encoding(3, 5)
+        with pytest.raises(ValueError):
+            positional_table([3], 5)
         with pytest.raises(ValueError):
             ModelDims(C=5, hidden=4, heads=1, lm=2, gm=4, e0=3, e1=2)  # odd C caught at C%2
 
@@ -202,6 +215,36 @@ class TestForward:
         with no_grad():
             want = mtr_forward_t(Tensor(lm), Tensor(gm), params).data
         np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
+
+    def test_stacked_heads_follow_updates_and_loads(self, tmp_path):
+        # the (h, C, d) stacks read by the array forward share memory with the
+        # per-head Tensors that Adam and checkpoint loading write through
+        params = ModelParams(ModelDims(), seed=21)
+        rng = np.random.default_rng(22)
+        lm = rng.normal(size=(4, 8))
+        gm = rng.normal(size=(4, 32))
+
+        def assert_forwards_agree(p):
+            with no_grad():
+                want = mtr_forward_t(Tensor(lm), Tensor(gm), p).data
+            np.testing.assert_array_equal(mtr_forward(lm, gm, p), want)
+            return want
+
+        before = assert_forwards_agree(params)
+        tensors = params.parameters()
+        adam_step(
+            [t.data for t in tensors],
+            [rng.normal(size=t.shape) for t in tensors],
+            AdamState.for_params([t.data for t in tensors]),
+            Hyper(learning_rate=1e-2),
+        )
+        after = assert_forwards_agree(params)
+        assert not np.array_equal(before, after)
+
+        path = tmp_path / "model.npz"
+        save_model(path, params, SeriesStats(mean=0.0, std=1.0, count=1))
+        loaded, _ = load_model(path)
+        np.testing.assert_array_equal(assert_forwards_agree(loaded), after)
 
     def test_attention_rows_sum_to_one_inside_model(self):
         # the softmax op guarantees this; spot-check through a hooked forward
