@@ -1,7 +1,18 @@
-"""Versioned npz containers for model and engine state.
+"""Versioned npz containers for model and engine state (format version 2).
 
-Arrays round-trip bit-exactly (raw float64); structured metadata rides along
-as a JSON string under a reserved key.
+A container is an npz archive: a JSON header under the reserved key
+`__meta__` (format tag, version, structured metadata) plus raw arrays, which
+round-trip bit-exactly. Both checkpoint kinds share one model codec,
+`encode_model`/`decode_model`:
+
+- the header carries `dims` (`ModelDims`) and `stats` (`SeriesStats`);
+- the array `params` holds every weight as one 1-D float64 array, in
+  `ModelParams.parameters()` order, each tensor flattened in C order.
+
+A model checkpoint is exactly those two members. An engine checkpoint adds
+`config`, `stream` and `spot` to the header and the arrays `power` (the
+buffered readings, oldest first), `calib_scores` and, once calibrated,
+`peaks`. Version 1 files (one npz member per weight) are rejected.
 """
 
 from __future__ import annotations
@@ -16,9 +27,10 @@ from .data import SeriesStats
 from .model import ModelDims, ModelParams
 
 FORMAT_KEY = "__meta__"
+PARAMS_KEY = "params"
 MODEL_FORMAT = "evdetect-model"
 ENGINE_FORMAT = "evdetect-engine"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -44,77 +56,43 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise ValueError(f"not a readable {kind} file: {path} ({exc})") from exc
     except KeyError as exc:
         raise ValueError(f"not a {kind} file (no {FORMAT_KEY}): {path}") from exc
-    if meta.get("format") != kind:
+    if not isinstance(meta, dict) or meta.get("format") != kind:
         raise ValueError(f"not a {kind} file: {path}")
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} version {meta.get('version')}")
     return meta, arrays
 
 
-# ---------------------------------------------------------------------------
-# Model checkpoints
-# ---------------------------------------------------------------------------
+def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header fields and arrays of a model: dims, stats and the flat weights."""
+    meta = {"dims": asdict(params.dims), "stats": asdict(stats)}
+    return meta, {PARAMS_KEY: np.concatenate([t.data.ravel() for t in params.parameters()])}
 
 
-def _attention_arrays(prefix: str, p) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (wq, wk, wv) in enumerate(zip(p.wq, p.wk, p.wv)):
-        out[f"{prefix}.wq{i}"] = wq.data
-        out[f"{prefix}.wk{i}"] = wk.data
-        out[f"{prefix}.wv{i}"] = wv.data
-    out[f"{prefix}.wo"] = p.wo.data
-    return out
+def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelParams, SeriesStats]:
+    """Inverse of `encode_model`; malformed metadata or weights raise ValueError.
 
-
-def _trd_arrays(prefix: str, p) -> dict[str, np.ndarray]:
-    out = {}
-    out.update(_attention_arrays(f"{prefix}.self", p.self_attn))
-    out.update(_attention_arrays(f"{prefix}.cross", p.cross_attn))
-    out[f"{prefix}.w1"] = p.w1.data
-    out[f"{prefix}.b1"] = p.b1.data
-    out[f"{prefix}.w2"] = p.w2.data
-    out[f"{prefix}.b2"] = p.b2.data
-    for j, ln in enumerate((p.ln1, p.ln2, p.ln3), start=1):
-        out[f"{prefix}.ln{j}.gain"] = ln.gain.data
-        out[f"{prefix}.ln{j}.bias"] = ln.bias.data
-    return out
-
-
-def model_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    out = {
-        "embed.w": params.embed_w.data,
-        "embed.b": params.embed_b.data,
-        "enc1.queries": params.enc1_queries.data,
-        "enc2.queries": params.enc2_queries.data,
-        "head.w": params.head_w.data,
-        "head.b": params.head_b.data,
-    }
-    out.update(_trd_arrays("enc1", params.enc1))
-    out.update(_trd_arrays("enc2", params.enc2))
-    out.update(_trd_arrays("dec", params.dec))
-    return out
-
-
-def load_model_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
-    wanted = model_arrays(params)
-    for name, target in wanted.items():
-        if name not in arrays:
-            raise ValueError(f"checkpoint missing array {name!r}")
-        src = np.asarray(arrays[name], dtype=np.float64)
-        if src.shape != target.shape:
-            raise ValueError(f"array {name!r} has shape {src.shape}, expected {target.shape}")
-        target[...] = src
+    The weights are written in place into the new model's `.data` arrays, so
+    the per-head `Tensor`s stay views of the stacked `(h, C, d)` arrays.
+    """
+    try:
+        params = ModelParams(ModelDims(**meta["dims"]), seed=0)
+        stats = SeriesStats(**meta["stats"])
+        flat = arrays[PARAMS_KEY]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint metadata: {exc!r}") from exc
+    tensors = params.parameters()
+    sizes = [t.data.size for t in tensors]
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise ValueError(f"parameter array is {flat.dtype} {flat.shape}, expected float64 ({sum(sizes)},)")
+    for t, chunk in zip(tensors, np.split(flat, np.cumsum(sizes)[:-1])):
+        t.data[...] = chunk.reshape(t.data.shape)
+    return params, stats
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
-    meta = {"dims": asdict(params.dims), "stats": asdict(stats)}
-    write_container(path, MODEL_FORMAT, meta, model_arrays(params))
+    write_container(path, MODEL_FORMAT, *encode_model(params, stats))
 
 
 def load_model(path) -> tuple[ModelParams, SeriesStats]:
-    meta, arrays = read_container(path, MODEL_FORMAT)
-    dims = ModelDims(**meta["dims"])
-    params = ModelParams(dims, seed=0)
-    load_model_arrays(params, arrays)
-    stats = SeriesStats(**meta["stats"])
-    return params, stats
+    return decode_model(*read_container(path, MODEL_FORMAT))

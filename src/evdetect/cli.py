@@ -217,12 +217,15 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
         params, stats = load_model(checkpoint_path)
         detector = OnlineDetector(params, stats, engine_cfg)
 
+    restarts: set[int] = set()
     if input_path == "-":
         readings = _iter_stdin_readings()
         labels = None
     else:
         series = read_meter_csv(input_path)
         readings = series.iter_readings()
+        # a later segment follows a gap too long to fill: its windows start empty
+        restarts = {start for start, _ in series.segments[1:]}
         labels = series.labels
         if labels is not None:
             guard = engine_cfg.lm + engine_cfg.gm - 1 + engine_cfg.calibration_len
@@ -236,6 +239,8 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
     n_steps = 0
     started = time.perf_counter()
     for reading in readings:
+        if n_steps in restarts:
+            detector.clear_windows()
         event = detector.step(reading)
         n_steps += 1
         if event.phase != WARMUP or event.error is not None:

@@ -26,7 +26,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
-from .model import ModelDims, ModelParams, mtr_forward, self_attend
+from .model import ModelParams, mtr_forward, self_attend
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -198,6 +198,18 @@ class OnlineDetector:
 
     # -- the per-reading step -------------------------------------------------
 
+    def _push(self, reading: Reading) -> None:
+        spilled = self.stream.push(reading)
+        if self.cache is not None and spilled is not None:
+            self.cache.push(self._embed_scalar((spilled.power - self.stats.mean) / self.stats.std))
+
+    def clear_windows(self) -> None:
+        """Empty the stream windows and the cache ring, as after a gap too long
+        to fill; the SPOT state and the calibration scores stay."""
+        self.stream = StreamState(self.config.lm, self.config.gm)
+        if self.cache is not None:
+            self.cache.ring_ptr = self.cache.ring_count = 0
+
     def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
 
@@ -206,12 +218,9 @@ class OnlineDetector:
         if not math.isfinite(reading.power):
             return self._rejected(reading, f"non-finite reading power {reading.power}")
         try:
-            spilled = self.stream.push(reading)
+            self._push(reading)
         except StreamOrderError as exc:
             return self._rejected(reading, str(exc))
-        if self.cache is not None and spilled is not None:
-            norm = (spilled.power - self.stats.mean) / self.stats.std
-            self.cache.push(self._embed_scalar(norm))
 
         snap = self.stream.snapshot()
         if snap is None:
@@ -247,78 +256,41 @@ class OnlineDetector:
     # -- checkpointing ----------------------------------------------------------
 
     def save(self, path) -> None:
-        meta = {
-            "dims": asdict(self.params.dims),
-            "stats": asdict(self.stats),
-            "config": asdict(self.config),
-            "stream": {
-                "total_seen": self.stream.total_seen,
-                "lm_t": [r.t.isoformat() for r in self.stream.lm_buffer],
-                "lm_filled": [r.filled for r in self.stream.lm_buffer],
-                "gm_t": [r.t.isoformat() for r in self.stream.gm_buffer],
-                "gm_filled": [r.filled for r in self.stream.gm_buffer],
-            },
-            "spot": None
-            if self.spot is None
-            else {
-                "q": self.spot.q,
-                "h": self.spot.h,
-                "z_q": self.spot.z_q,
-                "gamma": self.spot.fit.gamma_hat,
-                "sigma": self.spot.fit.sigma_hat,
-                "n_excesses": self.spot.fit.n_excesses,
-                "k": self.spot.k,
-                "n_peaks_total": self.spot.n_peaks_total,
-                "refit_stride": self.spot.refit_stride,
-                "max_peaks": self.spot.max_peaks,
-                "degenerate": self.spot.degenerate,
-                "since_refit": self.spot._since_refit,
-            },
+        meta, arrays = ckpt.encode_model(self.params, self.stats)
+        readings = [*self.stream.gm_buffer, *self.stream.lm_buffer]
+        spot = None
+        if self.spot is not None:
+            spot = asdict(self.spot)
+            arrays["peaks"] = np.asarray(spot.pop("peaks"), dtype=np.float64)
+        meta["config"] = asdict(self.config)
+        meta["stream"] = {
+            "total_seen": self.stream.total_seen,
+            "t": [r.t.isoformat() for r in readings],
+            "filled": [r.filled for r in readings],
         }
-        arrays = ckpt.model_arrays(self.params)
-        arrays["engine.lm_power"] = np.array([r.power for r in self.stream.lm_buffer])
-        arrays["engine.gm_power"] = np.array([r.power for r in self.stream.gm_buffer])
-        arrays["engine.calib_scores"] = np.asarray(self.calib_scores, dtype=np.float64)
-        arrays["engine.peaks"] = (
-            np.asarray(self.spot.peaks, dtype=np.float64) if self.spot is not None else np.zeros(0)
-        )
+        meta["spot"] = spot
+        arrays["power"] = np.array([r.power for r in readings], dtype=np.float64)
+        arrays["calib_scores"] = np.asarray(self.calib_scores, dtype=np.float64)
         ckpt.write_container(path, ckpt.ENGINE_FORMAT, meta, arrays)
 
     @classmethod
     def load(cls, path) -> "OnlineDetector":
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
-        params = ModelParams(ModelDims(**meta["dims"]), seed=0)
-        ckpt.load_model_arrays(params, arrays)
-        stats = SeriesStats(**meta["stats"])
-        det = cls(params, stats, EngineConfig(**meta["config"]))
-
-        stream_meta = meta["stream"]
-        det.stream.total_seen = 0
-        for t_iso, filled, power in zip(
-            stream_meta["gm_t"] + stream_meta["lm_t"],
-            stream_meta["gm_filled"] + stream_meta["lm_filled"],
-            np.concatenate((arrays["engine.gm_power"], arrays["engine.lm_power"])),
-        ):
-            spilled = det.stream.push(Reading(datetime.fromisoformat(t_iso), float(power), bool(filled)))
-            if det.cache is not None and spilled is not None:
-                norm = (spilled.power - det.stats.mean) / det.stats.std
-                det.cache.push(det._embed_scalar(norm))
-        det.stream.total_seen = stream_meta["total_seen"]
-
-        det.calib_scores = [float(v) for v in arrays["engine.calib_scores"]]
-        if meta["spot"] is not None:
-            s = meta["spot"]
-            det.spot = SpotState(
-                q=s["q"],
-                h=s["h"],
-                z_q=s["z_q"],
-                fit=GpdFit(s["gamma"], s["sigma"], s["n_excesses"]),
-                peaks=[float(v) for v in arrays["engine.peaks"]],
-                k=s["k"],
-                n_peaks_total=s["n_peaks_total"],
-                refit_stride=s["refit_stride"],
-                max_peaks=s["max_peaks"],
-                degenerate=s["degenerate"],
-                _since_refit=s["since_refit"],
-            )
+        params, stats = ckpt.decode_model(meta, arrays)
+        try:
+            det = cls(params, stats, EngineConfig(**meta["config"]))
+            stream, spot = meta["stream"], meta["spot"]
+            readings = [
+                Reading(datetime.fromisoformat(t), float(power), bool(filled))
+                for t, filled, power in zip(stream["t"], stream["filled"], arrays["power"], strict=True)
+            ]
+            det.calib_scores = arrays["calib_scores"].tolist()
+            if spot is not None:
+                det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].tolist()})
+            total_seen = stream["total_seen"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
+        for r in readings:
+            det._push(r)
+        det.stream.total_seen = total_seen
         return det

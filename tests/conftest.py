@@ -1,0 +1,6 @@
+"""Test-suite settings: property tests draw the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, deadline=None, max_examples=40, database=None)
+settings.load_profile("deterministic")

@@ -9,9 +9,22 @@ import sys
 import numpy as np
 import pytest
 
+from evdetect.checkpoint import ENGINE_FORMAT, MODEL_FORMAT, PARAMS_KEY, encode_model, load_model, write_container
 from evdetect.cli import main
+from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
+from evdetect.model import ModelDims, ModelParams
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
+
+
+def _model_without_dims(path, params):
+    write_container(path, MODEL_FORMAT, {"stats": {}}, {PARAMS_KEY: params})
+
+
+def _engine_without_config(path, _):
+    # valid dims, stats and weights, but none of the engine's own fields
+    meta, arrays = encode_model(ModelParams(ModelDims(), seed=0), SeriesStats(mean=0.0, std=1.0, count=1))
+    write_container(path, ENGINE_FORMAT, meta, arrays)
 
 
 def run_cli(args, **kwargs):
@@ -267,6 +280,30 @@ class TestDetect:
         assert main(["detect", "--resume-engine", str(engine_ckpt), str(second), "--out", str(part_b)]) == 0
         assert part_a.read_text() + part_b.read_text() == whole.read_text()
 
+    def test_long_gap_rewarms_windows(self, workdir, tiny_setup):
+        # a 2-hour gap after calibration opens a new segment; no window spans it
+        series = read_meter_csv(str(tiny_setup["detect_csv"]))
+        cut, skip = 1500, 120
+        keep = np.r_[0:cut, cut + skip : len(series)]
+        gapped = MeterSeries(
+            timestamps=[series.timestamps[i] for i in keep],
+            powers=series.powers[keep],
+            filled=series.filled[keep],
+            labels=series.labels[keep],
+        )
+        csv = workdir / "gapped.csv"
+        csv.write_text(format_meter_csv(gapped))
+        out = workdir / "gapped.jsonl"
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", str(out)]
+        assert main(args + ["--calibration-len", "600", "--q", "1e-3"]) == 0
+        scored = {json.loads(line)["t"]: json.loads(line) for line in out.read_text().splitlines()}
+        dims = load_model(tiny_setup["ckpt"])[0].dims
+        after = [t.isoformat() for t in gapped.timestamps[cut:]]
+        rewarm = dims.lm + dims.gm - 1
+        assert not any(t in scored for t in after[:rewarm])
+        assert scored[after[rewarm]]["phase"] == "detecting"
+        assert gapped.timestamps[cut - 1].isoformat() in scored
+
     def test_truncated_checkpoint_exits_one(self, workdir, tiny_setup, capsys):
         truncated = workdir / "truncated.npz"
         data = tiny_setup["ckpt"].read_bytes()
@@ -277,12 +314,20 @@ class TestDetect:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("name, save", [("no_meta.npz", np.savez), ("plain.npy", np.save)])
-    def test_foreign_checkpoint_exits_one(self, workdir, tiny_setup, capsys, name, save):
+    @pytest.mark.parametrize(
+        "name, save, flag",
+        [
+            pytest.param("no_meta.npz", np.savez, "--checkpoint", id="no_meta.npz-savez"),
+            pytest.param("plain.npy", np.save, "--checkpoint", id="plain.npy-save"),
+            pytest.param("no_dims.npz", _model_without_dims, "--checkpoint", id="model-no-dims"),
+            pytest.param("no_config.npz", _engine_without_config, "--resume-engine", id="engine-no-config"),
+        ],
+    )
+    def test_foreign_checkpoint_exits_one(self, workdir, tiny_setup, capsys, name, save, flag):
         foreign = workdir / name
         save(foreign, np.zeros(3))
         capsys.readouterr()
-        code = main(["detect", "--checkpoint", str(foreign), str(tiny_setup["detect_csv"]),
+        code = main(["detect", flag, str(foreign), str(tiny_setup["detect_csv"]),
                      "--out", str(workdir / "never.jsonl")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")

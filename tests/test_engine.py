@@ -1,11 +1,14 @@
 """Online-engine tests: phases, the incremental attention cache, checkpoint
 resume and the JSONL event contract."""
 
+import functools
 import math
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 # small calibration sets legitimately trigger the lowered-threshold warning
 pytestmark = pytest.mark.filterwarnings("ignore::evdetect.spot.CalibrationWarning")
@@ -232,6 +235,68 @@ class TestCheckpointResume:
             det_ref.step(r)
         for r in readings[5:]:
             assert format_event(det_b.step(r)) == format_event(det_ref.step(r))
+
+
+RESUME_LEN = 320
+RESUME_CALIB = 100
+RESUME_WARMUP = SMALL.lm + SMALL.gm - 1
+
+
+def _resume_detector(refit_stride, max_peaks):
+    cfg = EngineConfig(
+        lm=SMALL.lm,
+        gm=SMALL.gm,
+        q=1e-3,
+        calibration_len=RESUME_CALIB,
+        refit_stride=refit_stride,
+        max_peaks=max_peaks,
+    )
+    return OnlineDetector(ModelParams(SMALL, seed=23), SeriesStats(mean=0.0, std=1.0, count=1), cfg)
+
+
+def _resume_readings(constant):
+    if constant:
+        return _readings(np.full(RESUME_LEN, 0.5))
+    values = np.random.default_rng(24).normal(size=RESUME_LEN)
+    values[260:264] += 8.0
+    return _readings(values)
+
+
+@functools.lru_cache(maxsize=None)
+def _uninterrupted(refit_stride, max_peaks, constant):
+    det = _resume_detector(refit_stride, max_peaks)
+    return [format_event(det.step(r)) for r in _resume_readings(constant)], det.spot
+
+
+class TestResumeAtAnyCut:
+    def test_stream_reaches_the_interesting_states(self):
+        _, spot = _uninterrupted(1, 20, False)
+        assert spot.n_peaks_total > 20 and len(spot.peaks) == 20
+        assert _uninterrupted(1, None, True)[1].degenerate
+
+    # the start, both sides of the end of warmup and of calibration, past the
+    # injected anomalies and the end, plus any other cut
+    @given(
+        cut=st.sampled_from([0, 1, RESUME_WARMUP, RESUME_WARMUP + 1, RESUME_WARMUP + RESUME_CALIB])
+        | st.sampled_from([RESUME_WARMUP + RESUME_CALIB + 1, 270, RESUME_LEN])
+        | st.integers(0, RESUME_LEN),
+        refit_stride=st.sampled_from([1, 3]),
+        max_peaks=st.sampled_from([None, 20]),
+        constant=st.booleans(),
+    )
+    def test_resumed_events_equal_uninterrupted(self, tmp_path_factory, cut, refit_stride, max_peaks, constant):
+        readings = _resume_readings(constant)
+        det = _resume_detector(refit_stride, max_peaks)
+        head = [format_event(det.step(r)) for r in readings[:cut]]
+        path = tmp_path_factory.getbasetemp() / "resume_any_cut.npz"
+        det.save(path)
+        with np.load(path) as npz:
+            assert len(npz.files) <= 5
+        resumed = OnlineDetector.load(path)
+        assert resumed.spot == det.spot
+        assert resumed.calib_scores == det.calib_scores
+        tail = [format_event(resumed.step(r)) for r in readings[cut:]]
+        assert head + tail == _uninterrupted(refit_stride, max_peaks, constant)[0]
 
 
 class TestEventFormat:
