@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from datetime import datetime
 
 import numpy as np
@@ -22,9 +23,11 @@ import numpy as np
 from .checkpoint import load_model, save_model
 from .data import (
     BaseProfile,
+    CsvFormatError,
     SynthConfig,
     WindowBatch,
     fit_stats,
+    iter_meter_csv,
     non_ev_segments,
     normalize,
     read_meter_csv,
@@ -195,20 +198,6 @@ DETECT_DEFAULTS = {
 }
 
 
-def _iter_stdin_readings():
-    """`timestamp,power_kw` rows from stdin; a malformed row raises ValueError."""
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line or line.startswith("timestamp"):
-            continue
-        parts = line.split(",")
-        try:
-            reading = Reading(datetime.fromisoformat(parts[0]), float(parts[1]))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"stdin line {lineno}: expected 'timestamp,power_kw', got {line!r}") from exc
-        yield reading
-
-
 def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig, save_engine=None, resume=None):
     if resume:
         detector = OnlineDetector.load(resume)
@@ -217,36 +206,32 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
         params, stats = load_model(checkpoint_path)
         detector = OnlineDetector(params, stats, engine_cfg)
 
-    restarts: set[int] = set()
-    if input_path == "-":
-        readings = _iter_stdin_readings()
-        labels = None
-    else:
-        series = read_meter_csv(input_path)
-        readings = series.iter_readings()
-        # a later segment follows a gap too long to fill: its windows start empty
-        restarts = {start for start, _ in series.segments[1:]}
-        labels = series.labels
-        if labels is not None:
-            guard = engine_cfg.lm + engine_cfg.gm - 1 + engine_cfg.calibration_len
-            if np.any(labels[:guard] == 1):
-                print(
-                    "warning: EV-labeled readings inside the calibration prefix; "
-                    "the initial threshold may be biased",
-                    file=sys.stderr,
-                )
-
+    from_stdin = input_path == "-"
+    guard = engine_cfg.lm + engine_cfg.gm - 1 + engine_cfg.calibration_len
+    warned = False
     n_steps = 0
     started = time.perf_counter()
-    for reading in readings:
-        if n_steps in restarts:
-            detector.clear_windows()
-        event = detector.step(reading)
-        n_steps += 1
-        if event.phase != WARMUP or event.error is not None:
-            out_fh.write(format_event(event) + "\n")
-            if input_path == "-":
-                out_fh.flush()
+    with nullcontext(sys.stdin) if from_stdin else open(input_path, "r", encoding="utf-8") as fh:
+        try:
+            for _, t, power, filled, label, new_segment in iter_meter_csv(fh):
+                if new_segment:
+                    # after a gap too long to fill, the windows start empty
+                    detector.clear_windows()
+                if label and n_steps < guard and not warned:
+                    print(
+                        "warning: EV-labeled readings inside the calibration prefix; "
+                        "the initial threshold may be biased",
+                        file=sys.stderr,
+                    )
+                    warned = True
+                event = detector.step(Reading(t, power, filled))
+                n_steps += 1
+                if event.phase != WARMUP or event.error is not None:
+                    out_fh.write(format_event(event) + "\n")
+                    if from_stdin:
+                        out_fh.flush()
+        except CsvFormatError as exc:
+            raise CsvFormatError(f"{'stdin' if from_stdin else input_path} {exc}") from None
     elapsed = time.perf_counter() - started
     if save_engine:
         detector.save(save_engine)
@@ -394,7 +379,7 @@ def cmd_eval(args, parser) -> int:
     if args.scores:
         for path in args.scores:
             _require_file(parser, path)
-            metric_rows.append(_metrics_from_scores(path, args.q or 1e-4, args.calib_frac or 0.2))
+            metric_rows.append(_metrics_from_scores(path, args.q, args.calib_frac))
     if not metric_rows:
         parser.error("nothing to evaluate: pass --events/--labels or --scores")
 
@@ -527,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--events", action="append", help="engine events JSONL (repeatable)")
     p_eval.add_argument("--labels", action="append", help="labeled meter CSV matching --events")
     p_eval.add_argument("--scores", action="append", help="score,label[,pred] CSV (repeatable)")
-    p_eval.add_argument("--q", type=float, default=None, help="risk for deriving preds from bare scores")
-    p_eval.add_argument("--calib-frac", type=float, default=None)
+    p_eval.add_argument("--q", type=float, default=1e-4, help="risk for deriving preds from bare scores")
+    p_eval.add_argument("--calib-frac", type=float, default=0.2)
     p_eval.add_argument("--quiet", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 

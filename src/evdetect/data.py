@@ -3,7 +3,10 @@ normalization, sliding-window construction and a labeled synthetic household
 generator for experiments without access to real feeder data.
 
 CSV schema: header ``timestamp,power_kw`` with an optional ``label`` column;
-timestamps are ISO-8601 at minute resolution and must be strictly increasing.
+timestamps are ISO-8601 on a strictly increasing minute grid. One incremental
+reader, `iter_meter_csv`, validates and gap-fills every source: `detect`
+streams files and stdin through it, and `read_meter_csv` collects it into a
+`MeterSeries` for training and evaluation.
 """
 
 from __future__ import annotations
@@ -60,96 +63,103 @@ class MeterSeries:
             yield Reading(t, float(p), bool(f))
 
 
-def _parse_timestamp(text: str, lineno: int) -> datetime:
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError as exc:
-        raise CsvFormatError(f"line {lineno}: bad timestamp {text!r}") from exc
+def iter_meter_csv(fh, max_fill_minutes: int = 60):
+    """Read a meter CSV incrementally from an open text stream.
+
+    Checks the header, then yields ``(lineno, t, power, filled, label,
+    new_segment)`` for every minute. A gap of up to `max_fill_minutes` is
+    forward-filled before the row that ends it: the filled minutes carry that
+    row's line number, the last finite power, the previous row's label and
+    ``filled=True``. The first row after a longer gap has ``new_segment=True``.
+    `label` is None without a label column. A non-finite power is passed on;
+    unsorted, off-grid or malformed rows raise CsvFormatError naming the line
+    and quoting the row.
+    """
+    header = fh.readline().strip()
+    cols = header.split(",")
+    if cols[:2] != ["timestamp", "power_kw"] or cols[2:] not in ([], ["label"]):
+        raise CsvFormatError(f"line 1: expected header 'timestamp,power_kw[,label]', got {header!r}")
+    n_cols = len(cols)
+    prev_t = prev_label = None
+    fill_power = math.nan
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise CsvFormatError(f"line {lineno}: expected {n_cols} fields, got {len(parts)}: {line!r}")
+        try:
+            t = datetime.fromisoformat(parts[0])
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: bad timestamp in {line!r}") from None
+        try:
+            power = float(parts[1])
+        except ValueError:
+            raise CsvFormatError(f"line {lineno}: bad power in {line!r}") from None
+        label = None
+        if n_cols == 3:
+            if parts[2] not in ("0", "1"):
+                raise CsvFormatError(f"line {lineno}: label must be 0 or 1 in {line!r}")
+            label = int(parts[2])
+
+        new_segment = False
+        try:
+            step = MINUTE if prev_t is None else t - prev_t
+        except TypeError:
+            raise CsvFormatError(f"line {lineno}: naive and timezone-aware timestamps mixed at {line!r}") from None
+        if step != MINUTE:
+            gap_s = step.total_seconds()
+            if gap_s <= 0:
+                raise CsvFormatError(f"line {lineno}: timestamps not strictly increasing at {line!r}")
+            if gap_s % 60:
+                raise CsvFormatError(f"line {lineno}: timestamp off the minute grid in {line!r}")
+            missing = int(gap_s) // 60 - 1
+            if missing > max_fill_minutes:
+                new_segment = True
+            else:
+                for j in range(1, missing + 1):
+                    yield lineno, prev_t + j * MINUTE, fill_power, True, prev_label, False
+
+        yield lineno, t, power, False, label, new_segment
+        prev_t, prev_label = t, label
+        if math.isfinite(power):
+            fill_power = power
 
 
 def read_meter_csv(source, max_fill_minutes: int = 60) -> MeterSeries:
-    """Parse a meter CSV, forward-filling gaps up to `max_fill_minutes`.
+    """Collect `iter_meter_csv` from a path or an open text stream.
 
-    Longer gaps close the current segment and open a new one. Unsorted rows
-    and malformed fields raise CsvFormatError with the line number.
+    Longer gaps close the current segment and open a new one. A series must
+    be clean, so a non-finite power raises CsvFormatError with its line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh, close = source, False
-    try:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:2] != ["timestamp", "power_kw"] or (len(cols) == 3 and cols[2] != "label") or len(cols) > 3:
-            raise CsvFormatError(f"line 1: expected header 'timestamp,power_kw[,label]', got {header!r}")
-        has_label = len(cols) == 3
+        with open(source, "r", encoding="utf-8") as fh:
+            return read_meter_csv(fh, max_fill_minutes)
 
-        timestamps: list[datetime] = []
-        powers: list[float] = []
-        filled: list[bool] = []
-        labels: list[int] = []
-        segments: list[tuple[int, int]] = []
-        seg_start = 0
+    timestamps, powers, filled, labels, segments = [], [], [], [], []
+    seg_start = 0
+    for lineno, t, power, is_filled, label, new_segment in iter_meter_csv(source, max_fill_minutes):
+        if not math.isfinite(power):
+            raise CsvFormatError(f"line {lineno}: non-finite power")
+        if new_segment:
+            segments.append((seg_start, len(timestamps)))
+            seg_start = len(timestamps)
+        timestamps.append(t)
+        powers.append(power)
+        filled.append(is_filled)
+        labels.append(label)
 
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise CsvFormatError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
-            t = _parse_timestamp(parts[0], lineno)
-            try:
-                p = float(parts[1])
-            except ValueError as exc:
-                raise CsvFormatError(f"line {lineno}: bad power {parts[1]!r}") from exc
-            if not math.isfinite(p):
-                raise CsvFormatError(f"line {lineno}: non-finite power")
-            lab = 0
-            if has_label:
-                if parts[2] not in ("0", "1"):
-                    raise CsvFormatError(f"line {lineno}: label must be 0 or 1, got {parts[2]!r}")
-                lab = int(parts[2])
-
-            if timestamps:
-                delta = t - timestamps[-1]
-                if delta <= timedelta(0):
-                    raise CsvFormatError(f"line {lineno}: timestamps not strictly increasing")
-                gap_s = delta.total_seconds()
-                if gap_s % 60 != 0:
-                    raise CsvFormatError(f"line {lineno}: timestamps must stay on the minute grid")
-                missing = int(gap_s // 60) - 1
-                if 0 < missing <= max_fill_minutes:
-                    for j in range(1, missing + 1):
-                        timestamps.append(timestamps[-1] + MINUTE)
-                        powers.append(powers[-1])
-                        filled.append(True)
-                        if has_label:
-                            labels.append(labels[-1])
-                elif missing > max_fill_minutes:
-                    segments.append((seg_start, len(timestamps)))
-                    seg_start = len(timestamps)
-
-            timestamps.append(t)
-            powers.append(p)
-            filled.append(False)
-            if has_label:
-                labels.append(lab)
-
-        if not timestamps:
-            raise CsvFormatError("no data rows")
-        segments.append((seg_start, len(timestamps)))
-        return MeterSeries(
-            timestamps=timestamps,
-            powers=np.asarray(powers, dtype=np.float64),
-            filled=np.asarray(filled, dtype=bool),
-            labels=np.asarray(labels, dtype=np.int64) if has_label else None,
-            segments=segments,
-        )
-    finally:
-        if close:
-            fh.close()
+    if not timestamps:
+        raise CsvFormatError("no data rows")
+    segments.append((seg_start, len(timestamps)))
+    return MeterSeries(
+        timestamps=timestamps,
+        powers=np.asarray(powers, dtype=np.float64),
+        filled=np.asarray(filled, dtype=bool),
+        labels=None if labels[0] is None else np.asarray(labels, dtype=np.int64),
+        segments=segments,
+    )
 
 
 def write_meter_csv(path, series: MeterSeries) -> None:

@@ -210,8 +210,36 @@ class TestDetect:
         assert len(scored) == 120 - 1 - 39
         assert all(np.isfinite(e["score"]) for e in scored)
 
+    def test_stdin_nan_then_gap_is_one_error_event(self, tiny_setup):
+        # the filled minutes after a non-finite row copy the last finite power
+        rows = [
+            f"2019-01-01T{h:02d}:{m:02d}:00,{0.5 + 0.01 * ((h * 60 + m) % 7)}" for h in range(2) for m in range(60)
+        ]
+        bad_t = rows[60].split(",")[0]
+        rows[60] = f"{bad_t},nan"
+        filled_t = [row.split(",")[0] for row in rows[61:71]]
+        del rows[61:71]
+        proc = run_cli(
+            ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "-", "--calibration-len", "100", "--q", "1e-3"],
+            input="timestamp,power_kw\n" + "\n".join(rows) + "\n",
+        )
+        assert proc.returncode == 0, proc.stderr
+        events = [json.loads(l) for l in proc.stdout.strip().split("\n")]
+        errors = [e for e in events if "error" in e]
+        assert [e["t"] for e in errors] == [bad_t]
+        scored = {e["t"]: e for e in events if "error" not in e}
+        assert len(scored) == 120 - 1 - 39
+        assert all(t in scored and np.isfinite(scored[t]["score"]) for t in filled_t)
+
     @pytest.mark.parametrize(
-        "bad", ["2019-01-01T00:05:00", "2019-01-01T00:05:00;0.5", "yesterday,0.5", "2019-01-01T00:05:00,lots"]
+        "bad",
+        [
+            "2019-01-01T00:05:00",
+            "2019-01-01T00:05:00;0.5",
+            "yesterday,0.5",
+            "2019-01-01T00:05:00,lots",
+            "2019-01-01T00:05:30,0.5",
+        ],
     )
     def test_malformed_stdin_row_exits_one(self, tiny_setup, capsys, monkeypatch, bad):
         rows = ["timestamp,power_kw", "2019-01-01T00:03:00,0.5", "2019-01-01T00:04:00,0.5", bad]
@@ -222,6 +250,52 @@ class TestDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: stdin line 4: ")
         assert bad in err
+
+    def test_headerless_stdin_exits_one(self, tiny_setup, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2019-01-01T00:03:00,0.5\n2019-01-01T00:04:00,0.5\n"))
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: stdin line 1: ")
+
+    def test_gapped_csv_file_and_stdin_identical(self, workdir, tiny_setup, monkeypatch):
+        # a 30-minute hole is forward-filled, a 2-hour hole re-warms: both sources alike
+        series = read_meter_csv(str(tiny_setup["detect_csv"]))
+        keep = np.r_[0:1000, 1030:2500, 2620 : len(series)]
+        gapped = MeterSeries(
+            timestamps=[series.timestamps[i] for i in keep],
+            powers=series.powers[keep],
+            filled=series.filled[keep],
+            labels=series.labels[keep],
+        )
+        csv = workdir / "two_gaps.csv"
+        csv.write_text(format_meter_csv(gapped))
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        from_file, from_stdin = workdir / "two_gaps_file.jsonl", workdir / "two_gaps_stdin.jsonl"
+        assert main(args + [str(csv), "--out", str(from_file)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+        assert main(args + ["-", "--out", str(from_stdin)]) == 0
+        assert from_stdin.read_bytes() == from_file.read_bytes()
+        lines = from_file.read_text().splitlines()
+        assert len(lines) == len(keep) + 30 - 2 * (8 + 32 - 1)
+
+    def test_calibration_prefix_warning_once(self, workdir, tiny_setup, capsys, monkeypatch):
+        series = read_meter_csv(str(tiny_setup["detect_csv"]))
+        warning = "warning: EV-labeled readings inside the calibration prefix"
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        capsys.readouterr()
+        assert main(args + [str(tiny_setup["detect_csv"]), "--out", str(workdir / "clean_prefix.jsonl")]) == 0
+        assert warning not in capsys.readouterr().err
+
+        labels = series.labels.copy()
+        labels[100:110] = 1
+        labels[600:620] = 1  # still inside lm + gm - 1 + calibration_len = 639
+        csv = workdir / "ev_in_prefix.csv"
+        csv.write_text(format_meter_csv(MeterSeries(series.timestamps, series.powers, series.filled, labels)))
+        assert main(args + [str(csv), "--out", str(workdir / "ev_in_prefix_file.jsonl")]) == 0
+        assert capsys.readouterr().err.count(warning) == 1
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+        assert main(args + ["-", "--out", str(workdir / "ev_in_prefix_stdin.jsonl")]) == 0
+        assert capsys.readouterr().err.count(warning) == 1
 
     def test_multiple_inputs_need_out_dir(self, workdir, tiny_setup):
         proc = run_cli(
@@ -413,6 +487,15 @@ class TestEval:
         doubled = json.loads(capsys.readouterr().out.strip())
         for key in single:
             assert doubled[key] == pytest.approx(single[key])
+
+
+    def test_zero_q_exits_one(self, workdir, capsys):
+        scores = workdir / "bare_scores.csv"
+        rng = np.random.default_rng(12)
+        scores.write_text("score,label\n" + "".join(f"{rng.normal()},0\n" for _ in range(300)))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--q", "0"]) == 1
+        assert "q must lie in (0, 1)" in capsys.readouterr().err
 
 
 class TestSpot:

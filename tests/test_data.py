@@ -5,6 +5,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evdetect.data import (
     CsvFormatError,
@@ -14,6 +16,7 @@ from evdetect.data import (
     fit_stats,
     denormalize,
     format_meter_csv,
+    iter_meter_csv,
     non_ev_segments,
     normalize,
     read_meter_csv,
@@ -81,6 +84,63 @@ class TestReadCsv:
         np.testing.assert_array_equal(back.powers, series.powers)
         np.testing.assert_array_equal(back.labels, series.labels)
         assert back.timestamps == series.timestamps
+
+    def test_off_grid_rejected_with_row(self):
+        with pytest.raises(CsvFormatError, match=r"line 3: .*'2018-01-01T00:01:30,2.0'"):
+            _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01:30,2.0\n")
+
+    def test_mixed_naive_and_aware_timestamps_rejected(self):
+        with pytest.raises(CsvFormatError, match="line 3: naive and timezone-aware"):
+            _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01+00:00,2.0\n")
+
+    def test_non_finite_power_rejected(self):
+        with pytest.raises(CsvFormatError, match="line 3: non-finite power"):
+            _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01,inf\n")
+
+    def test_iter_passes_non_finite_and_fills_from_last_finite(self):
+        text = "timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01,nan\n2018-01-01T00:04,2.0\n"
+        rows = list(iter_meter_csv(io.StringIO(text)))
+        assert [r[0] for r in rows] == [2, 3, 4, 4, 4]
+        np.testing.assert_array_equal([r[2] for r in rows], [1.0, np.nan, 1.0, 1.0, 2.0])
+        assert [r[3] for r in rows] == [False, False, True, True, False]
+        assert {r[4] for r in rows} == {None}
+        assert not any(r[5] for r in rows)
+
+    @given(st.data())
+    def test_matches_slicing_oracle(self, data):
+        n = data.draw(st.integers(1, 500), label="n")
+        max_fill = data.draw(st.sampled_from([60, 0, 7]), label="max_fill")
+        # gaps of exactly max_fill and max_fill + 1 minutes sit on the segment boundary
+        lengths = st.one_of(st.sampled_from([max(1, max_fill), max_fill + 1]), st.integers(1, 150))
+        keep = np.ones(n, dtype=bool)
+        for start, length in data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), lengths), max_size=5), label="dropped runs"
+        ):
+            keep[start : start + length] = False
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        powers = rng.uniform(0.0, 5.0, size=n).round(3)
+        labels = rng.integers(0, 2, size=n)
+        t0 = datetime(2018, 1, 1)
+        text = "timestamp,power_kw,label\n" + "".join(
+            f"{(t0 + timedelta(minutes=int(i))).isoformat()},{powers[i]},{labels[i]}\n" for i in np.flatnonzero(keep)
+        )
+        if not keep.any():
+            with pytest.raises(CsvFormatError, match="no data rows"):
+                _csv(text)
+            return
+        series = read_meter_csv(io.StringIO(text), max_fill_minutes=max_fill)
+
+        kept = np.flatnonzero(keep)
+        runs = np.split(kept, np.flatnonzero(np.diff(kept) - 1 > max_fill) + 1)
+        minutes = np.concatenate([np.arange(run[0], run[-1] + 1) for run in runs])
+        source = kept[np.searchsorted(kept, minutes, side="right") - 1]
+        ends = np.cumsum([run[-1] - run[0] + 1 for run in runs])
+        starts = np.r_[0, ends[:-1]]
+        assert series.timestamps == [t0 + timedelta(minutes=int(m)) for m in minutes]
+        np.testing.assert_array_equal(series.powers, powers[source])
+        np.testing.assert_array_equal(series.labels, labels[source])
+        np.testing.assert_array_equal(series.filled, ~keep[minutes])
+        assert series.segments == list(zip(starts.tolist(), ends.tolist()))
 
     @pytest.mark.slow
     def test_full_year_scale_parse(self):
