@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -194,6 +195,7 @@ DETECT_DEFAULTS = {
     "calibration_len": (1440, int),
     "init_level": (0.98, float),
     "refit_stride": (1, int),
+    "max_peaks": (None, int),
     "jobs": (1, int),
 }
 
@@ -239,8 +241,7 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
 
 
 def _detect_one(task):
-    checkpoint_path, input_path, out_path, cfg_kwargs = task
-    engine_cfg = EngineConfig(**cfg_kwargs)
+    checkpoint_path, input_path, out_path, engine_cfg = task
     with open(out_path, "w", encoding="utf-8") as fh:
         n, elapsed = _run_detection(checkpoint_path, input_path, fh, engine_cfg)
     return input_path, n, elapsed
@@ -252,13 +253,13 @@ def cmd_detect(args, parser) -> int:
         _require_file(parser, args.resume_engine)
         if len(args.inputs) > 1:
             parser.error("--resume-engine continues a single stream")
-        engine_kwargs = None
+        engine_cfg = None
     else:
         if not args.checkpoint:
             parser.error("--checkpoint is required unless --resume-engine is given")
         _require_file(parser, args.checkpoint)
         params, _ = load_model(args.checkpoint)
-        engine_kwargs = dict(
+        engine_cfg = EngineConfig(
             lm=params.dims.lm,
             gm=params.dims.gm,
             q=cfg["q"],
@@ -266,6 +267,7 @@ def cmd_detect(args, parser) -> int:
             init_level=cfg["init_level"],
             cache_enabled=not args.no_cache,
             refit_stride=cfg["refit_stride"],
+            max_peaks=cfg["max_peaks"],
         )
     for path in args.inputs:
         _require_file(parser, path)
@@ -279,7 +281,7 @@ def cmd_detect(args, parser) -> int:
                 args.checkpoint,
                 args.inputs[0],
                 out_fh,
-                EngineConfig(**engine_kwargs) if engine_kwargs else None,
+                engine_cfg,
                 args.save_engine,
                 resume=args.resume_engine,
             )
@@ -294,7 +296,7 @@ def cmd_detect(args, parser) -> int:
     tasks = []
     for path in args.inputs:
         stem = os.path.splitext(os.path.basename(path))[0]
-        tasks.append((args.checkpoint, path, os.path.join(args.out_dir, stem + ".jsonl"), engine_kwargs))
+        tasks.append((args.checkpoint, path, os.path.join(args.out_dir, stem + ".jsonl"), engine_cfg))
     if cfg["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_detect_one, tasks))
@@ -368,6 +370,8 @@ def _metrics_from_scores(path, q, calib_frac):
 
 
 def cmd_eval(args, parser) -> int:
+    if not 0.0 < args.calib_frac < 1.0:
+        raise ValueError(f"--calib-frac must lie in (0, 1), got {args.calib_frac}")
     metric_rows = []
     if args.events:
         if not args.labels or len(args.labels) != len(args.events):
@@ -451,6 +455,8 @@ def _read_score_column(path) -> np.ndarray:
 
 
 def cmd_spot(args, parser) -> int:
+    if not (0.0 < args.calib < 1.0 or 1.0 < args.calib < math.inf):
+        raise ValueError(f"--calib must be a fraction in (0, 1) or a count above 1, got {args.calib}")
     _require_file(parser, args.scores)
     scores = _read_score_column(args.scores)
     n_calib = int(args.calib) if args.calib > 1 else max(100, int(scores.size * args.calib))

@@ -52,6 +52,10 @@ class EngineConfig:
             raise ValueError("calibration_len must be >= 100")
         if not (self.lm < self.gm):
             raise ValueError("need lm < gm")
+        if self.refit_stride < 1:
+            raise ValueError(f"refit_stride must be >= 1, got {self.refit_stride}")
+        if self.max_peaks is not None and self.max_peaks < 2:
+            raise ValueError(f"max_peaks must be None or >= 2, got {self.max_peaks}")
 
 
 @dataclass

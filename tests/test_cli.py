@@ -12,6 +12,7 @@ import pytest
 from evdetect.checkpoint import ENGINE_FORMAT, MODEL_FORMAT, PARAMS_KEY, encode_model, load_model, write_container
 from evdetect.cli import main
 from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
+from evdetect.engine import OnlineDetector
 from evdetect.model import ModelDims, ModelParams
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
@@ -425,6 +426,39 @@ class TestDetect:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["detect.jsonl", "detect2.jsonl"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--refit-stride", "0"], "refit_stride must be >= 1"),
+            (["--max-peaks", "1"], "max_peaks must be None or >= 2"),
+        ],
+    )
+    def test_invalid_refit_settings_exit_one(self, tiny_setup, capsys, flags, message):
+        capsys.readouterr()
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"]), "--out", os.devnull]
+        code = main(args + flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_max_peaks_reaches_engine(self, workdir, tiny_setup):
+        engine_ckpt = workdir / "max_peaks_engine.npz"
+        code = main(
+            [
+                "detect",
+                "--checkpoint", str(tiny_setup["ckpt"]),
+                str(tiny_setup["detect_csv"]),
+                "--out", os.devnull,
+                "--save-engine", str(engine_ckpt),
+                "--calibration-len", "600",
+                "--q", "1e-3",
+                "--max-peaks", "20",
+            ]
+        )
+        assert code == 0
+        det = OnlineDetector.load(engine_ckpt)
+        assert det.config.max_peaks == 20
+        assert len(det.spot.peaks) == 20 < det.spot.n_peaks_total
+
 
 class TestEval:
     def test_metrics_json_has_exactly_four_keys(self, workdir, tiny_setup, capsys):
@@ -497,6 +531,16 @@ class TestEval:
         assert main(["eval", "--scores", str(scores), "--q", "0"]) == 1
         assert "q must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frac", ["0", "-1", "1"])
+    def test_calib_frac_outside_unit_interval_exits_one(self, workdir, capsys, frac):
+        scores = workdir / "labeled_scores.csv"
+        rng = np.random.default_rng(13)
+        labels = rng.integers(0, 2, size=300)
+        scores.write_text("score,label\n" + "".join(f"{rng.normal(loc=3.0 * y)},{y}\n" for y in labels))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--calib-frac", frac]) == 1
+        assert "--calib-frac must lie in (0, 1)" in capsys.readouterr().err
+
 
 class TestSpot:
     def test_trace_monotone_k_and_spikes(self, workdir, capsys):
@@ -518,3 +562,11 @@ class TestSpot:
                 caught += 1
         assert all(a <= b for a, b in zip(ks, ks[1:]))
         assert caught == 10
+
+    @pytest.mark.parametrize("calib", ["0", "-3", "1"])
+    def test_invalid_calib_exits_one(self, workdir, capsys, calib):
+        path = workdir / "spot_scores_300.csv"
+        path.write_text("score\n" + "\n".join(str(v) for v in np.random.default_rng(14).normal(size=300)) + "\n")
+        capsys.readouterr()
+        assert main(["spot", "--scores", str(path), "--calib", calib, "--out", os.devnull]) == 1
+        assert "--calib must be a fraction in (0, 1) or a count above 1" in capsys.readouterr().err

@@ -67,6 +67,13 @@ class TestAnomalyScore:
             anomaly_score([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("kwargs", [{"refit_stride": 0}, {"refit_stride": -2}, {"max_peaks": 0}, {"max_peaks": 1}])
+def test_config_rejects_invalid_refit_settings(kwargs):
+    with pytest.raises(ValueError):
+        EngineConfig(**kwargs)
+    EngineConfig(refit_stride=1, max_peaks=2)
+
+
 class TestPhases:
     def test_warmup_boundary(self):
         det = _detector()

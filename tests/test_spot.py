@@ -2,6 +2,8 @@
 
 Recovery tests draw from known distributions via explicit inverse-CDF
 samplers (the oracle), then check the fitted parameters against the truth.
+Equivalence tests hold `grimshaw_fit`'s one-broadcast bracket scan to the
+per-bracket scalar scan kept here as the reference, bit for bit.
 """
 
 import math
@@ -9,9 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from evdetect import spot
 from evdetect.spot import (
     ANOMALY,
+    GAMMA_ZERO,
     NORMAL,
     PEAK,
     CalibrationWarning,
@@ -30,6 +37,66 @@ def gpd_inverse_cdf(u: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
     if gamma == 0.0:
         return -sigma * np.log1p(-u)
     return (sigma / gamma) * ((1.0 - u) ** -gamma - 1.0)
+
+
+def _oracle_w(theta: float, y: np.ndarray) -> float:
+    z = 1.0 + theta * y
+    u = np.mean(1.0 / z)
+    v = 1.0 + np.mean(np.log(z))
+    return u * v - 1.0
+
+
+def oracle_grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdFit:
+    """Reference fit: evaluates u*v - 1 at both ends of every span, one scalar call each."""
+    y = np.asarray(excesses, dtype=np.float64)
+    if y.size < 2:
+        raise SpotDomainError("need at least two excesses to fit")
+    if np.any(y <= 0):
+        raise SpotDomainError("excesses must be positive")
+
+    y_max = float(y.max())
+    y_mean = float(y.mean())
+    best_gamma, best_sigma = 0.0, y_mean
+    if np.ptp(y) == 0.0:
+        return GpdFit(best_gamma, best_sigma, int(y.size))
+    best_ll = gpd_log_likelihood(best_gamma, best_sigma, y)
+
+    lo = -1.0 / y_max + 1e-8
+    if lo >= 0.0:
+        lo = -0.5 / y_max
+    hi = 10.0 / y_mean
+    dead_zone = 1e-7 / y_mean
+    edges = np.linspace(lo, hi, brackets + 1)
+
+    roots = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        spans = [(a, b)]
+        if a < 0.0 < b:
+            spans = [(a, -dead_zone), (dead_zone, b)]
+        for s_lo, s_hi in spans:
+            if s_lo >= s_hi:
+                continue
+            w_lo, w_hi = _oracle_w(s_lo, y), _oracle_w(s_hi, y)
+            if w_lo == 0.0:
+                roots.append(s_lo)
+            elif w_lo * w_hi < 0.0:
+                roots.append(float(brentq(_oracle_w, s_lo, s_hi, args=(y,), xtol=theta_tol)))
+
+    for theta in roots:
+        if abs(theta) < dead_zone:
+            continue
+        gamma = float(np.mean(np.log1p(theta * y)))
+        sigma = gamma / theta
+        if sigma <= 0 or abs(gamma) < GAMMA_ZERO:
+            continue
+        try:
+            ll = gpd_log_likelihood(gamma, sigma, y)
+        except SpotDomainError:
+            continue
+        if ll > best_ll:
+            best_gamma, best_sigma, best_ll = gamma, sigma, ll
+
+    return GpdFit(best_gamma, best_sigma, int(y.size))
 
 
 class TestLogLikelihood:
@@ -100,6 +167,9 @@ class TestGrimshaw:
             grimshaw_fit([1.0])
         with pytest.raises(SpotDomainError):
             grimshaw_fit([1.0, -1.0])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(SpotDomainError):
+                grimshaw_fit([1.0, bad])
 
     def test_local_optimality_on_grid(self):
         rng = np.random.default_rng(10)
@@ -284,3 +354,85 @@ def test_no_warnings_in_normal_calibration():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pot_calibrate(rng.normal(size=2000), q=1e-4)
+
+
+def _snap(gamma: float) -> float:
+    """Shapes this close to 0 would overflow sigma/gamma; sample the exponential limit instead."""
+    return 0.0 if abs(gamma) < 1e-3 else gamma
+
+
+@st.composite
+def excess_sets(draw):
+    """Positive excess sets, n from 2 to a few thousand: GPD tails from bounded to
+    infinite-mean, heavy tails, two-scale mixtures and lognormals (these spread
+    the roots over the whole bracket grid), rounded values, ties, and short
+    lists of arbitrary floats."""
+    kind = draw(st.sampled_from(["gpd", "heavy", "mixture", "lognormal", "rounded", "ties", "floats"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=60)))
+    n = draw(st.sampled_from([2, 3, 5]) | st.integers(2, 300) | st.integers(300, 4000))
+    gamma = draw(st.floats(0.8, 1.5) if kind == "heavy" else st.floats(-0.9, 2.0))
+    sigma = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = gpd_inverse_cdf(rng.uniform(size=n), _snap(gamma), sigma)
+    if kind == "mixture":
+        wide = sigma * 10.0 ** draw(st.floats(0.5, 3.0))
+        y[: n // 2] = gpd_inverse_cdf(rng.uniform(size=n // 2), _snap(draw(st.floats(-0.5, 0.5))), wide)
+    elif kind == "lognormal":
+        y = sigma * rng.lognormal(0.0, draw(st.floats(0.1, 3.0)), size=n)
+    elif kind == "rounded":
+        step = sigma * 10.0 ** -draw(st.integers(0, 3))
+        y = (np.floor(y / step) + 1.0) * step
+    elif kind == "ties":
+        y = rng.choice(y[: draw(st.integers(2, 6))], size=n)
+    return np.maximum(y, 1e-12)
+
+
+class TestBroadcastScanEquivalence:
+    """The one-broadcast bracket scan reproduces the per-bracket scalar scan bit for bit."""
+
+    @settings(max_examples=800)
+    @given(y=excess_sets())
+    def test_fit_bit_identical_to_scalar_scan(self, y):
+        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
+
+    def test_block_boundaries_bit_identical(self, monkeypatch):
+        # one row per block, a ragged last block, and one block for the whole grid
+        rng = np.random.default_rng(20)
+        y = gpd_inverse_cdf(rng.uniform(size=3000), 0.25, 1.0)
+        want = oracle_grimshaw_fit(y)
+        for block in (1, 3000 * 5, 1 << 30):
+            monkeypatch.setattr(spot, "_GRID_BLOCK", block)
+            got = grimshaw_fit(y)
+            assert (got.gamma_hat, got.sigma_hat) == (want.gamma_hat, want.sigma_hat)
+
+    @staticmethod
+    def _stream(n=100_000, seed=21):
+        """Gamma-distributed scores with a daily cycle, a slow drift and bursts."""
+        rng = np.random.default_rng(seed)
+        t = np.arange(n)
+        x = rng.gamma(2.0, 1.0, size=n) * (1.0 + 0.1 * np.sin(2 * np.pi * t / 1440) + 0.05 * t / n)
+        for start in rng.choice(n - 60, size=40, replace=False):
+            x[start : start + int(rng.integers(5, 60))] *= rng.uniform(1.5, 6.0)
+        return x
+
+    @staticmethod
+    def _run(x, refit_stride, max_peaks):
+        state = pot_calibrate(x[:2000], q=1e-4, init_level=0.95, refit_stride=refit_stride, max_peaks=max_peaks)
+        z_q, labels = [], []
+        for v in x[2000:]:
+            labels.append(spot_step(state, float(v)))
+            z_q.append(state.z_q)
+        return z_q, labels, state
+
+    @pytest.mark.parametrize("max_peaks", [None, 50])
+    @pytest.mark.parametrize("refit_stride", [1, 3])
+    def test_long_stream_thresholds_and_labels_identical(self, monkeypatch, refit_stride, max_peaks):
+        x = self._stream()
+        z_q, labels, state = self._run(x, refit_stride, max_peaks)
+        monkeypatch.setattr(spot, "grimshaw_fit", oracle_grimshaw_fit)
+        want_z_q, want_labels, _ = self._run(x, refit_stride, max_peaks)
+        assert z_q == want_z_q
+        assert labels == want_labels
+        assert labels.count(ANOMALY) > 0 and state.n_peaks_total > 1000
