@@ -195,7 +195,6 @@ DETECT_DEFAULTS = {
     "calibration_len": (1440, int),
     "init_level": (0.98, float),
     "refit_stride": (1, int),
-    "max_peaks": (None, int),
     "jobs": (1, int),
 }
 
@@ -267,7 +266,6 @@ def cmd_detect(args, parser) -> int:
             init_level=cfg["init_level"],
             cache_enabled=not args.no_cache,
             refit_stride=cfg["refit_stride"],
-            max_peaks=cfg["max_peaks"],
         )
     for path in args.inputs:
         _require_file(parser, path)

@@ -12,7 +12,6 @@ import pytest
 from evdetect.checkpoint import ENGINE_FORMAT, MODEL_FORMAT, PARAMS_KEY, encode_model, load_model, write_container
 from evdetect.cli import main
 from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
-from evdetect.engine import OnlineDetector
 from evdetect.model import ModelDims, ModelParams
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
@@ -426,38 +425,11 @@ class TestDetect:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["detect.jsonl", "detect2.jsonl"]
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--refit-stride", "0"], "refit_stride must be >= 1"),
-            (["--max-peaks", "1"], "max_peaks must be None or >= 2"),
-        ],
-    )
-    def test_invalid_refit_settings_exit_one(self, tiny_setup, capsys, flags, message):
+    def test_refit_stride_zero_exits_one(self, tiny_setup, capsys):
         capsys.readouterr()
         args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"]), "--out", os.devnull]
-        code = main(args + flags)
-        assert code == 1
-        assert message in capsys.readouterr().err
-
-    def test_max_peaks_reaches_engine(self, workdir, tiny_setup):
-        engine_ckpt = workdir / "max_peaks_engine.npz"
-        code = main(
-            [
-                "detect",
-                "--checkpoint", str(tiny_setup["ckpt"]),
-                str(tiny_setup["detect_csv"]),
-                "--out", os.devnull,
-                "--save-engine", str(engine_ckpt),
-                "--calibration-len", "600",
-                "--q", "1e-3",
-                "--max-peaks", "20",
-            ]
-        )
-        assert code == 0
-        det = OnlineDetector.load(engine_ckpt)
-        assert det.config.max_peaks == 20
-        assert len(det.spot.peaks) == 20 < det.spot.n_peaks_total
+        assert main(args + ["--refit-stride", "0"]) == 1
+        assert "refit_stride must be >= 1" in capsys.readouterr().err
 
 
 class TestEval:

@@ -407,6 +407,18 @@ class TestBroadcastScanEquivalence:
             got = grimshaw_fit(y)
             assert (got.gamma_hat, got.sigma_hat) == (want.gamma_hat, want.sigma_hat)
 
+    @pytest.mark.parametrize("gamma, step", [(0.25, 0.0), (-0.3, 0.0), (1.2, 0.01)])
+    @pytest.mark.parametrize("n", [10_000, 40_000])
+    def test_large_fits_bit_identical(self, n, gamma, step):
+        # at the default block size, 10k excesses run in blocks of 3 rows and 40k in
+        # single rows; each row sums more than numpy's 8192-element reduction buffer
+        y = gpd_inverse_cdf(np.random.default_rng(n).uniform(size=n), gamma, 1.0)
+        if step:
+            y = (np.floor(y / step) + 1.0) * step
+        assert spot._GRID_BLOCK // n in (3, 0)
+        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
+
     @staticmethod
     def _stream(n=100_000, seed=21):
         """Gamma-distributed scores with a daily cycle, a slow drift and bursts."""
