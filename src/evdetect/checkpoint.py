@@ -6,8 +6,9 @@ round-trip bit-exactly. Both checkpoint kinds share one model codec,
 `encode_model`/`decode_model`:
 
 - the header carries `dims` (`ModelDims`) and `stats` (`SeriesStats`);
-- the array `params` holds every weight as one 1-D float64 array, in
-  `ModelParams.parameters()` order, each tensor flattened in C order.
+- the array `params` is `ModelParams.vector`, the one 1-D float64 array that
+  stores every weight (in `ModelParams.parameters()` order, each tensor
+  flattened in C order).
 
 A model checkpoint is exactly those two members. An engine checkpoint adds
 `config`, `stream` and `spot` to the header and the arrays `power` (the
@@ -66,28 +67,21 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
 def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[str, np.ndarray]]:
     """Header fields and arrays of a model: dims, stats and the flat weights."""
     meta = {"dims": asdict(params.dims), "stats": asdict(stats)}
-    return meta, {PARAMS_KEY: np.concatenate([t.data.ravel() for t in params.parameters()])}
+    return meta, {PARAMS_KEY: params.vector}
 
 
 def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelParams, SeriesStats]:
     """Inverse of `encode_model`; malformed metadata or weights raise ValueError.
 
-    The weights are written in place into the new model's `.data` arrays, so
-    the per-head `Tensor`s stay views of the stacked `(h, C, d)` arrays.
+    The model is built straight from the stored vector, without a random init.
     """
     try:
-        params = ModelParams(ModelDims(**meta["dims"]), seed=0)
+        dims = ModelDims(**meta["dims"])
         stats = SeriesStats(**meta["stats"])
         flat = arrays[PARAMS_KEY]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint metadata: {exc!r}") from exc
-    tensors = params.parameters()
-    sizes = [t.data.size for t in tensors]
-    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-        raise ValueError(f"parameter array is {flat.dtype} {flat.shape}, expected float64 ({sum(sizes)},)")
-    for t, chunk in zip(tensors, np.split(flat, np.cumsum(sizes)[:-1])):
-        t.data[...] = chunk.reshape(t.data.shape)
-    return params, stats
+    return ModelParams(dims, vector=flat), stats
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:

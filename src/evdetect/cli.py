@@ -60,8 +60,8 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict[str, tuple], parser: argparse.ArgumentParser) -> dict:
-    """Merge flag values, config-file entries and built-in defaults."""
+def _resolve(args: argparse.Namespace, defaults: dict[str, tuple], parser: argparse.ArgumentParser) -> tuple[dict, set]:
+    """Merge flag values, config-file entries and built-in defaults; also return the keys a flag or entry set."""
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
@@ -82,7 +82,7 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, tuple], parser: argpa
                 parser.error(f"config key {dest}: {exc}")
         else:
             resolved[dest] = default
-    return resolved
+    return resolved, {dest for dest in defaults if getattr(args, dest, None) is not None or dest in file_cfg}
 
 
 def _require_file(parser: argparse.ArgumentParser, path: str) -> None:
@@ -116,7 +116,7 @@ TRAIN_DEFAULTS = {
 
 
 def cmd_train(args, parser) -> int:
-    cfg = _resolve(args, TRAIN_DEFAULTS, parser)
+    cfg, _ = _resolve(args, TRAIN_DEFAULTS, parser)
     _require_file(parser, args.data)
 
     series = read_meter_csv(args.data)
@@ -247,11 +247,17 @@ def _detect_one(task):
 
 
 def cmd_detect(args, parser) -> int:
-    cfg = _resolve(args, DETECT_DEFAULTS, parser)
+    cfg, given = _resolve(args, DETECT_DEFAULTS, parser)
     if args.resume_engine:
         _require_file(parser, args.resume_engine)
         if len(args.inputs) > 1:
             parser.error("--resume-engine continues a single stream")
+        # the saved engine keeps its model and settings, so these would be dropped
+        dropped = [k for k in ("q", "calibration_len", "init_level", "refit_stride") if k in given]
+        dropped += [k for k in ("checkpoint", "no_cache") if getattr(args, k)]
+        if dropped:
+            names = ", ".join("--" + k.replace("_", "-") for k in dropped)
+            parser.error(f"--resume-engine keeps the saved engine's settings; remove {names}")
         engine_cfg = None
     else:
         if not args.checkpoint:

@@ -14,8 +14,10 @@ ordering).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,128 +88,122 @@ def positional_table(taus, C: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class AttentionParams:
-    """Per-head query/key/value projections plus a shared output projection.
+def _layout(dims: ModelDims) -> list[tuple[str, tuple[int, ...], tuple[int, int] | float]]:
+    """Every weight of `ModelParams`, in storage order, which is also the
+    random-draw order: (attribute path, shape, init).
 
-    `wq_all`/`wk_all`/`wv_all` hold all heads as one (heads, C, d) array each;
-    the per-head `Tensor`s in `wq`/`wk`/`wv` wrap views of them, so an in-place
-    update through either (Adam, checkpoint loading) is seen by both.
+    The init is the (fan_in, fan_out) of a Glorot-uniform draw or a constant
+    fill. A `*_all` entry is a (heads, C, d) stack of per-head projections.
     """
+    C, heads, hidden = dims.C, dims.heads, dims.hidden
 
-    def __init__(self, rng: np.random.Generator, C: int, heads: int):
-        d = C // heads
+    def attention(at):
+        stacks = [(f"{at}.w{x}_all", (heads, C, C // heads), (C, C // heads)) for x in "qkv"]
+        return [*stacks, (f"{at}.wo", (C, C), (C, C))]
 
-        def stacked() -> np.ndarray:
-            return np.stack([uniform_init(rng, (C, d), C, d) for _ in range(heads)])
-
-        self.wq_all = stacked()
-        self.wk_all = stacked()
-        self.wv_all = stacked()
-        self.wq = [Tensor(w, requires_grad=True) for w in self.wq_all]
-        self.wk = [Tensor(w, requires_grad=True) for w in self.wk_all]
-        self.wv = [Tensor(w, requires_grad=True) for w in self.wv_all]
-        self.wo = Tensor(uniform_init(rng, (C, C), C, C), requires_grad=True)
-
-    def tensors(self) -> list[Tensor]:
-        return [*self.wq, *self.wk, *self.wv, self.wo]
-
-
-class LayerNormParams:
-    def __init__(self, C: int):
-        self.gain = Tensor(np.ones(C), requires_grad=True)
-        self.bias = Tensor(np.zeros(C), requires_grad=True)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.gain, self.bias]
-
-
-class TRDParams:
-    """One transformer decoder block: self-attention, cross-attention, FFN,
-    three residual-add + layer-norm stages."""
-
-    def __init__(self, rng: np.random.Generator, C: int, hidden: int, heads: int):
-        self.self_attn = AttentionParams(rng, C, heads)
-        self.cross_attn = AttentionParams(rng, C, heads)
-        self.w1 = Tensor(uniform_init(rng, (C, hidden), C, hidden), requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(uniform_init(rng, (hidden, C), hidden, C), requires_grad=True)
-        self.b2 = Tensor(np.zeros(C), requires_grad=True)
-        self.ln1 = LayerNormParams(C)
-        self.ln2 = LayerNormParams(C)
-        self.ln3 = LayerNormParams(C)
-
-    def tensors(self) -> list[Tensor]:
+    def trd(at):
         return [
-            *self.self_attn.tensors(),
-            *self.cross_attn.tensors(),
-            self.w1,
-            self.b1,
-            self.w2,
-            self.b2,
-            *self.ln1.tensors(),
-            *self.ln2.tensors(),
-            *self.ln3.tensors(),
+            *attention(f"{at}.self_attn"),
+            *attention(f"{at}.cross_attn"),
+            (f"{at}.w1", (C, hidden), (C, hidden)),
+            (f"{at}.b1", (hidden,), 0.0),
+            (f"{at}.w2", (hidden, C), (hidden, C)),
+            (f"{at}.b2", (C,), 0.0),
+            *((f"{at}.ln{i}.{k}", (C,), fill) for i in (1, 2, 3) for k, fill in (("gain", 1.0), ("bias", 0.0))),
         ]
+
+    return [
+        ("embed_w", (1, C), (1, C)),
+        ("embed_b", (C,), 0.0),
+        ("enc1_queries", (dims.e0, C), (C, C)),
+        *trd("enc1"),
+        ("enc2_queries", (dims.e1, C), (C, C)),
+        *trd("enc2"),
+        *trd("dec"),
+        ("head_w", (C, 1), (C, 1)),
+        ("head_b", (1,), 0.0),
+    ]
+
+
+def _tile(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one reshaped to each shape in turn."""
+    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
 class ModelParams:
     """All learned weights: scalar embedding, two encoder blocks with learned
-    query tokens, one decoder block, scalar output head."""
+    query tokens, one decoder block, scalar output head.
 
-    def __init__(self, dims: ModelDims, seed: int = 0):
+    `vector`, one 1-D float64 array, stores every weight. Each weight is a leaf
+    `Tensor` over a reshaped view of it, at the attribute path `_layout` gives
+    (`enc1.ln1.gain`, ...). A stack `wq_all` is a (heads, C, d) view, and `wq`
+    holds a `Tensor` per head over views of it, so an in-place update of the
+    vector (Adam, checkpoint loading) is seen everywhere.
+
+    Without `vector` the weights are drawn from `seed`. With it they are a copy
+    of it, and no random generator is touched. `grad` is the matching flat
+    gradient, allocated by the first `zero_grad()`.
+    """
+
+    def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None):
         self.dims = dims
-        rng = np.random.default_rng(seed)
-        C = dims.C
-        self.embed_w = Tensor(uniform_init(rng, (1, C), 1, C), requires_grad=True)
-        self.embed_b = Tensor(np.zeros(C), requires_grad=True)
-        self.enc1_queries = Tensor(uniform_init(rng, (dims.e0, C), C, C), requires_grad=True)
-        self.enc1 = TRDParams(rng, C, dims.hidden, dims.heads)
-        self.enc2_queries = Tensor(uniform_init(rng, (dims.e1, C), C, C), requires_grad=True)
-        self.enc2 = TRDParams(rng, C, dims.hidden, dims.heads)
-        self.dec = TRDParams(rng, C, dims.hidden, dims.heads)
-        self.head_w = Tensor(uniform_init(rng, (C, 1), C, 1), requires_grad=True)
-        self.head_b = Tensor(np.zeros(1), requires_grad=True)
+        layout = _layout(dims)
+        shapes = [shape for _, shape, _ in layout]
+        if vector is None:
+            rng = np.random.default_rng(seed)
+            draws = [
+                uniform_init(rng, shape, *init) if isinstance(init, tuple) else np.full(shape, init)
+                for _, shape, init in layout
+            ]
+            self.vector = np.concatenate([a.ravel() for a in draws])
+        else:
+            size = sum(math.prod(shape) for shape in shapes)
+            if vector.dtype != np.float64 or vector.shape != (size,):
+                raise ValueError(f"parameter array is {vector.dtype} {vector.shape}, expected float64 ({size},)")
+            self.vector = vector.copy()
+        self.grad: np.ndarray | None = None
+        self._parameters: list[Tensor] = []
+        for (path, _, _), view in zip(layout, _tile(self.vector, shapes)):
+            *groups, name = path.split(".")
+            node = self  # "enc1.self_attn.wo" -> self.enc1.self_attn.wo, groups made on first use
+            for group in groups:
+                node = node.__dict__.setdefault(group, SimpleNamespace())
+            if name.endswith("_all"):
+                setattr(node, name, view)
+                leaves = [Tensor(head, requires_grad=True) for head in view]
+                setattr(node, name.removesuffix("_all"), leaves)
+            else:
+                leaves = [Tensor(view, requires_grad=True)]
+                setattr(node, name, leaves[0])
+            self._parameters += leaves
         # precomputed relative-position rows for the local and global windows
-        self.pos_lm = positional_table(range(dims.lm - 1, -1, -1), C)
-        self.pos_gm = positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), C)
+        self.pos_lm = positional_table(range(dims.lm - 1, -1, -1), dims.C)
+        self.pos_gm = positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), dims.C)
 
     def parameters(self) -> list[Tensor]:
-        return [
-            self.embed_w,
-            self.embed_b,
-            self.enc1_queries,
-            *self.enc1.tensors(),
-            self.enc2_queries,
-            *self.enc2.tensors(),
-            *self.dec.tensors(),
-            self.head_w,
-            self.head_b,
-        ]
+        """Every weight as a leaf `Tensor`, in storage order; a stack gives one per head."""
+        return list(self._parameters)
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
+        """Zero `grad` and point each parameter's `.grad` at its view of it, so
+        backward accumulates the gradients in place."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.vector)
+            self._grad_views = _tile(self.grad, [t.shape for t in self._parameters])
+        else:
+            self.grad.fill(0.0)
+        for t, g in zip(self._parameters, self._grad_views):
+            t.grad = g
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces
+# Forward pieces. A `SimpleNamespace` argument is one group of `_layout`: a
+# block (`enc1`), one of its attentions (`enc1.self_attn`) or a layer norm.
 # ---------------------------------------------------------------------------
 
 
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention softmax(q k^T / sqrt(C)) v on plain arrays."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError("query/key width mismatch")
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError("key/value count mismatch")
-    logits = q @ np.swapaxes(k, -1, -2) / math.sqrt(q.shape[-1])
-    return softmax_rows(logits) @ v
-
-
-def multi_head_attention(queries: Tensor, memory: Tensor, p: AttentionParams) -> Tensor:
+def multi_head_attention(queries: Tensor, memory: Tensor, p: SimpleNamespace) -> Tensor:
     """Multi-head attention with `memory` providing both keys and values."""
     d = p.wq[0].shape[1]
     scale = 1.0 / math.sqrt(d)
@@ -221,11 +217,11 @@ def multi_head_attention(queries: Tensor, memory: Tensor, p: AttentionParams) ->
     return concat_last(heads).matmul(p.wo)
 
 
-def feed_forward(x: Tensor, p: TRDParams) -> Tensor:
+def feed_forward(x: Tensor, p: SimpleNamespace) -> Tensor:
     return (x.matmul(p.w1) + p.b1).relu().matmul(p.w2) + p.b2
 
 
-def trd_forward(tokens: Tensor, memory: Tensor, p: TRDParams) -> Tensor:
+def trd_forward(tokens: Tensor, memory: Tensor, p: SimpleNamespace) -> Tensor:
     """Self-attention, cross-attention over `memory`, FFN; post-norm residuals."""
     x1 = (tokens + multi_head_attention(tokens, tokens, p.self_attn)).layer_norm(p.ln1.gain, p.ln1.bias, LN_EPS)
     x2 = (x1 + multi_head_attention(x1, memory, p.cross_attn)).layer_norm(p.ln2.gain, p.ln2.bias, LN_EPS)
@@ -268,7 +264,7 @@ def mtr_forward_t(lm_values: Tensor, gm_values: Tensor, p: ModelParams) -> Tenso
 
 
 def _mha(
-    x: np.ndarray, memory: np.ndarray, p: AttentionParams, logits: np.ndarray | None = None, q: np.ndarray | None = None
+    x: np.ndarray, memory: np.ndarray, p: SimpleNamespace, logits: np.ndarray | None = None, q: np.ndarray | None = None
 ) -> np.ndarray:
     """`multi_head_attention` on arrays, all heads at once.
 
@@ -286,16 +282,16 @@ def _mha(
     return joined.reshape(*joined.shape[:-2], -1) @ p.wo.data
 
 
-def _ln(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
+def _ln(x: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     return layer_norm(x, p.gain.data, p.bias.data, LN_EPS)
 
 
-def self_attend(tokens: np.ndarray, p: TRDParams) -> np.ndarray:
+def self_attend(tokens: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     """First stage of a TRD block on arrays: self-attention, residual, norm."""
     return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
 
 
-def _trd(x1: np.ndarray, memory: np.ndarray, p: TRDParams, logits=None, q=None) -> np.ndarray:
+def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace, logits=None, q=None) -> np.ndarray:
     """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`:
     cross-attention over `memory` (with precomputed `logits` or `q`, see
     `_mha`), FFN, post-norm residuals."""

@@ -28,7 +28,6 @@ class TrainReport:
     initial_loss: float = float("nan")
     wall_time_s: float = 0.0
     seed: int = 0
-    hyper: Hyper | None = None
     stopped_early: bool = False
 
 
@@ -61,6 +60,9 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Adam over shuffled window batches; deterministic for a fixed seed.
 
+    Backward writes every gradient into the flat `params.grad`, and each batch
+    is one Adam update of the flat `params.vector`.
+
     Stops early after `patience` epochs without improvement. A loss above
     `divergence_limit` aborts with TrainingDiverged carrying the partial report.
     """
@@ -74,10 +76,8 @@ def train(
         raise ValueError("window shapes do not match model dims")
 
     rng = np.random.default_rng(seed)
-    tensors = params.parameters()
-    opt_params = [t.data for t in tensors]
-    state = AdamState.for_params(opt_params)
-    report = TrainReport(seed=seed, hyper=hyper)
+    state = AdamState.for_params([params.vector])
+    report = TrainReport(seed=seed)
     started = time.perf_counter()
 
     report.initial_loss = reconstruction_loss(windows, params)
@@ -98,8 +98,7 @@ def train(
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingDiverged(report)
             loss.backward()
-            grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-            adam_step(opt_params, grads, state, hyper)
+            adam_step([params.vector], [params.grad], state, hyper)
             epoch_loss += loss_val * len(idx)
             seen += len(idx)
         mean_loss = epoch_loss / seen

@@ -44,10 +44,29 @@ def test_wrong_kind_rejected(tmp_path):
 
 def test_model_checkpoint_is_meta_and_one_array(tmp_path):
     path = tmp_path / "model.npz"
-    save_model(path, ModelParams(ModelDims(), seed=0), SeriesStats(mean=0.0, std=1.0, count=1))
+    params = ModelParams(ModelDims(), seed=0)
+    save_model(path, params, SeriesStats(mean=0.0, std=1.0, count=1))
     with np.load(path) as npz:
         assert sorted(npz.files) == [FORMAT_KEY, PARAMS_KEY]
         assert npz[PARAMS_KEY].dtype == np.float64 and npz[PARAMS_KEY].ndim == 1
+        # format 2: every weight, in parameters() order, each flattened in C order
+        np.testing.assert_array_equal(npz[PARAMS_KEY], np.concatenate([t.data.ravel() for t in params.parameters()]))
+
+
+def test_load_draws_no_random_init(tmp_path, monkeypatch):
+    params = ModelParams(ModelDims(), seed=5)
+    path = tmp_path / "model.npz"
+    save_model(path, params, SeriesStats(mean=0.0, std=1.0, count=1))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew a random init")
+
+    monkeypatch.setattr("evdetect.model.uniform_init", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded, _ = load_model(path)
+    np.testing.assert_array_equal(loaded.vector, params.vector)
+    for a, b in zip(params.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_wrong_size_params_rejected(tmp_path):

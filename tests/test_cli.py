@@ -12,6 +12,7 @@ import pytest
 from evdetect.checkpoint import ENGINE_FORMAT, MODEL_FORMAT, PARAMS_KEY, encode_model, load_model, write_container
 from evdetect.cli import main
 from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
+from evdetect.engine import EngineConfig, OnlineDetector
 from evdetect.model import ModelDims, ModelParams
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
@@ -377,6 +378,39 @@ class TestDetect:
         assert not any(t in scored for t in after[:rewarm])
         assert scored[after[rewarm]]["phase"] == "detecting"
         assert gapped.timestamps[cut - 1].isoformat() in scored
+
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            pytest.param(["--q", "0.5"], None, "--q", id="flag-q"),
+            pytest.param(["--refit-stride", "0"], None, "--refit-stride", id="flag-refit-stride"),
+            pytest.param(["--calibration-len", "10"], None, "--calibration-len", id="flag-calibration-len"),
+            pytest.param(["--init-level", "0.9"], None, "--init-level", id="flag-init-level"),
+            pytest.param(["--no-cache"], None, "--no-cache", id="flag-no-cache"),
+            pytest.param(["--checkpoint", "MODEL"], None, "--checkpoint", id="flag-checkpoint"),
+            pytest.param([], "q = 0.5", "--q", id="config-q"),
+            pytest.param([], "refit_stride = 0", "--refit-stride", id="config-refit-stride"),
+            pytest.param([], "calibration-len = 10", "--calibration-len", id="config-calibration-len"),
+            pytest.param([], "init_level = 0.9", "--init-level", id="config-init-level"),
+        ],
+    )
+    def test_resume_rejects_engine_settings(self, workdir, tiny_setup, capsys, flags, config, named):
+        # the saved engine's config wins on resume, so a setting given next to
+        # it would be dropped without a word
+        engine_ckpt = workdir / "fresh_engine.npz"
+        OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig(lm=8, gm=32)).save(engine_ckpt)
+        args = ["detect", "--resume-engine", str(engine_ckpt), str(tiny_setup["detect_csv"]),
+                "--out", str(workdir / "never.jsonl")]
+        args += [str(tiny_setup["ckpt"]) if f == "MODEL" else f for f in flags]
+        if config is not None:
+            cfg = workdir / "resume.cfg"
+            cfg.write_text(config + "\n")
+            args += ["--config", str(cfg)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_one(self, workdir, tiny_setup, capsys):
         truncated = workdir / "truncated.npz"

@@ -1,5 +1,6 @@
-"""Transformer-block tests: positional encoding, attention oracles, the
-straight-line dense reimplementation check, gradient checks and timing shape."""
+"""Transformer-block tests: positional encoding, the straight-line dense
+reimplementation check, the flat parameter layout, gradient checks and timing
+shape."""
 
 import math
 import time
@@ -13,7 +14,6 @@ from evdetect.model import (
     LN_EPS,
     ModelDims,
     ModelParams,
-    attention,
     encode_global,
     mtr_forward,
     mtr_forward_t,
@@ -63,36 +63,6 @@ class TestPositionalEncoding:
             ModelDims(C=4, hidden=4, heads=3, lm=2, gm=4, e0=3, e1=2)  # heads must divide C
         with pytest.raises(ValueError):
             ModelDims(C=4, hidden=4, heads=2, lm=4, gm=4, e0=3, e1=2)  # lm < gm
-
-
-class TestAttention:
-    def test_single_key_returns_value(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(5, 3))
-        k = rng.normal(size=(1, 3))
-        v = rng.normal(size=(1, 3))
-        out = attention(q, k, v)
-        np.testing.assert_allclose(out, np.broadcast_to(v, (5, 3)))
-
-    def test_hand_computed_scalar_case(self):
-        out = attention([[1.0]], [[1.0], [2.0]], [[10.0], [20.0]])
-        np.testing.assert_allclose(out, [[17.311]], atol=1e-3)
-
-    def test_orthogonal_keys_bias_toward_match(self):
-        k = np.eye(3) * 4.0
-        out = attention(k, k, k)
-        # each output row puts the most weight on its matching key's value
-        for i in range(3):
-            assert np.argmax(out[i]) == i
-
-    def test_rows_are_convex_combinations(self):
-        rng = np.random.default_rng(3)
-        q = rng.normal(size=(6, 4))
-        k = rng.normal(size=(9, 4))
-        v = rng.normal(size=(9, 4))
-        out = attention(q, k, v)
-        lo, hi = v.min(axis=0), v.max(axis=0)
-        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def _straight_line_trd(tokens, memory, p):
@@ -252,6 +222,37 @@ class TestForward:
         x = Tensor(rng.normal(size=(4, 6)))
         s = x.softmax_last().data
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
+
+
+class TestFlatLayout:
+    def test_weights_are_views_tiling_the_vector_in_order(self):
+        params = ModelParams(ModelDims(), seed=23)
+        # distinct values make any gap, overlap or reordering visible
+        params.vector[:] = np.arange(params.vector.size)
+        tensors = params.parameters()
+        assert all(np.shares_memory(t.data, params.vector) for t in tensors)
+        np.testing.assert_array_equal(np.concatenate([t.data.ravel() for t in tensors]), params.vector)
+        for block in (params.enc1, params.enc2, params.dec):
+            for attn in (block.self_attn, block.cross_attn):
+                for stack, heads in ((attn.wq_all, attn.wq), (attn.wk_all, attn.wk), (attn.wv_all, attn.wv)):
+                    assert stack.shape == (2, 8, 4) and np.shares_memory(stack, params.vector)
+                    assert all(np.shares_memory(h.data, stack) for h in heads)
+                    np.testing.assert_array_equal(np.stack([h.data for h in heads]), stack)
+
+    def test_gradient_is_one_vector_allocated_by_zero_grad(self):
+        params = ModelParams(TINY, seed=24)
+        assert params.grad is None  # inference-only models carry no gradient storage
+        rng = np.random.default_rng(25)
+        lm, gm = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4)))
+        params.zero_grad()
+        diff = mtr_forward_t(lm, gm, params) - lm
+        (diff * diff).mean_all().backward()
+        tensors = params.parameters()
+        assert all(np.shares_memory(t.grad, params.grad) for t in tensors)
+        np.testing.assert_array_equal(np.concatenate([t.grad.ravel() for t in tensors]), params.grad)
+        assert np.any(params.grad != 0.0)
+        params.zero_grad()
+        assert not np.any(params.grad) and all(np.shares_memory(t.grad, params.grad) for t in tensors)
 
 
 class TestGradients:

@@ -1,11 +1,14 @@
 """Training-loop tests: loss oracle values, gradients, determinism, overfit runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import evdetect.training
 from evdetect.data import SynthConfig, WindowBatch, fit_stats, normalize, sliding_windows, synth_household
 from evdetect.model import ModelDims, ModelParams, mtr_forward
-from evdetect.nn import Hyper, grad_check
+from evdetect.nn import AdamState, Hyper, adam_step, grad_check
 from evdetect.training import TrainingDiverged, reconstruction_loss, reconstruction_loss_t, train
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
@@ -59,6 +62,52 @@ class TestTrain:
         p2, r2 = train(batch, hyper, seed=9, dims=TINY)
         assert r1.epoch_losses == r2.epoch_losses
         for a, b in zip(p1.parameters(), p2.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_same_seed_init_keeps_the_per_head_draw_order(self):
+        # digest of the weights drawn head by head and stacked, before the
+        # flat vector; one (heads, C, d) draw must give the same numbers
+        digest = hashlib.sha256(ModelParams(ModelDims(), seed=0).vector.tobytes()).hexdigest()
+        assert digest == "231791d6825e95461a5d8b84a5c8f7450eee1af1f46e5d8f2fca93cba57efc08"
+
+    def test_flat_adam_matches_per_tensor_recomposition(self, monkeypatch):
+        batch = _tiny_batch(seed=8, n=12)
+        hyper = Hyper(learning_rate=1e-3, epochs=3, batch_size=4)
+        calls = []
+
+        def counted_adam_step(params, grads, state, hyper):
+            calls.append(len(params))
+            return adam_step(params, grads, state, hyper)
+
+        monkeypatch.setattr(evdetect.training, "adam_step", counted_adam_step)
+        trained, report = train(batch, hyper, seed=9, dims=TINY)
+        assert calls == [1] * 9  # one flat update per batch
+
+        # the same loop with per-tensor gradients and a per-tensor Adam state
+        ref = ModelParams(TINY, seed=9)
+        tensors = ref.parameters()
+        opt_params = [t.data for t in tensors]
+        state = AdamState.for_params(opt_params)
+        rng = np.random.default_rng(9)
+        initial = reconstruction_loss(batch, ref)
+        losses = []
+        for _ in range(hyper.epochs):
+            order = rng.permutation(len(batch))
+            total = 0.0
+            for lo in range(0, len(batch), hyper.batch_size):
+                idx = order[lo : lo + hyper.batch_size]
+                for t in tensors:
+                    t.zero_grad()
+                loss = reconstruction_loss_t(WindowBatch(batch.lm_windows[idx], batch.gm_windows[idx]), ref)
+                loss.backward()
+                grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+                adam_step(opt_params, grads, state, hyper)
+                total += float(loss.data) * len(idx)
+            losses.append(total / len(batch))
+        assert report.epoch_losses == losses
+        assert report.initial_loss == initial
+        assert report.final_loss == reconstruction_loss(batch, ref)
+        for a, b in zip(trained.parameters(), tensors):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_divergence_aborts_with_report(self):
