@@ -2,16 +2,17 @@
 dynamic thresholding, with an incremental attention cache for fast inference.
 
 Every reading is scored by the one array forward, `model.mtr_forward`; the
-cache, when enabled, is a branch inside it. The cache exploits two facts about
-the first encoder block at inference time: its queries are learned constants
-(so the post-self-attention query block is frozen), and each cross-attention
-logit splits into a content part (a dot product with the reading's embedded
-feature, computed once when the reading enters the global window) and a
-positional part (precomputable for every relative offset). Assembling the
-logit matrix then costs O(gm*e0) additions per step instead of O(gm*e0*C)
-multiply-adds. The second encoder block's queries are learned constants too,
-so the cache also freezes its self-attention stage and that stage's
-cross-attention query projection.
+cache, when enabled, is a branch inside it. The cache exploits three facts
+about the model at inference time. Both encoder blocks' queries are learned
+constants, so their post-self-attention query blocks are frozen. Each of
+enc1's cross-attention logits splits into a content part (a dot product with
+the reading's embedded feature, computed once when the reading enters the
+global window) and a positional part (precomputable for every relative
+offset); assembling the logit matrix then costs O(gm*e0) additions per step
+instead of O(gm*e0*C) multiply-adds. And the weights are constants, so every
+attention's query-key and value-output products fold into two per-head
+(C x C) matrices once, at build, and a cached step skips the per-head
+projections.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
-from .model import ModelParams, mtr_forward, self_attend
+from .model import ModelParams, fold_attention, mtr_forward, self_attend
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -60,7 +61,8 @@ class EngineConfig:
 
 @dataclass
 class DetectionEvent:
-    """Per-timestamp output; `error` is set when the reading was rejected."""
+    """Per-timestamp output; `error` is set when the reading was rejected or
+    its anomaly score was not finite."""
 
     t: datetime
     score: float | None
@@ -100,22 +102,34 @@ def anomaly_score(lm_values, lm_hat) -> float:
 
 
 class AttentionCache:
-    """Precomputed, input-independent pieces of the encoder blocks.
+    """Precomputed, input-independent pieces of the inference forward.
+
+    Every attention is folded into two per-head products (`fold_attention`):
+    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, each (h x C x C), so a
+    cached step runs it as sum_h softmax(logits_h) @ values_h, without the
+    per-head projections, the head concatenation and `wo`.
 
     enc1 (cross-attention over the global window):
     fixed_queries: post-self-attention query block (e0 x C), frozen at build.
-    eff_queries:   per-head effective queries folded with the key projection
-                   and the 1/sqrt(d) scale (h x e0 x C).
+    eff_queries:   fixed_queries @ qk, the per-head effective queries
+                   (h x e0 x C).
     pos_logits:    positional logit part per ring slot (h x e0 x gm), slot 0
                    holding the oldest offset lm+gm-1.
     ring:          per-reading content logit parts, written twice into a
                    (h x e0 x 2gm) buffer so the chronological window is always
                    a contiguous copy-free slice.
+    enc1_value_scale, enc1_value_offset: the values gm_feats @ vo split as
+                   gm_values[:, None] * scale + offset, with scale =
+                   embed_w @ vo (h x 1 x C) and offset = (embed_b + pos_gm) @ vo
+                   (h x gm x C).
 
     enc2 (its queries are learned constants too, so its whole self-attention
     stage is frozen):
     enc2_fixed_queries: post-self-attention query block (e1 x C).
-    enc2_cross_q:       its per-head cross-attention query projection (h x e1 x d).
+    enc2_qk:            enc2_fixed_queries @ qk of its cross-attention (h x e1 x C).
+    enc2_vo:            vo of its cross-attention.
+
+    dec_self, dec_cross: the decoder's (qk, vo) pairs.
 
     All of these are computed from the stacked head weights (`wq_all`, ...)
     at build time; rebuild the cache after the weights change.
@@ -123,15 +137,18 @@ class AttentionCache:
 
     def __init__(self, params: ModelParams):
         dims = params.dims
-        p = params.enc1
-        self.fixed_queries = self_attend(params.enc1_queries.data, p)
-        scale = 1.0 / math.sqrt(dims.C // dims.heads)
-        attn = p.cross_attn
-        self.eff_queries = (self.fixed_queries @ attn.wq_all) @ attn.wk_all.swapaxes(-1, -2) * scale
+        self.fixed_queries = self_attend(params.enc1_queries.data, params.enc1)
+        qk, vo = fold_attention(params.enc1.cross_attn)
+        self.eff_queries = self.fixed_queries @ qk
         # slot j (oldest first) pairs with relative offset lm+gm-1-j
         self.pos_logits = np.einsum("hec,gc->heg", self.eff_queries, params.pos_gm)
+        self.enc1_value_scale = params.embed_w.data @ vo
+        self.enc1_value_offset = (params.embed_b.data + params.pos_gm) @ vo
         self.enc2_fixed_queries = self_attend(params.enc2_queries.data, params.enc2)
-        self.enc2_cross_q = self.enc2_fixed_queries @ params.enc2.cross_attn.wq_all
+        qk, self.enc2_vo = fold_attention(params.enc2.cross_attn)
+        self.enc2_qk = self.enc2_fixed_queries @ qk
+        self.dec_self = fold_attention(params.dec.self_attn)
+        self.dec_cross = fold_attention(params.dec.cross_attn)
         self.gm = dims.gm
         self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
         self.ring_ptr = 0
@@ -195,10 +212,9 @@ class OnlineDetector:
         return value_norm * self.params.embed_w.data[0] + self.params.embed_b.data
 
     def _score(self, lm_norm: np.ndarray, gm_norm: np.ndarray) -> float:
-        score = anomaly_score(lm_norm, mtr_forward(lm_norm, gm_norm, self.params, self.cache))
-        if not np.isfinite(score):
-            raise FloatingPointError("non-finite anomaly score")
-        return score
+        # `anomaly_score`'s arithmetic (np.mean is this sum and division), inline
+        d = lm_norm - mtr_forward(lm_norm, gm_norm, self.params, self.cache)
+        return float(np.add.reduce(d * d) / d.size)
 
     # -- the per-reading step -------------------------------------------------
 
@@ -234,6 +250,9 @@ class OnlineDetector:
         lm_norm = normalize(np.array([r.power for r in lm_read]), self.stats)
         gm_norm = normalize(np.array([r.power for r in gm_read]), self.stats)
         score = self._score(lm_norm, gm_norm)
+        # the reading stays in the windows; SPOT and calibration never see the score
+        if not math.isfinite(score):
+            return self._rejected(reading, "non-finite anomaly score")
 
         if self.spot is None:
             self.calib_scores.append(score)

@@ -14,6 +14,7 @@ ordering).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .nn import Tensor, concat_last, layer_norm, relu, softmax_rows, uniform_init
+from .nn import Tensor, _layer_norm, concat_last, relu, softmax_rows, uniform_init
 
 LN_EPS = 1e-5
 
@@ -80,6 +81,15 @@ def positional_table(taus, C: int) -> np.ndarray:
     table = np.empty((len(taus), C), dtype=np.float64)
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_table(first: int, last: int, C: int) -> np.ndarray:
+    """`positional_table` for the offsets first, first-1, ..., last, built once
+    per (offsets, C) and read-only, since every model of these dims shares it."""
+    table = positional_table(range(first, last - 1, -1), C)
+    table.flags.writeable = False
     return table
 
 
@@ -143,7 +153,8 @@ class ModelParams:
 
     Without `vector` the weights are drawn from `seed`. With it they are a copy
     of it, and no random generator is touched. `grad` is the matching flat
-    gradient, allocated by the first `zero_grad()`.
+    gradient, allocated by the first `zero_grad()`. A copy or an unpickled
+    model is rebuilt from `vector` (without `grad`), so it keeps this sharing.
     """
 
     def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None):
@@ -177,9 +188,13 @@ class ModelParams:
                 leaves = [Tensor(view, requires_grad=True)]
                 setattr(node, name, leaves[0])
             self._parameters += leaves
-        # precomputed relative-position rows for the local and global windows
-        self.pos_lm = positional_table(range(dims.lm - 1, -1, -1), dims.C)
-        self.pos_gm = positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), dims.C)
+        # relative-position rows for the local and global windows (shared, read-only)
+        self.pos_lm = _shared_table(dims.lm - 1, 0, dims.C)
+        self.pos_gm = _shared_table(dims.lm + dims.gm - 1, dims.lm, dims.C)
+
+    def __reduce__(self):
+        # the default would copy each view apart from the vector
+        return type(self), (self.dims, 0, self.vector)
 
     def parameters(self) -> list[Tensor]:
         """Every weight as a leaf `Tensor`, in storage order; a stack gives one per head."""
@@ -263,27 +278,37 @@ def mtr_forward_t(lm_values: Tensor, gm_values: Tensor, p: ModelParams) -> Tenso
 # ---------------------------------------------------------------------------
 
 
-def _mha(
-    x: np.ndarray, memory: np.ndarray, p: SimpleNamespace, logits: np.ndarray | None = None, q: np.ndarray | None = None
-) -> np.ndarray:
+def _mha(x: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     """`multi_head_attention` on arrays, all heads at once.
 
     Each projection is one broadcast matmul against the (h, C, d) stacks, so
-    heads sit on a new axis -3. `logits` (h x n x m), when given, stands in for
-    the scaled query-key products; `q` (h x n x d) for the query projections.
+    heads sit on a new axis -3.
     """
     mem = memory[..., None, :, :]
-    if logits is None:
-        if q is None:
-            q = x[..., None, :, :] @ p.wq_all
-        logits = q @ (mem @ p.wk_all).swapaxes(-1, -2) * (1.0 / math.sqrt(p.wq_all.shape[-1]))
+    q = x[..., None, :, :] @ p.wq_all
+    logits = q @ (mem @ p.wk_all).swapaxes(-1, -2) * (1.0 / math.sqrt(p.wq_all.shape[-1]))
     # (.., h, n, d) -> (.., n, h*d): the heads side by side, as `concat_last`
     joined = (softmax_rows(logits) @ (mem @ p.wv_all)).swapaxes(-3, -2)
     return joined.reshape(*joined.shape[:-2], -1) @ p.wo.data
 
 
+def fold_attention(p: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """The per-head products of one attention, each (h, C, C):
+    `qk` = wq_h wk_h^T / sqrt(d) and `vo` = wv_h wo_h, with wo_h the rows of
+    `wo` that head h's output meets. Then the attention of queries x over
+    memory m is sum_h softmax(x qk_h m^T) m vo_h (see `_attend`)."""
+    h, C, d = p.wq_all.shape
+    qk = p.wq_all @ p.wk_all.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
+    return qk, p.wv_all @ p.wo.data.reshape(h, d, C)
+
+
+def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A folded attention: sum over the head axis (-3) of softmax(logits_h) @ values_h."""
+    return np.add.reduce(softmax_rows(logits) @ values, axis=-3)
+
+
 def _ln(x: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    return layer_norm(x, p.gain.data, p.bias.data, LN_EPS)
+    return _layer_norm(x, p.gain.data, p.bias.data, LN_EPS)
 
 
 def self_attend(tokens: np.ndarray, p: SimpleNamespace) -> np.ndarray:
@@ -291,22 +316,27 @@ def self_attend(tokens: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
 
 
-def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace, logits=None, q=None) -> np.ndarray:
-    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`:
-    cross-attention over `memory` (with precomputed `logits` or `q`, see
-    `_mha`), FFN, post-norm residuals."""
-    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn, logits, q), p.ln2)
+def _block(x1: np.ndarray, cross: np.ndarray, p: SimpleNamespace) -> np.ndarray:
+    """The tail of a TRD block, given the post-self-attention tokens `x1` and
+    their cross-attention output `cross`: FFN, post-norm residuals."""
+    x2 = _ln(x1 + cross, p.ln2)
     ffn = relu(x2 @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
     return _ln(x2 + ffn, p.ln3)
+
+
+def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
+    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`."""
+    return _block(x1, _mha(x1, memory, p.cross_attn), p)
 
 
 def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None) -> np.ndarray:
     """Inference forward on plain (batched) arrays; equals `mtr_forward_t`.
 
     `cache` (an `engine.AttentionCache` over this global window, single window
-    only) supplies the input-independent pieces of both encoder blocks: enc1's
-    post-self-attention queries and cross-attention logits, and enc2's
-    post-self-attention queries and their per-head cross-attention projection.
+    only) supplies every input-independent piece: both encoder blocks'
+    post-self-attention queries, enc1's cross-attention logits and the parts
+    of its values, and every attention's folded products (`fold_attention`).
+    That branch equals the plain one to rounding, not bit for bit.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
@@ -314,12 +344,19 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
         raise ValueError("window lengths do not match model dims")
     embed_w, embed_b = p.embed_w.data, p.embed_b.data
     lm_feats = lm_values[..., None] @ embed_w + embed_b + p.pos_lm
-    gm_feats = gm_values[..., None] @ embed_w + embed_b + p.pos_gm
     if cache is None:
+        gm_feats = gm_values[..., None] @ embed_w + embed_b + p.pos_gm
         stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), gm_feats, p.enc1)
         encoded = _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
+        out = _trd(self_attend(lm_feats, p.dec), encoded, p.dec)
     else:
-        stage1 = _trd(cache.fixed_queries, gm_feats, p.enc1, logits=cache.assemble_logits())
-        encoded = _trd(cache.enc2_fixed_queries, stage1, p.enc2, q=cache.enc2_cross_q)
-    out = _trd(self_attend(lm_feats, p.dec), encoded, p.dec) @ p.head_w.data + p.head_b.data
-    return out[..., 0]
+        # enc1's values are gm_feats @ vo, split into a per-reading and a fixed part
+        values = gm_values[:, None] * cache.enc1_value_scale + cache.enc1_value_offset
+        stage1 = _block(cache.fixed_queries, _attend(cache.assemble_logits(), values), p.enc1)
+        cross = _attend(cache.enc2_qk @ stage1.T, stage1 @ cache.enc2_vo)
+        encoded = _block(cache.enc2_fixed_queries, cross, p.enc2)
+        qk, vo = cache.dec_self
+        x1 = _ln(lm_feats + _attend(lm_feats @ qk @ lm_feats.T, lm_feats @ vo), p.dec.ln1)
+        qk, vo = cache.dec_cross
+        out = _block(x1, _attend(x1 @ qk @ encoded.T, encoded @ vo), p.dec)
+    return (out @ p.head_w.data + p.head_b.data)[..., 0]

@@ -71,6 +71,12 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     bias = np.asarray(bias, dtype=np.float64)
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ValueError("layer_norm: gain/bias length must equal the row width")
+    return _layer_norm(x, gain, bias, eps)
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    """`layer_norm`'s arithmetic without its argument checks, for callers whose
+    gain and bias are float64 arrays of the row width (the model's weights)."""
     # `ndarray.mean` is a sum followed by a division by the row width; calling
     # the reduction directly keeps that arithmetic and skips the wrapper
     n = x.shape[-1]

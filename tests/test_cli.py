@@ -232,6 +232,28 @@ class TestDetect:
         assert len(scored) == 120 - 1 - 39
         assert all(t in scored and np.isfinite(scored[t]["score"]) for t in filled_t)
 
+    def test_non_finite_score_is_an_error_event(self, workdir, tiny_setup):
+        # a finite reading too large for the forward stays in the windows: its
+        # scores are error events while it is there, and the stream goes on
+        lines = tiny_setup["detect_csv"].read_text().splitlines()
+        spike, warm, span = 1600, 8 + 32 - 1, 8 + 32
+        t, _, label = lines[1 + spike].split(",")
+        lines[1 + spike] = f"{t},1e200,{label}"
+        csv, out = workdir / "spike.csv", workdir / "spike_events.jsonl"
+        csv.write_text("\n".join(lines) + "\n")
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", str(out)]
+        with pytest.warns(RuntimeWarning):
+            code = main(args + ["--calibration-len", "600", "--q", "1e-3"])
+        assert code == 0
+        events = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(events) == len(lines) - 1 - warm
+        errors = [warm + i for i, e in enumerate(events) if "error" in e]
+        assert errors and all(spike <= row < spike + span for row in errors)
+        rejected = {"score": None, "threshold": None, "label": 0, "phase": "detecting", "error": "non-finite anomaly score"}
+        assert all(events[row - warm] == {"t": events[row - warm]["t"], **rejected} for row in errors)
+        after = events[spike + span - warm :]
+        assert after and all(np.isfinite(e["score"]) and np.isfinite(e["threshold"]) for e in after)
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -1,6 +1,7 @@
 """Online-engine tests: phases, the incremental attention cache, checkpoint
 resume and the JSONL event contract."""
 
+import copy
 import functools
 import math
 from datetime import datetime, timedelta
@@ -26,7 +27,8 @@ from evdetect.engine import (
     format_event,
 )
 from evdetect.memory import Reading
-from evdetect.model import ModelDims, ModelParams
+from evdetect.model import ModelDims, ModelParams, mtr_forward
+from evdetect.nn import AdamState, Hyper, adam_step
 
 T0 = datetime(2018, 1, 1)
 SMALL = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=12, e0=6, e1=3)
@@ -105,6 +107,19 @@ class TestPhases:
         ev = det.step(Reading(T0, 1.0))
         assert ev.error is not None and ev.label == 0
         assert det.stream.total_seen == seen
+
+    def test_non_finite_score_is_an_error_event(self):
+        det = _detector(calibration_len=100)
+        readings = _readings(np.random.default_rng(4).normal(size=SMALL.lm + SMALL.gm + 120))
+        for r in readings:
+            det.step(r)
+        spot, calib_scores = copy.deepcopy(det.spot), list(det.calib_scores)
+        t = readings[-1].t + timedelta(minutes=1)
+        # finite, but its square overflows
+        with pytest.warns(RuntimeWarning):
+            ev = det.step(Reading(t, 1e200))
+        assert ev == DetectionEvent(t, None, None, 0, DETECTING, "non-finite anomaly score")
+        assert det.spot == spot and det.calib_scores == calib_scores
 
     def test_constant_stream_never_alarms(self):
         # constant input -> identical windows -> identical scores -> degenerate
@@ -185,6 +200,53 @@ class TestAttentionCache:
         np.testing.assert_allclose(
             det.params.pos_gm[0], positional_encoding(SMALL.lm + SMALL.gm - 1, SMALL.C), atol=0
         )
+
+
+def _windows(det):
+    lm_read, gm_read = det.stream.snapshot()
+    return tuple(normalize(np.array([r.power for r in w]), det.stats) for w in (lm_read, gm_read))
+
+
+class TestFoldedForward:
+    """The cached forward runs every attention on the cache's folded per-head
+    products; it equals the plain forward to rounding."""
+
+    @pytest.mark.parametrize("heads", [2, 1, 4])
+    def test_cached_matches_plain_after_the_ring_wraps(self, heads):
+        dims = ModelDims(heads=heads)
+        det = _detector(dims, seed=40 + heads)
+        rng = np.random.default_rng(41)
+        readings = _readings(rng.normal(size=dims.lm + 3 * dims.gm))
+        for k, r in enumerate(readings):
+            det.step(r)
+            if k >= dims.lm + dims.gm - 1:
+                lm, gm = _windows(det)
+                want = mtr_forward(lm, gm, det.params)
+                np.testing.assert_allclose(mtr_forward(lm, gm, det.params, det.cache), want, rtol=0, atol=1e-12)
+        # the last comparisons ran after the ring had wrapped twice
+        assert len(readings) - dims.lm > 2 * dims.gm
+
+    def test_rebuilt_after_adam_step_matches_new_plain_forward(self):
+        params = ModelParams(ModelDims(), seed=42)
+        rng = np.random.default_rng(43)
+        lm, gm = rng.normal(size=8), rng.normal(size=32)
+
+        def cached():
+            cache = AttentionCache(params)
+            for v in gm:
+                cache.push(v * params.embed_w.data[0] + params.embed_b.data)
+            return mtr_forward(lm, gm, params, cache)
+
+        before = cached()
+        adam_step(
+            [params.vector],
+            [rng.normal(size=params.vector.size)],
+            AdamState.for_params([params.vector]),
+            Hyper(learning_rate=1e-2),
+        )
+        after = cached()
+        assert np.all(np.abs(after - before) > 1e-6)
+        np.testing.assert_allclose(after, mtr_forward(lm, gm, params), rtol=0, atol=1e-12)
 
 
 class TestDualRunEquivalence:

@@ -2,7 +2,9 @@
 reimplementation check, the flat parameter layout, gradient checks and timing
 shape."""
 
+import copy
 import math
+import pickle
 import time
 
 import numpy as np
@@ -47,6 +49,17 @@ class TestPositionalEncoding:
             np.testing.assert_array_equal(positional_table(taus, C), want)
         with pytest.raises(ValueError):
             positional_table([2, -1], 8)
+
+    def test_model_tables_are_shared_read_only_and_exact(self):
+        dims = ModelDims()
+        a, b = ModelParams(dims, seed=1), ModelParams(dims, seed=2)
+        assert a.pos_lm is b.pos_lm and a.pos_gm is b.pos_gm
+        for table in (a.pos_lm, a.pos_gm):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+        np.testing.assert_array_equal(a.pos_lm, positional_table(range(dims.lm - 1, -1, -1), dims.C))
+        np.testing.assert_array_equal(a.pos_gm, positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), dims.C))
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +266,24 @@ class TestFlatLayout:
         assert np.any(params.grad != 0.0)
         params.zero_grad()
         assert not np.any(params.grad) and all(np.shares_memory(t.grad, params.grad) for t in tensors)
+
+    @pytest.mark.parametrize(
+        "copy_of", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+    )
+    def test_copy_keeps_its_weights_views_of_its_own_vector(self, copy_of):
+        params = ModelParams(ModelDims(), seed=26)
+        rng = np.random.default_rng(27)
+        lm, gm = rng.normal(size=(3, 8)), rng.normal(size=(3, 32))
+        want = mtr_forward(lm, gm, params)
+        original = params.vector.copy()
+        q = copy_of(params)
+        np.testing.assert_array_equal(mtr_forward(lm, gm, q), want)
+        q.vector[:] = 0.5
+        assert np.all(q.embed_w.data == 0.5) and np.all(q.enc1.self_attn.wq_all == 0.5)
+        assert all(np.all(t.data == 0.5) for t in q.parameters())
+        np.testing.assert_array_equal(params.vector, original)
+        np.testing.assert_array_equal(params.embed_w.data.ravel(), original[: params.embed_w.data.size])
+        np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
 
 
 class TestGradients:
