@@ -2,17 +2,20 @@
 dynamic thresholding, with an incremental attention cache for fast inference.
 
 Every reading is scored by the one array forward, `model.mtr_forward`; the
-cache, when enabled, is a branch inside it. The cache exploits three facts
+cache, when enabled, is a branch inside it. The cache exploits four facts
 about the model at inference time. Both encoder blocks' queries are learned
 constants, so their post-self-attention query blocks are frozen. Each of
 enc1's cross-attention logits splits into a content part (a dot product with
 the reading's embedded feature, computed once when the reading enters the
 global window) and a positional part (precomputable for every relative
 offset); assembling the logit matrix then costs O(gm*e0) additions per step
-instead of O(gm*e0*C) multiply-adds. And the weights are constants, so every
+instead of O(gm*e0*C) multiply-adds. The weights are constants, so every
 attention's query-key and value-output products fold into two per-head
 (C x C) matrices once, at build, and a cached step skips the per-head
-projections.
+projections. And a layer norm's centring and gain are linear, so each one
+folds into the matrices that produce its input (the decoder's last one
+together with the output head); a cached step computes only each norm's row
+variance, the division by its square root and the bias.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
-from .model import ModelParams, fold_attention, mtr_forward, self_attend
+from .model import ModelParams, fold_attention, fold_layer_norms, folded_attention, folded_ln, mtr_forward
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -53,6 +56,10 @@ class EngineConfig:
             raise ValueError("calibration_len must be >= 100")
         if not (self.lm < self.gm):
             raise ValueError("need lm < gm")
+        if not (0.0 < self.q < 1.0):
+            raise ValueError(f"q must lie in (0, 1), got {self.q}")
+        if not (0.0 < self.init_level < 1.0):
+            raise ValueError(f"init_level must lie in (0, 1), got {self.init_level}")
         if self.refit_stride < 1:
             raise ValueError(f"refit_stride must be >= 1, got {self.refit_stride}")
         if self.max_peaks is not None and self.max_peaks < 2:
@@ -105,9 +112,13 @@ class AttentionCache:
     """Precomputed, input-independent pieces of the inference forward.
 
     Every attention is folded into two per-head products (`fold_attention`):
-    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, each (h x C x C), so a
-    cached step runs it as sum_h softmax(logits_h) @ values_h, without the
-    per-head projections, the head concatenation and `wo`.
+    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
+    without the per-head projections, the head concatenation and `wo`. Every
+    layer norm is folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
+    P = I - 1/C, the norm of x is `model.folded_ln`(x @ fold, bias). Each fold
+    is multiplied into whatever produces the norm's input: the residual and
+    the attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
+    output plus its input.
 
     enc1 (cross-attention over the global window):
     fixed_queries: post-self-attention query block (e0 x C), frozen at build.
@@ -118,18 +129,29 @@ class AttentionCache:
     ring:          per-reading content logit parts, written twice into a
                    (h x e0 x 2gm) buffer so the chronological window is always
                    a contiguous copy-free slice.
-    enc1_value_scale, enc1_value_offset: the values gm_feats @ vo split as
-                   gm_values[:, None] * scale + offset, with scale =
-                   embed_w @ vo (h x 1 x C) and offset = (embed_b + pos_gm) @ vo
-                   (h x gm x C).
+    enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
+                   split as gm_values[:, None] * scale + offset, with scale =
+                   embed_w @ vo @ fold (h x 1 x 2C) and offset =
+                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C).
+    enc1_residual: fixed_queries @ fold of ln2 (e0 x 2C).
 
     enc2 (its queries are learned constants too, so its whole self-attention
     stage is frozen):
-    enc2_fixed_queries: post-self-attention query block (e1 x C).
-    enc2_qk:            enc2_fixed_queries @ qk of its cross-attention (h x e1 x C).
-    enc2_vo:            vo of its cross-attention.
+    enc2_eff_queries: its post-self-attention queries times each head's qk,
+                      the h rows of each query in turn (e1*h x C).
+    enc2_vo:          vo @ fold of ln2 (h x C x 2C).
+    enc2_residual:    post-self-attention queries @ fold of ln2 (e1 x 2C).
 
-    dec_self, dec_cross: the decoder's (qk, vo) pairs.
+    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs
+    for `model.folded_attention`, with rows = [qk_1 | ... | qk_h | fold]
+    (C x h*C + 2C), so one matmul gives the per-head queries and the residual;
+    fold is that of ln1 and ln2.
+
+    enc1_ln3, enc2_ln3: the folds of the encoder blocks' ln3, which take the
+                      FFN's output plus its input (C x 2C).
+    dec_head:         (fold, bias) of the decoder's ln3 with the output head:
+                      [P | P diag(g) head_w] (C x C+1) and the constant
+                      ln3.bias @ head_w + head_b.
 
     All of these are computed from the stacked head weights (`wq_all`, ...)
     at build time; rebuild the cache after the weights change.
@@ -137,23 +159,47 @@ class AttentionCache:
 
     def __init__(self, params: ModelParams):
         dims = params.dims
-        self.fixed_queries = self_attend(params.enc1_queries.data, params.enc1)
-        qk, vo = fold_attention(params.enc1.cross_attn)
-        self.eff_queries = self.fixed_queries @ qk
+        C = dims.C
+        enc1, enc2, dec = params.enc1, params.enc2, params.dec
+        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
+        qk, vo = fold_attention(*attns)
+        # the norm each attention's output meets sits at the same place here;
+        # kept slices of these stacks are copied, as a view would keep a whole
+        # stack alive in every meter's cache
+        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
+        folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
+        vo = vo @ folds[:6, None]
+        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `model.folded_attention` takes it
+        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
+        hc = dims.heads * C
+        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
+        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
+
+        # both encoders' self-attention stages see only their learned queries
+        queries = params.enc1_queries.data
+        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
+        self.eff_queries = self.fixed_queries @ qk[2]
         # slot j (oldest first) pairs with relative offset lm+gm-1-j
-        self.pos_logits = np.einsum("hec,gc->heg", self.eff_queries, params.pos_gm)
-        self.enc1_value_scale = params.embed_w.data @ vo
-        self.enc1_value_offset = (params.embed_b.data + params.pos_gm) @ vo
-        self.enc2_fixed_queries = self_attend(params.enc2_queries.data, params.enc2)
-        qk, self.enc2_vo = fold_attention(params.enc2.cross_attn)
-        self.enc2_qk = self.enc2_fixed_queries @ qk
-        self.dec_self = fold_attention(params.dec.self_attn)
-        self.dec_cross = fold_attention(params.dec.cross_attn)
+        self.pos_logits = self.eff_queries @ params.pos_gm.T
+        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
+        self.enc1_residual = self.fixed_queries @ folds[2]
+        self.enc1_ln3 = folds[6].copy()
+
+        queries = params.enc2_queries.data
+        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
+        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
+        self.enc2_vo = vo[3].copy()
+        self.enc2_residual = queries[:, hc:].copy()
+        self.enc2_ln3 = folds[7].copy()
+
+        self.dec_self = (rows[4].copy(), vo[4].copy())
+        self.dec_cross = (rows[5].copy(), vo[5].copy())
+        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
+
         self.gm = dims.gm
         self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
         self.ring_ptr = 0
         self.ring_count = 0
-        self._logits = np.empty_like(self.pos_logits)
         self.update_madds = dims.heads * dims.e0 * dims.C
 
     def push(self, feature: np.ndarray) -> None:
@@ -174,11 +220,9 @@ class AttentionCache:
         return np.ascontiguousarray(np.moveaxis(self._content_view(), -1, 0))
 
     def assemble_logits(self) -> np.ndarray:
-        """Full cross-attention logits (h x e0 x gm) from cached parts.
-
-        Reuses an internal scratch buffer; consume before the next call.
-        """
-        return np.add(self.pos_logits, self._content_view(), out=self._logits)
+        """Full cross-attention logits (h x e0 x gm) from cached parts, as a
+        new array (a kept buffer would save no time at this size)."""
+        return self.pos_logits + self._content_view()
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +290,10 @@ class OnlineDetector:
         if snap is None:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
 
+        # both windows, oldest first, from one array
         lm_read, gm_read = snap
-        lm_norm = normalize(np.array([r.power for r in lm_read]), self.stats)
-        gm_norm = normalize(np.array([r.power for r in gm_read]), self.stats)
-        score = self._score(lm_norm, gm_norm)
+        values = normalize(np.array([r.power for window in (gm_read, lm_read) for r in window]), self.stats)
+        score = self._score(values[self.config.gm :], values[: self.config.gm])
         # the reading stays in the windows; SPOT and calibration never see the score
         if not math.isfinite(score):
             return self._rejected(reading, "non-finite anomaly score")

@@ -292,19 +292,102 @@ def _mha(x: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     return joined.reshape(*joined.shape[:-2], -1) @ p.wo.data
 
 
-def fold_attention(p: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
-    """The per-head products of one attention, each (h, C, C):
+def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """The per-head products of k attentions, each (k, h, C, C):
     `qk` = wq_h wk_h^T / sqrt(d) and `vo` = wv_h wo_h, with wo_h the rows of
     `wo` that head h's output meets. Then the attention of queries x over
     memory m is sum_h softmax(x qk_h m^T) m vo_h (see `_attend`)."""
-    h, C, d = p.wq_all.shape
-    qk = p.wq_all @ p.wk_all.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
-    return qk, p.wv_all @ p.wo.data.reshape(h, d, C)
+    wq, wk, wv = (np.array([getattr(a, name) for a in attns]) for name in ("wq_all", "wk_all", "wv_all"))
+    k, h, C, d = wq.shape
+    qk = wq @ wk.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
+    return qk, wv @ np.array([a.wo.data for a in attns]).reshape(k, h, d, C)
 
 
 def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
     """A folded attention: sum over the head axis (-3) of softmax(logits_h) @ values_h."""
     return np.add.reduce(softmax_rows(logits) @ values, axis=-3)
+
+
+# The cached branch runs one window at a time, on 2-D arrays. It multiplies
+# them with `ndarray.dot`, which for 2-D operands is `@` at about half the
+# per-call cost on matrices this small.
+
+
+def _attend_side(queries: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """A folded attention with the heads side by side.
+
+    `queries` holds each query's h per-head rows x qk_h in turn (n*h x C), and
+    `vo` is the (h, C, w) stack. The softmax weights, (n*h, m), are read as
+    (n, h*m), so one matmul against the stacked values (h*m, w) also sums
+    the heads.
+    """
+    weights = softmax_rows(queries.dot(memory.T))
+    return weights.reshape(len(queries) // len(vo), -1).dot((memory @ vo).reshape(-1, vo.shape[-1]))
+
+
+def folded_attention(x: np.ndarray, memory: np.ndarray, rows: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """x @ fold plus the folded attention of x over `memory`, with rows =
+    [qk_1 | ... | qk_h | fold] (C, h*C + w): one matmul gives the per-head
+    queries and the residual through the next layer norm's fold."""
+    hc = rows.shape[1] - vo.shape[-1]
+    a = x.dot(rows)
+    return a[:, hc:] + _attend_side(a[:, :hc].reshape(-1, x.shape[-1]), memory, vo)
+
+
+def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
+    """The (.., C, 2C) folds [P | P diag(g)] of layer norms with gains g
+    (.., C), where P = I - 1/C centres a row.
+
+    With r = x @ fold, `folded_ln(r, bias)` is the layer norm of x, so the
+    matrix that produces x can absorb the norm's centring and gain. A matrix
+    after the fold's second half (the output head) passes through the norm,
+    which scales each row.
+    """
+    C = gains.shape[-1]
+    folds = np.empty((*gains.shape[:-1], C, 2 * C))
+    folds[...] = _centring(C)
+    folds[..., C:] *= gains[..., None, :]
+    return folds
+
+
+def folded_ln(r: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The layer norm of x, given r = x @ `fold_layer_norms`(gain) (or that
+    fold with a matrix after its second half) and the norm's bias.
+
+    The first C columns of r are the centred row, so the mean of their
+    squares is the row variance; the rest are divided by the row's std.
+    """
+    C = r.shape[-1] - bias.shape[-1]
+    centred = r[..., :C]
+    return r[..., C:] / np.sqrt((centred * centred).dot(_row_mean(C)) + LN_EPS) + bias
+
+
+@functools.lru_cache(maxsize=64)
+def _centring(C: int) -> np.ndarray:
+    """[P | P], P = I - 1/C, read-only."""
+    centre = np.eye(C) - 1.0 / C
+    both = np.concatenate([centre, centre], axis=1)
+    both.flags.writeable = False
+    return both
+
+
+@functools.lru_cache(maxsize=64)
+def _row_mean(C: int) -> np.ndarray:
+    """A read-only (C, 1) column of 1/C: `.dot` with it takes each row's
+    mean, at a fraction of `np.add.reduce`'s per-call cost on rows this short."""
+    column = np.full((C, 1), 1.0 / C)
+    column.flags.writeable = False
+    return column
+
+
+def _folded_tail(r2: np.ndarray, p: SimpleNamespace, fold: np.ndarray, ln3_bias: np.ndarray) -> np.ndarray:
+    """The tail of TRD block `p` on the cached branch: ln2 of the folded `r2`,
+    the FFN, and ln3 through its `fold`. For the decoder that fold carries the
+    output head and `ln3_bias` is the head's constant, so this gives the
+    reconstruction (n x 1)."""
+    x2 = folded_ln(r2, p.ln2.bias.data)
+    ffn = relu(x2.dot(p.w1.data) + p.b1.data).dot(p.w2.data) + p.b2.data
+    return folded_ln((x2 + ffn).dot(fold), ln3_bias)
 
 
 def _ln(x: np.ndarray, p: SimpleNamespace) -> np.ndarray:
@@ -316,17 +399,12 @@ def self_attend(tokens: np.ndarray, p: SimpleNamespace) -> np.ndarray:
     return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
 
 
-def _block(x1: np.ndarray, cross: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    """The tail of a TRD block, given the post-self-attention tokens `x1` and
-    their cross-attention output `cross`: FFN, post-norm residuals."""
-    x2 = _ln(x1 + cross, p.ln2)
+def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
+    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`:
+    cross-attention over `memory`, FFN, post-norm residuals."""
+    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn), p.ln2)
     ffn = relu(x2 @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
     return _ln(x2 + ffn, p.ln3)
-
-
-def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`."""
-    return _block(x1, _mha(x1, memory, p.cross_attn), p)
 
 
 def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None) -> np.ndarray:
@@ -335,8 +413,10 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
     `cache` (an `engine.AttentionCache` over this global window, single window
     only) supplies every input-independent piece: both encoder blocks'
     post-self-attention queries, enc1's cross-attention logits and the parts
-    of its values, and every attention's folded products (`fold_attention`).
-    That branch equals the plain one to rounding, not bit for bit.
+    of its values, every attention's folded products (`fold_attention`), and
+    every layer norm folded into the matrices that produce its input
+    (`fold_layer_norms`), the decoder's last one with the output head. That
+    branch equals the plain one to rounding, not bit for bit.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
@@ -349,14 +429,12 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
         stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), gm_feats, p.enc1)
         encoded = _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
         out = _trd(self_attend(lm_feats, p.dec), encoded, p.dec)
-    else:
-        # enc1's values are gm_feats @ vo, split into a per-reading and a fixed part
-        values = gm_values[:, None] * cache.enc1_value_scale + cache.enc1_value_offset
-        stage1 = _block(cache.fixed_queries, _attend(cache.assemble_logits(), values), p.enc1)
-        cross = _attend(cache.enc2_qk @ stage1.T, stage1 @ cache.enc2_vo)
-        encoded = _block(cache.enc2_fixed_queries, cross, p.enc2)
-        qk, vo = cache.dec_self
-        x1 = _ln(lm_feats + _attend(lm_feats @ qk @ lm_feats.T, lm_feats @ vo), p.dec.ln1)
-        qk, vo = cache.dec_cross
-        out = _block(x1, _attend(x1 @ qk @ encoded.T, encoded @ vo), p.dec)
-    return (out @ p.head_w.data + p.head_b.data)[..., 0]
+        return (out @ p.head_w.data + p.head_b.data)[..., 0]
+    # enc1's values are gm_feats @ vo @ fold, split into a per-reading and a fixed part
+    scale, offset = cache.enc1_values
+    cross = _attend(cache.assemble_logits(), gm_values[:, None] * scale + offset)
+    stage1 = _folded_tail(cache.enc1_residual + cross, p.enc1, cache.enc1_ln3, p.enc1.ln3.bias.data)
+    cross = _attend_side(cache.enc2_eff_queries, stage1, cache.enc2_vo)
+    encoded = _folded_tail(cache.enc2_residual + cross, p.enc2, cache.enc2_ln3, p.enc2.ln3.bias.data)
+    x1 = folded_ln(folded_attention(lm_feats, lm_feats, *cache.dec_self), p.dec.ln1.bias.data)
+    return _folded_tail(folded_attention(x1, encoded, *cache.dec_cross), p.dec, *cache.dec_head)[:, 0]

@@ -487,6 +487,24 @@ class TestDetect:
         assert main(args + ["--refit-stride", "0"]) == 1
         assert "refit_stride must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--q", "0", "q must lie in (0, 1)", id="q-0"),
+            pytest.param("--q", "1", "q must lie in (0, 1)", id="q-1"),
+            pytest.param("--init-level", "0", "init_level must lie in (0, 1)", id="init-level-0"),
+            pytest.param("--init-level", "1.5", "init_level must lie in (0, 1)", id="init-level-1.5"),
+        ],
+    )
+    def test_out_of_range_setting_exits_one_before_reading(self, tiny_setup, workdir, capsys, flag, value, message):
+        capsys.readouterr()
+        out = workdir / "out_of_range.jsonl"
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"]), "--out", str(out)]
+        assert main(args + [flag, value]) == 1
+        assert message in capsys.readouterr().err
+        # rejected while the engine is configured: the events file is never opened
+        assert not out.exists()
+
 
 class TestEval:
     def test_metrics_json_has_exactly_four_keys(self, workdir, tiny_setup, capsys):

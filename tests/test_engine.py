@@ -211,10 +211,18 @@ class TestFoldedForward:
     """The cached forward runs every attention on the cache's folded per-head
     products; it equals the plain forward to rounding."""
 
-    @pytest.mark.parametrize("heads", [2, 1, 4])
-    def test_cached_matches_plain_after_the_ring_wraps(self, heads):
-        dims = ModelDims(heads=heads)
-        det = _detector(dims, seed=40 + heads)
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            pytest.param(ModelDims(heads=2), id="2"),
+            pytest.param(ModelDims(heads=1), id="1"),
+            pytest.param(ModelDims(heads=4), id="4"),
+            # an FFN wider than C, an odd head count, other query-token counts
+            pytest.param(ModelDims(C=6, hidden=12, heads=3, e0=12, e1=4), id="C6-hidden12-heads3"),
+        ],
+    )
+    def test_cached_matches_plain_after_the_ring_wraps(self, dims):
+        det = _detector(dims, seed=40 + dims.heads)
         rng = np.random.default_rng(41)
         readings = _readings(rng.normal(size=dims.lm + 3 * dims.gm))
         for k, r in enumerate(readings):

@@ -17,13 +17,15 @@ from evdetect.model import (
     ModelDims,
     ModelParams,
     encode_global,
+    fold_layer_norms,
+    folded_ln,
     mtr_forward,
     mtr_forward_t,
     positional_encoding,
     positional_table,
     trd_forward,
 )
-from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, no_grad
+from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, layer_norm, no_grad
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
 
@@ -142,6 +144,34 @@ def multi_head(x, memory, ap):
     from evdetect.model import multi_head_attention
 
     return multi_head_attention(Tensor(np.asarray(x, dtype=float)), Tensor(np.asarray(memory, dtype=float)), ap).data
+
+
+class TestFoldedLayerNorm:
+    """`folded_ln` of x @ `fold_layer_norms`(gain) is the layer norm of x."""
+
+    # a common offset is cancelled inside the fold's matmul, so it costs digits
+    @pytest.mark.parametrize("offset, atol", [(0.0, 1e-12), (1e3, 1e-11)])
+    def test_matches_layer_norm(self, offset, atol):
+        rng = np.random.default_rng(60)
+        C = 8
+        gains, biases = rng.normal(size=(2, 3, C))
+        folds = fold_layer_norms(gains)
+        assert folds.shape == (3, C, 2 * C)
+        for fold, gain, bias in zip(folds, gains, biases):
+            x = rng.normal(size=(16, C)) + offset
+            np.testing.assert_allclose(folded_ln(x @ fold, bias), layer_norm(x, gain, bias, LN_EPS), rtol=0, atol=atol)
+
+    def test_matrix_after_the_gain_passes_through(self):
+        # the decoder's last norm carries the output head: [P/sqrt(C) | P diag(g) w]
+        rng = np.random.default_rng(61)
+        C = 6
+        gain, bias = rng.normal(size=(2, C))
+        w, c = rng.normal(size=(C, 1)), rng.normal(size=1)
+        fold = fold_layer_norms(gain)
+        head = np.concatenate([fold[:, :C], fold[:, C:] @ w], axis=1)
+        x = rng.normal(size=(8, C))
+        want = layer_norm(x, gain, bias, LN_EPS) @ w + c
+        np.testing.assert_allclose(folded_ln(x @ head, bias @ w + c), want, rtol=0, atol=1e-12)
 
 
 class TestForward:
