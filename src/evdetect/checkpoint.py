@@ -13,7 +13,10 @@ round-trip bit-exactly. Both checkpoint kinds share one model codec,
 A model checkpoint is exactly those two members. An engine checkpoint adds
 `config`, `stream` and `spot` to the header and the arrays `power` (the
 buffered readings, oldest first), `calib_scores` and, once calibrated,
-`peaks`. Version 1 files (one npz member per weight) are rejected.
+`peaks`. `calib_scores` holds the scores collected so far while calibrating;
+once SPOT is calibrated nothing reads them, so the member is empty (a file
+that still carries them loads the same). Version 1 files (one npz member per
+weight) are rejected.
 """
 
 from __future__ import annotations
@@ -70,10 +73,12 @@ def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[st
     return meta, {PARAMS_KEY: params.vector}
 
 
-def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelParams, SeriesStats]:
+def decode_model(meta: dict, arrays: dict[str, np.ndarray], shared: bool = False) -> tuple[ModelParams, SeriesStats]:
     """Inverse of `encode_model`; malformed metadata or weights raise ValueError.
 
     The model is built straight from the stored vector, without a random init.
+    With `shared` it is the read-only `ModelParams.shared` model of these dims
+    and weights, decoded only if no live holder has it already.
     """
     try:
         dims = ModelDims(**meta["dims"])
@@ -81,7 +86,7 @@ def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelParams
         flat = arrays[PARAMS_KEY]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint metadata: {exc!r}") from exc
-    return ModelParams(dims, vector=flat), stats
+    return (ModelParams.shared(dims, flat) if shared else ModelParams(dims, vector=flat)), stats
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:

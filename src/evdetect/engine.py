@@ -16,12 +16,21 @@ projections. And a layer norm's centring and gain are linear, so each one
 folds into the matrices that produce its input (the decoder's last one
 together with the output head); a cached step computes only each norm's row
 variance, the division by its square root and the bias.
+
+State splits in two. Per model: the weights (`ModelParams`) and every fold
+above. Detectors of one model share them, read-only: `OnlineDetector.load`
+reuses the model of a live detector with the same dims and weight bytes, and
+`AttentionCache` takes its folds from a memo keyed the same way; both memos
+hold their entries weakly. Per meter: the stream windows, the cache ring and
+the SPOT state (plus the calibration scores until SPOT is fitted), which is
+all a loaded detector adds to a process that already runs its model.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import asdict, dataclass
 from datetime import datetime
 
@@ -108,8 +117,59 @@ def anomaly_score(lm_values, lm_hat) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _ModelFolds:
+    """The input-independent arrays of `AttentionCache` for one model (see
+    there), built once per dims and weights and read-only."""
+
+    def __init__(self, params: ModelParams):
+        dims = params.dims
+        C = dims.C
+        enc1, enc2, dec = params.enc1, params.enc2, params.dec
+        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
+        qk, vo = fold_attention(*attns)
+        # the norm each attention's output meets sits at the same place here
+        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
+        folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
+        vo = vo @ folds[:6, None]
+        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `model.folded_attention` takes it
+        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
+        hc = dims.heads * C
+        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
+        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
+
+        # both encoders' self-attention stages see only their learned queries
+        queries = params.enc1_queries.data
+        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
+        self.eff_queries = self.fixed_queries @ qk[2]
+        # slot j (oldest first) pairs with relative offset lm+gm-1-j
+        self.pos_logits = self.eff_queries @ params.pos_gm.T
+        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
+        self.enc1_residual = self.fixed_queries @ folds[2]
+        self.enc1_ln3 = folds[6]
+
+        queries = params.enc2_queries.data
+        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
+        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
+        self.enc2_vo = vo[3]
+        self.enc2_residual = queries[:, hc:]
+        self.enc2_ln3 = folds[7]
+
+        self.dec_self = (rows[4], vo[4])
+        self.dec_cross = (rows[5], vo[5])
+        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
+
+        for value in vars(self).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+
+
+# the folds of every live cache's model, by (dims, weight bytes)
+_MODEL_FOLDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class AttentionCache:
-    """Precomputed, input-independent pieces of the inference forward.
+    """Precomputed, input-independent pieces of the inference forward, plus
+    the ring of one meter's global window.
 
     Every attention is folded into two per-head products (`fold_attention`):
     qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
@@ -119,6 +179,15 @@ class AttentionCache:
     is multiplied into whatever produces the norm's input: the residual and
     the attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
     output plus its input.
+
+    Per model (every attribute below but the ring): these arrays depend on the
+    weights alone, so all caches of one model share them. They are built once
+    per dims and weight bytes, held while any cache of that model lives, and
+    read-only: a write raises, where it would change every meter. A cache
+    built after the weights change (an Adam step) folds them anew.
+
+    Per meter: `ring`, `ring_ptr` and `ring_count`, which are all a cache
+    owns.
 
     enc1 (cross-attention over the global window):
     fixed_queries: post-self-attention query block (e0 x C), frozen at build.
@@ -152,49 +221,18 @@ class AttentionCache:
     dec_head:         (fold, bias) of the decoder's ln3 with the output head:
                       [P | P diag(g) head_w] (C x C+1) and the constant
                       ln3.bias @ head_w + head_b.
-
-    All of these are computed from the stacked head weights (`wq_all`, ...)
-    at build time; rebuild the cache after the weights change.
     """
 
     def __init__(self, params: ModelParams):
         dims = params.dims
-        C = dims.C
-        enc1, enc2, dec = params.enc1, params.enc2, params.dec
-        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
-        qk, vo = fold_attention(*attns)
-        # the norm each attention's output meets sits at the same place here;
-        # kept slices of these stacks are copied, as a view would keep a whole
-        # stack alive in every meter's cache
-        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
-        folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
-        vo = vo @ folds[:6, None]
-        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `model.folded_attention` takes it
-        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
-        hc = dims.heads * C
-        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
-        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
-
-        # both encoders' self-attention stages see only their learned queries
-        queries = params.enc1_queries.data
-        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
-        self.eff_queries = self.fixed_queries @ qk[2]
-        # slot j (oldest first) pairs with relative offset lm+gm-1-j
-        self.pos_logits = self.eff_queries @ params.pos_gm.T
-        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
-        self.enc1_residual = self.fixed_queries @ folds[2]
-        self.enc1_ln3 = folds[6].copy()
-
-        queries = params.enc2_queries.data
-        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
-        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
-        self.enc2_vo = vo[3].copy()
-        self.enc2_residual = queries[:, hc:].copy()
-        self.enc2_ln3 = folds[7].copy()
-
-        self.dec_self = (rows[4].copy(), vo[4].copy())
-        self.dec_cross = (rows[5].copy(), vo[5].copy())
-        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
+        key = (dims, params.vector.tobytes())
+        folds = _MODEL_FOLDS.get(key)
+        if folds is None:
+            folds = _MODEL_FOLDS[key] = _ModelFolds(params)
+        # the shared arrays as this cache's own attributes, so a step reads
+        # them directly; `_folds` keeps the memo entry alive
+        vars(self).update(vars(folds))
+        self._folds = folds
 
         self.gm = dims.gm
         self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
@@ -231,7 +269,13 @@ class AttentionCache:
 
 
 class OnlineDetector:
-    """Strictly sequential detector for one meter stream."""
+    """Strictly sequential detector for one meter stream.
+
+    A meter owns its stream windows, its cache ring, its SPOT state and, until
+    SPOT is calibrated, the calibration scores (emptied once it is). The model
+    and the cache's folds are shared with every other detector of the same
+    weights; `load` decodes a model only if no live detector has it.
+    """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):
         if config.lm != params.dims.lm or config.gm != params.dims.gm:
@@ -308,6 +352,7 @@ class OnlineDetector:
                     refit_stride=self.config.refit_stride,
                     max_peaks=self.config.max_peaks,
                 )
+                self.calib_scores.clear()  # nothing reads them once SPOT is fitted
             return DetectionEvent(t=reading.t, score=score, threshold=None, label=0, phase=CALIBRATING)
 
         threshold = self.spot.z_q
@@ -343,7 +388,7 @@ class OnlineDetector:
     @classmethod
     def load(cls, path) -> "OnlineDetector":
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
-        params, stats = ckpt.decode_model(meta, arrays)
+        params, stats = ckpt.decode_model(meta, arrays, shared=True)
         try:
             det = cls(params, stats, EngineConfig(**meta["config"]))
             stream, spot = meta["stream"], meta["spot"]
@@ -351,8 +396,9 @@ class OnlineDetector:
                 Reading(datetime.fromisoformat(t), float(power), bool(filled))
                 for t, filled, power in zip(stream["t"], stream["filled"], arrays["power"], strict=True)
             ]
-            det.calib_scores = arrays["calib_scores"].tolist()
-            if spot is not None:
+            if spot is None:
+                det.calib_scores = arrays["calib_scores"].tolist()
+            else:
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].tolist()})
             total_seen = stream["total_seen"]
         except (KeyError, TypeError) as exc:

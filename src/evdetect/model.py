@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -154,10 +155,12 @@ class ModelParams:
     Without `vector` the weights are drawn from `seed`. With it they are a copy
     of it, and no random generator is touched. `grad` is the matching flat
     gradient, allocated by the first `zero_grad()`. A copy or an unpickled
-    model is rebuilt from `vector` (without `grad`), so it keeps this sharing.
+    model is rebuilt from `vector` (without `grad`), so it keeps this sharing
+    and is writable. With `read_only` the vector, and so every view of it,
+    refuses writes (`ModelParams.shared`).
     """
 
-    def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None):
+    def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None, *, read_only: bool = False):
         self.dims = dims
         layout = _layout(dims)
         shapes = [shape for _, shape, _ in layout]
@@ -173,6 +176,8 @@ class ModelParams:
             if vector.dtype != np.float64 or vector.shape != (size,):
                 raise ValueError(f"parameter array is {vector.dtype} {vector.shape}, expected float64 ({size},)")
             self.vector = vector.copy()
+        # before any view is taken, as a view keeps the flag it was made with
+        self.vector.flags.writeable = not read_only
         self.grad: np.ndarray | None = None
         self._parameters: list[Tensor] = []
         for (path, _, _), view in zip(layout, _tile(self.vector, shapes)):
@@ -192,6 +197,22 @@ class ModelParams:
         self.pos_lm = _shared_table(dims.lm - 1, 0, dims.C)
         self.pos_gm = _shared_table(dims.lm + dims.gm - 1, dims.lm, dims.C)
 
+    @classmethod
+    def shared(cls, dims: ModelDims, vector: np.ndarray) -> "ModelParams":
+        """A read-only model of `vector`: the same object for every caller
+        while one of them holds it, else a new one (see `ModelParams`).
+
+        The memo is keyed on the dims and the weight bytes and holds its models
+        weakly, so a process that loads many distinct models keeps only the
+        live ones. A model is shared only read-only: a write through any of its
+        weights raises, where it would silently change every holder.
+        """
+        key = (dims, vector.dtype.str, vector.shape, vector.tobytes())
+        params = _SHARED_MODELS.get(key)
+        if params is None:
+            params = _SHARED_MODELS[key] = cls(dims, vector=vector, read_only=True)
+        return params
+
     def __reduce__(self):
         # the default would copy each view apart from the vector
         return type(self), (self.dims, 0, self.vector)
@@ -210,6 +231,9 @@ class ModelParams:
             self.grad.fill(0.0)
         for t, g in zip(self._parameters, self._grad_views):
             t.grad = g
+
+
+_SHARED_MODELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ def pot_calibrate(
         raise ValueError(f"need at least 100 calibration scores, got {x.size}")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
+    if not (0.0 < init_level < 1.0):
+        raise ValueError(f"init_level must lie in (0, 1), got {init_level}")
     if not np.all(np.isfinite(x)):
         raise ValueError("calibration scores must be finite")
 

@@ -609,6 +609,16 @@ class TestSpot:
         assert all(a <= b for a, b in zip(ks, ks[1:]))
         assert caught == 10
 
+    @pytest.mark.parametrize("level", ["0", "1.5"])
+    def test_out_of_range_init_level_exits_one(self, workdir, capsys, level):
+        path = workdir / "spot_scores_300.csv"
+        path.write_text("score\n" + "\n".join(str(v) for v in np.random.default_rng(14).normal(size=300)) + "\n")
+        out = workdir / "spot_init_level.jsonl"
+        capsys.readouterr()
+        assert main(["spot", "--scores", str(path), "--init-level", level, "--out", str(out)]) == 1
+        assert "init_level must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists() or out.read_text() == ""
+
     @pytest.mark.parametrize("calib", ["0", "-3", "1"])
     def test_invalid_calib_exits_one(self, workdir, capsys, calib):
         path = workdir / "spot_scores_300.csv"

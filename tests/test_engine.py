@@ -376,6 +376,131 @@ class TestResumeAtAnyCut:
         assert head + tail == _uninterrupted(refit_stride, max_peaks, constant)[0]
 
 
+def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 30, calibration_len=RESUME_CALIB):
+    det = OnlineDetector(
+        ModelParams(dims, seed=seed),
+        SeriesStats(mean=0.0, std=1.0, count=1),
+        EngineConfig(lm=dims.lm, gm=dims.gm, q=1e-3, calibration_len=calibration_len),
+    )
+    for r in _readings(np.random.default_rng(seed + 1).normal(size=n)):
+        det.step(r)
+    # SPOT is fitted, and nothing keeps its calibration scores
+    assert det.phase == DETECTING and det.calib_scores == []
+    return det
+
+
+class TestSharedModel:
+    """Detectors of one model share its weights and the cache's folds, read-only;
+    each owns only its ring, stream windows and SPOT state."""
+
+    @staticmethod
+    def _loads(tmp_path, det, k=3):
+        path = tmp_path / "shared.npz"
+        det.save(path)
+        return [OnlineDetector.load(path) for _ in range(k)]
+
+    def test_loads_share_the_model_and_the_folds_not_the_meter_state(self, tmp_path):
+        dets = self._loads(tmp_path, _calibrated_detector())
+        first = dets[0]
+        for det in dets[1:]:
+            assert det.params is first.params
+            for name in ("fixed_queries", "eff_queries", "pos_logits", "enc1_residual", "enc2_vo", "dec_head"):
+                assert getattr(det.cache, name) is getattr(first.cache, name)
+            assert det.cache.ring is not first.cache.ring
+            assert det.stream is not first.stream and det.spot is not first.spot
+            assert det.spot == first.spot and det.spot.peaks is not first.spot.peaks
+
+    def test_shared_detectors_match_solo_ones(self, tmp_path):
+        source = _calibrated_detector()
+        dets = self._loads(tmp_path, source)
+        # a deep copy has its own model and folds
+        solos = [copy.deepcopy(source) for _ in dets]
+        assert solos[0].params is not dets[0].params
+        assert solos[0].cache.eff_queries is not dets[0].cache.eff_queries
+        t = source.stream.lm_buffer[-1].t
+        streams = np.random.default_rng(31).normal(size=(len(dets), 150))
+        streams[1, 60:64] += 8.0
+        shared = [[] for _ in dets]
+        for k in range(streams.shape[1]):  # lock-step ticks, as a fleet runs
+            for i, det in enumerate(dets):
+                shared[i].append(format_event(det.step(Reading(t + timedelta(minutes=k + 1), streams[i, k]))))
+        for i, solo in enumerate(solos):
+            alone = [format_event(solo.step(Reading(t + timedelta(minutes=k + 1), v))) for k, v in enumerate(streams[i])]
+            assert shared[i] == alone
+        assert shared[0] != shared[1]
+
+    def test_one_ulp_weight_change_gets_its_own_model(self, tmp_path):
+        det = _calibrated_detector()
+        base = self._loads(tmp_path, det, k=1)[0]
+        det.params.vector[7] = np.nextafter(det.params.vector[7], np.inf)
+        det.cache = AttentionCache(det.params)
+        path = tmp_path / "ulp.npz"
+        det.save(path)
+        other = OnlineDetector.load(path)
+        assert other.params is not base.params
+        assert other.params.vector[7] != base.params.vector[7]
+        assert other.cache.dec_self[0] is not base.cache.dec_self[0]
+        assert other.cache.dec_self[0] is det.cache.dec_self[0]
+
+    def test_shared_weights_and_folds_refuse_writes(self, tmp_path):
+        det = self._loads(tmp_path, _calibrated_detector(), k=1)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            det.params.vector[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            det.params.enc1.w1.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            det.params.enc1.cross_attn.wq_all[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            det.cache.eff_queries[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            det.cache.dec_cross[1][...] = 0.0
+
+    def test_deep_copy_of_shared_params_is_writable(self, tmp_path):
+        det = self._loads(tmp_path, _calibrated_detector(), k=1)[0]
+        mine = copy.deepcopy(det.params)
+        before = det.params.vector.copy()
+        mine.vector[0] += 1.0
+        mine.enc1.w1.data[0, 0] += 1.0
+        np.testing.assert_array_equal(det.params.vector, before)
+
+    def test_memos_hold_only_live_models(self, tmp_path):
+        import gc
+        import weakref
+
+        dets = self._loads(tmp_path, _calibrated_detector(seed=32), k=2)
+        model, folds = weakref.ref(dets[0].params), weakref.ref(dets[0].cache.eff_queries)
+        del dets
+        gc.collect()
+        assert model() is None and folds() is None
+
+    def test_loads_retain_only_meter_state(self, tmp_path):
+        """Memory gate: each further load of one checkpoint (reference dims,
+        1440 calibration scores) adds its ring, stream and SPOT state and
+        little else; a per-meter copy of the model (about 30 KiB), of the folds
+        (55 KiB) or of the calibration scores (46 KiB) breaks the bound."""
+        import gc
+        import tracemalloc
+
+        dims = ModelDims()
+        det = _calibrated_detector(dims, n=dims.lm + dims.gm + 1440 + 60, calibration_len=1440)
+        path = tmp_path / "gate.npz"
+        det.save(path)
+        del det
+        keep = [OnlineDetector.load(path)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keep += [OnlineDetector.load(path) for _ in range(9)]
+            gc.collect()
+            per_meter = (tracemalloc.get_traced_memory()[0] - before) / 9
+        finally:
+            tracemalloc.stop()
+        # 28 KiB measured: 16 KiB of ring, the rest stream, SPOT and objects
+        bound = keep[0].cache.ring.nbytes + 24 * 1024
+        assert per_meter <= bound, f"{per_meter:.0f} B retained per loaded meter, bound {bound} B"
+
+
 class TestEventFormat:
     def test_stable_key_order_and_digits(self):
         ev = DetectionEvent(

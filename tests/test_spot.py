@@ -242,6 +242,18 @@ class TestCalibration:
         with pytest.raises(ValueError):
             pot_calibrate(np.arange(50, dtype=float), q=1e-4)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, -1e-4, 1.5])
+    def test_out_of_range_q_rejected(self, q):
+        scores = np.random.default_rng(13).normal(size=500)
+        with pytest.raises(ValueError, match="q must lie in"):
+            pot_calibrate(scores, q=q)
+
+    @pytest.mark.parametrize("init_level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_out_of_range_init_level_rejected(self, init_level):
+        scores = np.random.default_rng(13).normal(size=500)
+        with pytest.raises(ValueError, match="init_level must lie in"):
+            pot_calibrate(scores, q=1e-4, init_level=init_level)
+
     def test_thin_tail_lowers_threshold(self):
         # heavy ties above the 0.98 quantile leave too few strict excesses
         scores = np.concatenate([np.linspace(0, 1, 195), np.full(5, 2.0)])
