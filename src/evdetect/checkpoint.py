@@ -17,11 +17,22 @@ buffered readings, oldest first), `calib_scores` and, once calibrated,
 once SPOT is calibrated nothing reads them, so the member is empty (a file
 that still carries them loads the same). Version 1 files (one npz member per
 weight) are rejected.
+
+`read_container` reads a file's bytes once and walks its members with one
+`zipfile.ZipFile`, which checks each member's CRC. Each npy header goes
+through the public `np.lib.format` parsers, memoised on the raw header bytes:
+the files of one fleet share their headers, so each distinct header is parsed
+once per process, not once per member. As with `np.load(allow_pickle=False)`,
+object dtypes are refused; so is a member whose data is shorter or longer than
+its header says.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import json
+import math
 import zipfile
 from dataclasses import asdict
 
@@ -47,17 +58,47 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
         np.savez(fh, **payload)
 
 
+@functools.lru_cache(maxsize=256)
+def _npy_header(raw: bytes) -> tuple[tuple[int, ...], str, np.dtype]:
+    """Shape, order and dtype of one npy header (magic included)."""
+    fp = io.BytesIO(raw)
+    version = np.lib.format.read_magic(fp)
+    read = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+    shape, fortran, dtype = read(fp)
+    if dtype.hasobject:
+        raise ValueError(f"object array ({dtype}) refused")
+    return shape, "F" if fortran else "C", dtype
+
+
+def _npy_array(name: str, member: bytes) -> np.ndarray:
+    """The array of one npy member, a read-only view of its bytes."""
+    if member[:6] != b"\x93NUMPY" or member[6:8] not in (b"\x01\x00", b"\x02\x00"):
+        raise ValueError(f"member {name} is not an npy version 1.0 or 2.0 array")
+    width = 2 if member[6] == 1 else 4
+    start = 8 + width + int.from_bytes(member[8 : 8 + width], "little")
+    shape, order, dtype = _npy_header(member[:start])
+    count = math.prod(shape)
+    if len(member) - start != count * dtype.itemsize:
+        raise ValueError(f"member {name} has {len(member) - start} data bytes, its header says {count * dtype.itemsize}")
+    return np.frombuffer(member, dtype, count, start).reshape(shape, order=order)
+
+
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container; a truncated or foreign file raises ValueError."""
+    """Read a container; a truncated, corrupt or foreign file raises ValueError.
+
+    The arrays are read-only views of the file's bytes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    arrays = {}
     try:
-        npz = np.load(path)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise ValueError(f"not a {kind} file (not an npz archive): {path}")
-        with npz:
-            arrays = {k: npz[k] for k in npz.files if k != FORMAT_KEY}
-            meta = json.loads(npz[FORMAT_KEY].tobytes().decode("utf-8"))
-    except (zipfile.BadZipFile, EOFError) as exc:
+        with zipfile.ZipFile(io.BytesIO(data)) as zf:
+            for name in zf.namelist():
+                arrays[name.removesuffix(".npy")] = _npy_array(name, zf.read(name))
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise ValueError(f"not a readable {kind} file: {path} ({exc})") from exc
+    try:
+        meta = json.loads(arrays.pop(FORMAT_KEY).tobytes().decode("utf-8"))
     except KeyError as exc:
         raise ValueError(f"not a {kind} file (no {FORMAT_KEY}): {path}") from exc
     if not isinstance(meta, dict) or meta.get("format") != kind:

@@ -248,6 +248,22 @@ class AttentionCache:
         self.ring_ptr = (self.ring_ptr + 1) % self.gm
         self.ring_count = min(self.ring_count + 1, self.gm)
 
+    def fill(self, features: np.ndarray) -> None:
+        """Record the content logits of up to gm features (g x C, oldest
+        first) entering an empty ring, bit for bit as g `push` calls would.
+
+        One stacked matmul, (h x 1 x e0 x C) @ (1 x g x C x 1), runs the same
+        matrix-vector kernel per feature as `push`'s `eff_queries @ feature`;
+        a single (e0 x C) @ (C x g) product would run a matrix-matrix kernel
+        and round differently.
+        """
+        g = len(features)
+        cols = np.matmul(self.eff_queries[:, None], features[None, :, :, None])[..., 0].transpose(0, 2, 1)
+        self.ring[:, :, :g] = cols
+        self.ring[:, :, self.gm : self.gm + g] = cols
+        self.ring_ptr = g % self.gm
+        self.ring_count = g
+
     def _content_view(self) -> np.ndarray:
         if self.ring_count < self.gm:
             raise ValueError("cache ring not yet full")
@@ -387,23 +403,44 @@ class OnlineDetector:
 
     @classmethod
     def load(cls, path) -> "OnlineDetector":
+        """Resume a detector saved by `save`; a malformed file raises ValueError.
+
+        The saved readings are restored, not replayed: the oldest
+        max(0, n - lm) of them fill the global window and the rest the local
+        one, and the cache ring takes the content logits of the global ones
+        in one `AttentionCache.fill`. The state equals, bit for bit, that of
+        pushing the readings one at a time: the features come from the same
+        elementwise embed, and `fill`'s stacked matmul runs the matrix-vector
+        kernel of `push` once per reading.
+        """
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
         params, stats = ckpt.decode_model(meta, arrays, shared=True)
         try:
             det = cls(params, stats, EngineConfig(**meta["config"]))
             stream, spot = meta["stream"], meta["spot"]
-            readings = [
-                Reading(datetime.fromisoformat(t), float(power), bool(filled))
-                for t, filled, power in zip(stream["t"], stream["filled"], arrays["power"], strict=True)
-            ]
+            times = [datetime.fromisoformat(t) for t in stream["t"]]
+            filled, powers = stream["filled"], [float(p) for p in arrays["power"]]
+            lm, n = det.config.lm, len(times)
+            if not len(filled) == len(powers) == n:
+                raise ValueError(f"{path}: stream has {n} timestamps, {len(filled)} fill flags and {len(powers)} powers")
+            if n > lm + det.config.gm:
+                raise ValueError(f"{path}: stream has {n} readings, more than lm + gm = {lm + det.config.gm}")
+            if any(a >= b for a, b in zip(times, times[1:])):
+                raise ValueError(f"{path}: stream timestamps are not strictly increasing")
+            total_seen = stream["total_seen"]
+            if type(total_seen) is not int or total_seen < n:
+                raise ValueError(f"{path}: stream total_seen {total_seen!r} is not an integer >= its {n} readings")
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].tolist()})
-            total_seen = stream["total_seen"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
-        for r in readings:
-            det._push(r)
+        readings = list(map(Reading, times, powers, map(bool, filled)))
+        g = max(0, n - lm)
+        det.stream.gm_buffer.extend(readings[:g])
+        det.stream.lm_buffer.extend(readings[g:])
         det.stream.total_seen = total_seen
+        if det.cache is not None:
+            det.cache.fill(det._embed_scalar(((np.array(powers[:g]) - stats.mean) / stats.std)[:, None]))
         return det

@@ -1,11 +1,15 @@
 """Checkpoint container round-trip tests."""
 
+import io
 import json
+import zipfile
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
 from evdetect.checkpoint import (
+    ENGINE_FORMAT,
     FORMAT_KEY,
     MODEL_FORMAT,
     PARAMS_KEY,
@@ -16,6 +20,8 @@ from evdetect.checkpoint import (
     write_container,
 )
 from evdetect.data import SeriesStats
+from evdetect.engine import EngineConfig, OnlineDetector
+from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams, mtr_forward
 
 
@@ -92,3 +98,121 @@ def test_non_object_header_rejected(tmp_path):
     np.savez(path, **{FORMAT_KEY: np.frombuffer(b"[1, 2]", dtype=np.uint8)})
     with pytest.raises(ValueError, match="not a evdetect-model file"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# read_container against np.load
+# ---------------------------------------------------------------------------
+
+
+def _header():
+    meta = json.dumps({"format": MODEL_FORMAT, "version": 2}).encode("utf-8")
+    return np.frombuffer(meta, dtype=np.uint8)
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asarray(array))
+    return buf.getvalue()
+
+
+def _zip(path, members: dict[str, bytes]) -> None:
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name + ".npy", data)
+
+
+def _engine_file(path):
+    dims = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=12, e0=6, e1=3)
+    det = OnlineDetector(
+        ModelParams(dims, seed=4),
+        SeriesStats(mean=0.1, std=1.3, count=10),
+        EngineConfig(lm=dims.lm, gm=dims.gm, calibration_len=100),
+    )
+    for i, v in enumerate(np.random.default_rng(5).normal(size=60)):
+        det.step(Reading(datetime(2020, 1, 1) + timedelta(minutes=i), float(v)))
+    det.save(path)
+
+
+def _assert_same_as_np_load(path, kind):
+    meta, arrays = read_container(path, kind)
+    with np.load(path) as npz:
+        assert meta == json.loads(npz[FORMAT_KEY].tobytes())
+        assert sorted(arrays) == sorted(k for k in npz.files if k != FORMAT_KEY)
+        for name, got in arrays.items():
+            want = npz[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+            np.testing.assert_array_equal(got, want)
+    return arrays
+
+
+class TestReadContainer:
+    def test_model_and_engine_files_match_np_load(self, tmp_path):
+        model = tmp_path / "model.npz"
+        save_model(model, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        _assert_same_as_np_load(model, MODEL_FORMAT)
+        engine = tmp_path / "engine.npz"
+        _engine_file(engine)
+        arrays = _assert_same_as_np_load(engine, ENGINE_FORMAT)
+        assert sorted(arrays) == ["calib_scores", "params", "power"]
+
+    def test_savez_zero_d_int_and_fortran_members_match_np_load(self, tmp_path):
+        path = tmp_path / "mixed.npz"
+        fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        np.savez(
+            path,
+            **{FORMAT_KEY: _header()},
+            scalar=np.float64(2.5),
+            counts=np.arange(7, dtype=np.int32),
+            fortran=fortran,
+            empty=np.zeros((0, 3)),
+            big_endian=np.arange(3, dtype=">f8"),
+        )
+        arrays = _assert_same_as_np_load(path, MODEL_FORMAT)
+        assert arrays["scalar"].shape == () and arrays["scalar"] == 2.5
+        assert arrays["counts"].dtype == np.int32
+        assert arrays["fortran"].flags.f_contiguous
+        np.testing.assert_array_equal(arrays["fortran"], fortran)
+
+    def test_object_member_refused(self, tmp_path):
+        path = tmp_path / "object.npz"
+        np.savez(path, **{FORMAT_KEY: _header()}, boxed=np.array([{"a": 1}, None], dtype=object))
+        with pytest.raises(ValueError, match="object array"):
+            read_container(path, MODEL_FORMAT)
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["one-byte-short", "one-byte-long"])
+    def test_member_of_wrong_length_refused(self, tmp_path, change):
+        data = _npy(np.arange(5.0))
+        data = data[:change] if change < 0 else data + b"\0"
+        path = tmp_path / "length.npz"
+        _zip(path, {FORMAT_KEY: _npy(_header()), "x": data})
+        with pytest.raises(ValueError, match="data bytes"):
+            read_container(path, MODEL_FORMAT)
+
+    def test_flipped_data_byte_fails_the_crc(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        raw = bytearray(path.read_bytes())
+        with np.load(path) as npz:
+            at = raw.find(npz[PARAMS_KEY].tobytes())
+        assert at > 0
+        raw[at + 100] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="CRC"):
+            read_container(path, MODEL_FORMAT)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            pytest.param(lambda p: p.write_bytes(b"PK\x03\x04 not a zip"), id="bad-zip"),
+            pytest.param(lambda p: np.savez(p, x=np.ones(3)), id="no-meta"),
+            pytest.param(lambda p: p.write_bytes(_npy(np.ones(3))), id="plain-npy"),
+            pytest.param(lambda p: _zip(p, {FORMAT_KEY: _npy(_header()), "raw": b"not npy"}), id="non-npy-member"),
+        ],
+    )
+    def test_foreign_files_raise_value_error(self, tmp_path, write):
+        path = tmp_path / "foreign.npz"
+        write(path)
+        with pytest.raises(ValueError):
+            read_container(path, MODEL_FORMAT)

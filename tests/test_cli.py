@@ -9,13 +9,23 @@ import sys
 import numpy as np
 import pytest
 
-from evdetect.checkpoint import ENGINE_FORMAT, MODEL_FORMAT, PARAMS_KEY, encode_model, load_model, write_container
+from evdetect.checkpoint import (
+    ENGINE_FORMAT,
+    MODEL_FORMAT,
+    PARAMS_KEY,
+    encode_model,
+    load_model,
+    read_container,
+    write_container,
+)
 from evdetect.cli import main
 from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
 from evdetect.engine import EngineConfig, OnlineDetector
+from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _model_without_dims(path, params):
@@ -29,7 +39,10 @@ def _engine_without_config(path, _):
 
 
 def run_cli(args, **kwargs):
-    return subprocess.run(RUN + args, capture_output=True, text=True, **kwargs)
+    # the child imports evdetect from this checkout's src/, installed or not
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -443,6 +456,39 @@ class TestDetect:
                      "--out", str(workdir / "never.jsonl")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "fault", ["more-than-lm-plus-gm", "non-increasing-timestamps", "unequal-lengths", "total-seen-below-stream"]
+    )
+    def test_corrupt_engine_stream_exits_one(self, workdir, tiny_setup, capsys, fault):
+        # a full stream (lm+gm readings), then one fault in it
+        det = OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig(lm=8, gm=32))
+        for t, power in zip(read_meter_csv(str(tiny_setup["detect_csv"])).timestamps[:60], np.linspace(0.2, 1.0, 60)):
+            det.step(Reading(t, float(power)))
+        engine_ckpt = workdir / "corrupt_engine.npz"
+        det.save(engine_ckpt)
+        meta, arrays = read_container(engine_ckpt, ENGINE_FORMAT)
+        stream = meta["stream"]
+        assert len(stream["t"]) == 40
+        if fault == "more-than-lm-plus-gm":
+            stream["t"].append("2030-01-01T00:00:00")
+            stream["filled"].append(False)
+            arrays["power"] = np.append(arrays["power"], 1.0)
+        elif fault == "non-increasing-timestamps":
+            stream["t"][5] = stream["t"][4]
+        elif fault == "total-seen-below-stream":
+            stream["total_seen"] = 39
+        else:
+            arrays["power"] = arrays["power"][:-1]
+        write_container(engine_ckpt, ENGINE_FORMAT, meta, arrays)
+        with pytest.raises(ValueError, match="corrupt_engine.npz: stream"):
+            OnlineDetector.load(engine_ckpt)
+        capsys.readouterr()
+        code = main(["detect", "--resume-engine", str(engine_ckpt), str(tiny_setup["detect_csv"]),
+                     "--out", str(workdir / "never.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(engine_ckpt) in err
 
     @pytest.mark.parametrize(
         "name, save, flag",

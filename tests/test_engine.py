@@ -376,6 +376,68 @@ class TestResumeAtAnyCut:
         assert head + tail == _uninterrupted(refit_stride, max_peaks, constant)[0]
 
 
+RESTORE_LEN = RESUME_WARMUP + RESUME_CALIB + 30
+
+
+@functools.lru_cache(maxsize=None)
+def _restore_model(heads, e0):
+    return ModelParams(ModelDims(C=8, hidden=8, heads=heads, lm=4, gm=12, e0=e0, e1=3), seed=40 + heads)
+
+
+class TestLoadRestoresReplayState:
+    """`OnlineDetector.load` restores the saved windows and fills the cache
+    ring in one broadcast; its state equals, bit for bit, pushing the saved
+    readings one at a time (the oracle below)."""
+
+    @staticmethod
+    def _replayed(det):
+        oracle = OnlineDetector(det.params, det.stats, det.config)
+        for r in [*det.stream.gm_buffer, *det.stream.lm_buffer]:
+            oracle._push(r)
+        oracle.stream.total_seen = det.stream.total_seen
+        return oracle
+
+    # in warmup, with gm partly filled, both windows full, calibrating,
+    # detecting, and after clear_windows() with 0 to lm+gm+4 readings since
+    @given(
+        cut=st.sampled_from([0, 1, SMALL.lm, SMALL.lm + 5, RESUME_WARMUP, RESUME_WARMUP + 1, RESTORE_LEN])
+        | st.integers(0, RESTORE_LEN),
+        since_clear=st.none() | st.sampled_from([0, 1, SMALL.lm + 1]) | st.integers(0, SMALL.lm + SMALL.gm + 4),
+        heads=st.sampled_from([1, 2, 4]),
+        e0=st.sampled_from([6, 11]),
+        cache=st.booleans(),
+    )
+    def test_loaded_state_equals_per_reading_replay(self, tmp_path_factory, cut, since_clear, heads, e0, cache):
+        params = _restore_model(heads, e0)
+        cfg = EngineConfig(lm=SMALL.lm, gm=SMALL.gm, q=1e-3, calibration_len=RESUME_CALIB, cache_enabled=cache)
+        det = OnlineDetector(params, SeriesStats(mean=0.3, std=1.7, count=1), cfg)
+        readings = _readings(np.random.default_rng(cut).normal(size=RESTORE_LEN + SMALL.lm + SMALL.gm + 4))
+        for r in readings[:cut]:
+            det.step(r)
+        if since_clear is not None:
+            det.clear_windows()
+            for r in readings[cut : cut + since_clear]:
+                det.step(r)
+        path = tmp_path_factory.getbasetemp() / "restore.npz"
+        det.save(path)
+        loaded, oracle = OnlineDetector.load(path), self._replayed(det)
+
+        assert loaded.stream.gm_buffer == oracle.stream.gm_buffer
+        assert loaded.stream.lm_buffer == oracle.stream.lm_buffer
+        assert loaded.stream.total_seen == oracle.stream.total_seen == det.stream.total_seen
+        assert loaded.phase == det.phase
+        assert loaded.spot == det.spot
+        assert loaded.calib_scores == det.calib_scores
+        if cache:
+            assert loaded.cache.ring.tobytes() == oracle.cache.ring.tobytes()
+            np.testing.assert_array_equal(loaded.cache.ring, oracle.cache.ring)
+            assert (loaded.cache.ring_ptr, loaded.cache.ring_count) == (oracle.cache.ring_ptr, oracle.cache.ring_count)
+            if loaded.cache.ring_count == SMALL.gm:
+                np.testing.assert_array_equal(loaded.cache.content_logits(), det.cache.content_logits())
+        else:
+            assert loaded.cache is None
+
+
 def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 30, calibration_len=RESUME_CALIB):
     det = OnlineDetector(
         ModelParams(dims, seed=seed),
