@@ -20,11 +20,13 @@ weight) are rejected.
 
 `read_container` reads a file's bytes once and walks its members with one
 `zipfile.ZipFile`, which checks each member's CRC. Each npy header goes
-through the public `np.lib.format` parsers, memoised on the raw header bytes:
-the files of one fleet share their headers, so each distinct header is parsed
-once per process, not once per member. As with `np.load(allow_pickle=False)`,
-object dtypes are refused; so is a member whose data is shorter or longer than
-its header says.
+through the public `np.lib.format` parsers (whose `literal_eval` costs more
+than the rest of a member's read), memoised on the raw header bytes. A
+header records only dtype, order and shape, so across the files of one fleet
+most headers repeat: that of `params` always, those of the other members
+whenever two meters' arrays have the same length. As with
+`np.load(allow_pickle=False)`, object dtypes are refused; so is a member whose
+data is shorter or longer than its header says.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def _npy_header(raw: bytes) -> tuple[tuple[int, ...], str, np.dtype]:
     """Shape, order and dtype of one npy header (magic included)."""
     fp = io.BytesIO(raw)
     version = np.lib.format.read_magic(fp)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"npy version {version} is not 1.0 or 2.0")
     read = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
     shape, fortran, dtype = read(fp)
     if dtype.hasobject:
@@ -72,9 +76,7 @@ def _npy_header(raw: bytes) -> tuple[tuple[int, ...], str, np.dtype]:
 
 def _npy_array(name: str, member: bytes) -> np.ndarray:
     """The array of one npy member, a read-only view of its bytes."""
-    if member[:6] != b"\x93NUMPY" or member[6:8] not in (b"\x01\x00", b"\x02\x00"):
-        raise ValueError(f"member {name} is not an npy version 1.0 or 2.0 array")
-    width = 2 if member[6] == 1 else 4
+    width = 2 if member[6:7] == b"\x01" else 4
     start = 8 + width + int.from_bytes(member[8 : 8 + width], "little")
     shape, order, dtype = _npy_header(member[:start])
     count = math.prod(shape)

@@ -405,11 +405,11 @@ class OnlineDetector:
     def load(cls, path) -> "OnlineDetector":
         """Resume a detector saved by `save`; a malformed file raises ValueError.
 
-        The saved readings are restored, not replayed: the oldest
-        max(0, n - lm) of them fill the global window and the rest the local
-        one, and the cache ring takes the content logits of the global ones
-        in one `AttentionCache.fill`. The state equals, bit for bit, that of
-        pushing the readings one at a time: the features come from the same
+        The saved readings are restored, not replayed: `StreamState.restore`
+        refills the windows (and rejects a stream that pushes cannot leave),
+        and the cache ring takes the content logits of the global ones in one
+        `AttentionCache.fill`. The state equals, bit for bit, that of pushing
+        the readings one at a time: the features come from the same
         elementwise embed, and `fill`'s stacked matmul runs the matrix-vector
         kernel of `push` once per reading.
         """
@@ -420,27 +420,19 @@ class OnlineDetector:
             stream, spot = meta["stream"], meta["spot"]
             times = [datetime.fromisoformat(t) for t in stream["t"]]
             filled, powers = stream["filled"], [float(p) for p in arrays["power"]]
-            lm, n = det.config.lm, len(times)
-            if not len(filled) == len(powers) == n:
-                raise ValueError(f"{path}: stream has {n} timestamps, {len(filled)} fill flags and {len(powers)} powers")
-            if n > lm + det.config.gm:
-                raise ValueError(f"{path}: stream has {n} readings, more than lm + gm = {lm + det.config.gm}")
-            if any(a >= b for a, b in zip(times, times[1:])):
-                raise ValueError(f"{path}: stream timestamps are not strictly increasing")
             total_seen = stream["total_seen"]
-            if type(total_seen) is not int or total_seen < n:
-                raise ValueError(f"{path}: stream total_seen {total_seen!r} is not an integer >= its {n} readings")
+            if not len(filled) == len(powers) == len(times):
+                raise ValueError(f"{path}: stream has {len(times)} timestamps, {len(filled)} fill flags and {len(powers)} powers")
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].tolist()})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
-        readings = list(map(Reading, times, powers, map(bool, filled)))
-        g = max(0, n - lm)
-        det.stream.gm_buffer.extend(readings[:g])
-        det.stream.lm_buffer.extend(readings[g:])
-        det.stream.total_seen = total_seen
+        try:
+            g = det.stream.restore(list(map(Reading, times, powers, map(bool, filled))), total_seen)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: stream {exc}") from exc
         if det.cache is not None:
             det.cache.fill(det._embed_scalar(((np.array(powers[:g]) - stats.mean) / stats.std)[:, None]))
         return det

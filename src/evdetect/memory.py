@@ -59,6 +59,24 @@ class StreamState:
                 self.gm_buffer.popleft()
         return spilled
 
+    def restore(self, readings: list[Reading], total_seen: int) -> int:
+        """Set both windows as pushing `total_seen` readings ending in `readings`
+        (oldest first) leaves them; returns how many went to the global window.
+
+        Readings that pushes cannot leave raise ValueError: a count other than
+        min(total_seen, lm + gm), or timestamps that do not strictly increase.
+        """
+        n, full = len(readings), self.lm + self.gm
+        if type(total_seen) is not int or n != min(total_seen, full):
+            raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {full})")
+        if any(a.t >= b.t for a, b in zip(readings, readings[1:])):
+            raise StreamOrderError("timestamps are not strictly increasing")
+        g = max(0, n - self.lm)
+        self.gm_buffer = deque(readings[:g])
+        self.lm_buffer = deque(readings[g:])
+        self.total_seen = total_seen
+        return g
+
     def snapshot(self) -> tuple[list[Reading], list[Reading]] | None:
         """Both windows oldest-to-newest, or None while warmup is incomplete."""
         if self.total_seen < self.lm + self.gm:

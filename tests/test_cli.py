@@ -458,7 +458,14 @@ class TestDetect:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "fault", ["more-than-lm-plus-gm", "non-increasing-timestamps", "unequal-lengths", "total-seen-below-stream"]
+        "fault",
+        [
+            "more-than-lm-plus-gm",
+            "non-increasing-timestamps",
+            "unequal-lengths",
+            "total-seen-below-stream",
+            "total-seen-above-short-stream",
+        ],
     )
     def test_corrupt_engine_stream_exits_one(self, workdir, tiny_setup, capsys, fault):
         # a full stream (lm+gm readings), then one fault in it
@@ -478,6 +485,9 @@ class TestDetect:
             stream["t"][5] = stream["t"][4]
         elif fault == "total-seen-below-stream":
             stream["total_seen"] = 39
+        elif fault == "total-seen-above-short-stream":
+            # 10 readings, but 60 seen: pushes would have left lm + gm = 40
+            stream["t"], stream["filled"], arrays["power"] = stream["t"][-10:], stream["filled"][-10:], arrays["power"][-10:]
         else:
             arrays["power"] = arrays["power"][:-1]
         write_container(engine_ckpt, ENGINE_FORMAT, meta, arrays)

@@ -94,3 +94,36 @@ def test_snapshot_matches_slice_oracle_randomized():
             lm_win, gm_win = snap
             assert gm_win + lm_win == seq[-(lm + gm) :]
             assert lm_win == seq[-lm:]
+
+
+def test_restore_matches_push_oracle_randomized():
+    rng = np.random.default_rng(4321)
+    for _ in range(300):
+        lm = int(rng.integers(1, 6))
+        gm = int(rng.integers(lm + 1, 12))
+        seen = int(rng.integers(0, lm + gm + 20))
+        pushed = StreamState(lm, gm)
+        _push_all(pushed, seen)
+        restored = StreamState(lm, gm)
+        g = restored.restore([*pushed.gm_buffer, *pushed.lm_buffer], seen)
+        assert g == len(pushed.gm_buffer)
+        assert restored.lm_buffer == pushed.lm_buffer and restored.gm_buffer == pushed.gm_buffer
+        assert restored.total_seen == seen and restored.snapshot() == pushed.snapshot()
+
+
+@pytest.mark.parametrize(
+    "n, total_seen",
+    [(6, 5), (4, 5), (8, 9), (3, 100), (5, 5.0), (1, True)],
+    ids=["more-than-seen", "fewer-than-seen", "more-than-lm-plus-gm", "short-with-many-seen", "float-seen", "bool-seen"],
+)
+def test_restore_rejects_counts_pushes_cannot_leave(n, total_seen):
+    s = StreamState(lm=2, gm=5)
+    with pytest.raises(ValueError, match="readings, not min"):
+        s.restore([_reading(i) for i in range(n)], total_seen)
+
+
+def test_restore_rejects_non_increasing_timestamps():
+    readings = [_reading(i) for i in range(5)]
+    readings[3] = readings[2]
+    with pytest.raises(StreamOrderError):
+        StreamState(lm=2, gm=5).restore(readings, 5)
