@@ -41,7 +41,7 @@ from .evaluation import confusion, precision_recall_f1, roc_auc
 from .memory import Reading
 from .model import ModelDims
 from .nn import Hyper
-from .spot import pot_calibrate, spot_step
+from .spot import ANOMALY, pot_calibrate, spot_step
 from .training import MAX_TRAIN_MINUTES, train
 
 
@@ -202,13 +202,11 @@ DETECT_DEFAULTS = {
 def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig, save_engine=None, resume=None):
     if resume:
         detector = OnlineDetector.load(resume)
-        engine_cfg = detector.config
     else:
         params, stats = load_model(checkpoint_path)
         detector = OnlineDetector(params, stats, engine_cfg)
 
     from_stdin = input_path == "-"
-    guard = engine_cfg.lm + engine_cfg.gm - 1 + engine_cfg.calibration_len
     warned = False
     n_steps = 0
     started = time.perf_counter()
@@ -218,7 +216,8 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
                 if new_segment:
                     # after a gap too long to fill, the windows start empty
                     detector.clear_windows()
-                if label and n_steps < guard and not warned:
+                # a reading stepped before SPOT is fitted feeds warmup or calibration
+                if label and detector.spot is None and not warned:
                     print(
                         "warning: EV-labeled readings inside the calibration prefix; "
                         "the initial threshold may be biased",
@@ -342,6 +341,20 @@ def _metrics_from_events(events_path, labels_path):
     return np.array(truth), np.array(preds), np.array(scores)
 
 
+def _spot_trace(scores, n_calib, **calibration):
+    """Calibrate SPOT on `scores[:n_calib]` now, then step it over the rest;
+    the iterator yields (threshold before the step, label, k) per score."""
+    state = pot_calibrate(scores[:n_calib], **calibration)
+
+    def steps():
+        for x in scores[n_calib:]:
+            threshold = state.z_q
+            label = int(spot_step(state, float(x)) == ANOMALY)
+            yield threshold, label, state.k
+
+    return steps()
+
+
 def _metrics_from_scores(path, q, calib_frac):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -366,10 +379,7 @@ def _metrics_from_scores(path, q, calib_frac):
     n_calib = max(100, int(len(rows) * calib_frac))
     if n_calib >= len(rows):
         raise ValueError(f"{path}: not enough rows beyond the calibration fraction")
-    state = pot_calibrate(scores[:n_calib], q=q)
-    preds = np.zeros(len(rows) - n_calib, dtype=np.int64)
-    for i, x in enumerate(scores[n_calib:]):
-        preds[i] = 1 if spot_step(state, float(x)) == "anomaly" else 0
+    preds = np.array([label for _, label, _ in _spot_trace(scores, n_calib, q=q)], dtype=np.int64)
     return truth[n_calib:], preds, scores[n_calib:]
 
 
@@ -466,16 +476,13 @@ def cmd_spot(args, parser) -> int:
     n_calib = int(args.calib) if args.calib > 1 else max(100, int(scores.size * args.calib))
     if n_calib >= scores.size:
         parser.error("calibration consumes the whole score file")
-    state = pot_calibrate(scores[:n_calib], q=args.q, init_level=args.init_level)
+    trace = _spot_trace(scores, n_calib, q=args.q, init_level=args.init_level)
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for i, x in enumerate(scores[n_calib:], start=n_calib):
-            threshold = state.z_q
-            cls = spot_step(state, float(x))
-            label = 1 if cls == "anomaly" else 0
+        for i, (x, (threshold, label, k)) in enumerate(zip(scores[n_calib:], trace), start=n_calib):
             out_fh.write(
                 f'{{"i":{i},"score":{format(float(x), ".9g")},"threshold":{format(threshold, ".9g")},'
-                f'"label":{label},"k":{state.k}}}\n'
+                f'"label":{label},"k":{k}}}\n'
             )
     finally:
         if args.out:

@@ -231,11 +231,8 @@ def sliding_windows(values, lm: int, gm: int, stride: int = 1) -> WindowBatch:
     span = lm + gm
     if x.size < span:
         raise ValueError(f"series of {x.size} too short for window span {span}")
-    count = (x.size - span) // stride + 1
-    starts = np.arange(count) * stride
-    gm_win = np.stack([x[s : s + gm] for s in starts])
-    lm_win = np.stack([x[s + gm : s + span] for s in starts])
-    return WindowBatch(lm_windows=lm_win, gm_windows=gm_win)
+    windows = np.lib.stride_tricks.sliding_window_view(x, span)[::stride]
+    return WindowBatch(lm_windows=windows[:, gm:].copy(), gm_windows=windows[:, :gm].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +324,11 @@ def non_ev_segments(series: MeterSeries, min_len: int = 1) -> list[tuple[int, in
     labels = series.labels
     for seg_start, seg_end in series.segments:
         if labels is None:
-            if seg_end - seg_start >= min_len:
-                out.append((seg_start, seg_end))
-            continue
-        i = seg_start
-        while i < seg_end:
-            if labels[i] == 0:
-                j = i
-                while j < seg_end and labels[j] == 0:
-                    j += 1
-                if j - i >= min_len:
-                    out.append((i, j))
-                i = j
-            else:
-                i += 1
+            runs = [(seg_start, seg_end)]
+        else:
+            # a run of non-EV rows starts and ends where the padded mask flips
+            mask = np.concatenate(([False], labels[seg_start:seg_end] == 0, [False]))
+            edges = (seg_start + np.flatnonzero(np.diff(mask))).tolist()
+            runs = zip(edges[::2], edges[1::2])
+        out.extend((i, j) for i, j in runs if j - i >= min_len)
     return out

@@ -308,7 +308,7 @@ class OnlineDetector:
 
     @property
     def phase(self) -> str:
-        if self.stream.snapshot() is None:
+        if not self.stream.full:
             return WARMUP
         return DETECTING if self.spot is not None else CALIBRATING
 
@@ -346,13 +346,11 @@ class OnlineDetector:
         except StreamOrderError as exc:
             return self._rejected(reading, str(exc))
 
-        snap = self.stream.snapshot()
-        if snap is None:
+        if not self.stream.full:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
 
         # both windows, oldest first, from one array
-        lm_read, gm_read = snap
-        values = normalize(np.array([r.power for window in (gm_read, lm_read) for r in window]), self.stats)
+        values = normalize(np.array([r.power for r in self.stream.readings]), self.stats)
         score = self._score(values[self.config.gm :], values[: self.config.gm])
         # the reading stays in the windows; SPOT and calibration never see the score
         if not math.isfinite(score):
@@ -385,7 +383,7 @@ class OnlineDetector:
 
     def save(self, path) -> None:
         meta, arrays = ckpt.encode_model(self.params, self.stats)
-        readings = [*self.stream.gm_buffer, *self.stream.lm_buffer]
+        readings = self.stream.readings
         spot = None
         if self.spot is not None:
             spot = asdict(self.spot)
@@ -406,7 +404,7 @@ class OnlineDetector:
         """Resume a detector saved by `save`; a malformed file raises ValueError.
 
         The saved readings are restored, not replayed: `StreamState.restore`
-        refills the windows (and rejects a stream that pushes cannot leave),
+        refills the stream buffer (and rejects a stream that pushes cannot leave),
         and the cache ring takes the content logits of the global ones in one
         `AttentionCache.fill`. The state equals, bit for bit, that of pushing
         the readings one at a time: the features come from the same

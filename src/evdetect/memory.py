@@ -1,9 +1,9 @@
-"""Per-stream FIFO buffers: a short local window backed by a long global window.
+"""Per-stream FIFO buffer: a short local window backed by a long global window.
 
-New readings enter the local buffer; elements it evicts spill into the global
-buffer, whose own evictions are discarded. Both windows are index-based, not
-wall-clock-based, so timestamp gaps are tolerated (gap filling happens at
-ingestion).
+One buffer holds the newest lm + gm readings, oldest first: the global window
+is its oldest gm, the local window its newest lm. Both windows are
+index-based, not wall-clock-based, so timestamp gaps are tolerated (gap
+filling happens at ingestion).
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ class Reading:
 
 
 class StreamState:
-    """FIFO local/global memory for one household stream.
-
-    Invariants: the local buffer holds the newest `lm` readings, the global
-    buffer the `gm` readings immediately before them; every global element is
-    older than every local element.
-    """
+    """FIFO local/global memory for one household stream: `readings` holds
+    the newest min(total_seen, lm + gm) readings, oldest first."""
 
     def __init__(self, lm: int, gm: int):
         if lm < 1 or gm < 1:
@@ -41,44 +37,44 @@ class StreamState:
             raise ValueError(f"local window must be shorter than global (got lm={lm}, gm={gm})")
         self.lm = lm
         self.gm = gm
-        self.lm_buffer: deque[Reading] = deque()
-        self.gm_buffer: deque[Reading] = deque()
+        self.readings: deque[Reading] = deque(maxlen=lm + gm)
         self.total_seen = 0
 
+    @property
+    def full(self) -> bool:
+        """Whether both windows exist: lm + gm readings have been pushed."""
+        return len(self.readings) == self.readings.maxlen
+
     def push(self, r: Reading) -> Reading | None:
-        """Append a reading; returns the element spilled into the global buffer, if any."""
-        if self.lm_buffer and r.t <= self.lm_buffer[-1].t:
-            raise StreamOrderError(f"reading at {r.t} is not newer than {self.lm_buffer[-1].t}")
-        self.lm_buffer.append(r)
+        """Append a reading; returns the one it moves from the local into the
+        global window, if more than lm are held."""
+        buf = self.readings
+        if buf and r.t <= buf[-1].t:
+            raise StreamOrderError(f"reading at {r.t} is not newer than {buf[-1].t}")
+        buf.append(r)
         self.total_seen += 1
-        spilled = None
-        if len(self.lm_buffer) > self.lm:
-            spilled = self.lm_buffer.popleft()
-            self.gm_buffer.append(spilled)
-            if len(self.gm_buffer) > self.gm:
-                self.gm_buffer.popleft()
-        return spilled
+        return buf[-self.lm - 1] if len(buf) > self.lm else None
 
     def restore(self, readings: list[Reading], total_seen: int) -> int:
-        """Set both windows as pushing `total_seen` readings ending in `readings`
-        (oldest first) leaves them; returns how many went to the global window.
+        """Set the buffer as pushing `total_seen` readings ending in `readings`
+        (oldest first) leaves it; returns how many are in the global window.
 
         Readings that pushes cannot leave raise ValueError: a count other than
         min(total_seen, lm + gm), or timestamps that do not strictly increase.
         """
-        n, full = len(readings), self.lm + self.gm
-        if type(total_seen) is not int or n != min(total_seen, full):
-            raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {full})")
+        n, span = len(readings), self.readings.maxlen
+        if type(total_seen) is not int or n != min(total_seen, span):
+            raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {span})")
         if any(a.t >= b.t for a, b in zip(readings, readings[1:])):
             raise StreamOrderError("timestamps are not strictly increasing")
-        g = max(0, n - self.lm)
-        self.gm_buffer = deque(readings[:g])
-        self.lm_buffer = deque(readings[g:])
+        self.readings = deque(readings, maxlen=span)
         self.total_seen = total_seen
-        return g
+        return max(0, n - self.lm)
 
     def snapshot(self) -> tuple[list[Reading], list[Reading]] | None:
-        """Both windows oldest-to-newest, or None while warmup is incomplete."""
-        if self.total_seen < self.lm + self.gm:
+        """(local, global) windows, each oldest-to-newest, or None while
+        warmup is incomplete."""
+        if not self.full:
             return None
-        return list(self.lm_buffer), list(self.gm_buffer)
+        held = list(self.readings)
+        return held[self.gm :], held[: self.gm]

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import WindowBatch
-from .model import ModelDims, ModelParams, mtr_forward_t
-from .nn import AdamState, Hyper, Tensor, adam_step, no_grad
+from .model import ModelDims, ModelParams, mtr_forward, mtr_forward_t
+from .nn import AdamState, Hyper, Tensor, adam_step
 
 MAX_TRAIN_MINUTES = 4 * 7 * 1440  # default cap on training history
 
@@ -41,8 +41,9 @@ def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> Tensor:
 
 
 def reconstruction_loss(batch: WindowBatch, params: ModelParams) -> float:
-    with no_grad():
-        loss = float(reconstruction_loss_t(batch, params).data)
+    """`reconstruction_loss_t`'s value, through the array forward."""
+    d = mtr_forward(batch.lm_windows, batch.gm_windows, params) - batch.lm_windows
+    loss = float((d * d).mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite reconstruction loss")
     return loss

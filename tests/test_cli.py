@@ -333,6 +333,24 @@ class TestDetect:
         assert main(args + ["-", "--out", str(workdir / "ev_in_prefix_stdin.jsonl")]) == 0
         assert capsys.readouterr().err.count(warning) == 1
 
+    def test_resumed_detecting_engine_does_not_warn(self, workdir, tiny_setup, capsys):
+        # a resumed engine that is already detecting has no calibration prefix left
+        series = read_meter_csv(str(tiny_setup["detect_csv"]))
+        warning = "warning: EV-labeled readings inside the calibration prefix"
+        head, tail, engine = workdir / "warn_head.csv", workdir / "warn_tail.csv", workdir / "warn_engine.npz"
+        head.write_text(format_meter_csv(MeterSeries(series.timestamps[:1000], series.powers[:1000],
+                                                     series.filled[:1000], series.labels[:1000])))
+        labels = series.labels[1000:].copy()
+        labels[:5] = 1
+        tail.write_text(format_meter_csv(MeterSeries(series.timestamps[1000:], series.powers[1000:],
+                                                     series.filled[1000:], labels)))
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        assert main(args + [str(head), "--out", os.devnull, "--save-engine", str(engine)]) == 0
+        assert OnlineDetector.load(engine).spot is not None
+        capsys.readouterr()
+        assert main(["detect", "--resume-engine", str(engine), str(tail), "--out", os.devnull]) == 0
+        assert capsys.readouterr().err.count(warning) == 0
+
     def test_multiple_inputs_need_out_dir(self, workdir, tiny_setup):
         proc = run_cli(
             [

@@ -257,7 +257,47 @@ class TestSynth:
             SynthConfig(duration_minutes=(10, 60))
 
 
+def _non_ev_segments_oracle(series: MeterSeries, min_len: int = 1) -> list[tuple[int, int]]:
+    """`non_ev_segments` as a row-by-row scan."""
+    out = []
+    labels = series.labels
+    for seg_start, seg_end in series.segments:
+        if labels is None:
+            if seg_end - seg_start >= min_len:
+                out.append((seg_start, seg_end))
+            continue
+        i = seg_start
+        while i < seg_end:
+            if labels[i] == 0:
+                j = i
+                while j < seg_end and labels[j] == 0:
+                    j += 1
+                if j - i >= min_len:
+                    out.append((i, j))
+                i = j
+            else:
+                i += 1
+    return out
+
+
 class TestNonEvSegments:
+    @given(st.data())
+    def test_matches_scan_oracle(self, data):
+        n = data.draw(st.integers(0, 200), label="n")
+        labels = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n), label="labels")
+        cuts = sorted(data.draw(st.sets(st.integers(0, n)), label="segment bounds"))
+        series = MeterSeries(
+            timestamps=[datetime(2018, 1, 1) + timedelta(minutes=i) for i in range(n)],
+            powers=np.zeros(n),
+            filled=np.zeros(n, dtype=bool),
+            labels=None if labels is None else np.array(labels, dtype=np.int64),
+            segments=list(zip(cuts, cuts[1:])),
+        )
+        min_len = data.draw(st.integers(-1, 30), label="min_len")
+        got = non_ev_segments(series, min_len=min_len)
+        assert got == _non_ev_segments_oracle(series, min_len=min_len)
+        assert all(type(i) is int and type(j) is int for i, j in got)
+
     def test_splits_on_labels_and_segments(self):
         n = 50
         labels = np.zeros(n, dtype=np.int64)

@@ -392,7 +392,7 @@ class TestLoadRestoresReplayState:
     @staticmethod
     def _replayed(det):
         oracle = OnlineDetector(det.params, det.stats, det.config)
-        for r in [*det.stream.gm_buffer, *det.stream.lm_buffer]:
+        for r in det.stream.readings:
             oracle._push(r)
         oracle.stream.total_seen = det.stream.total_seen
         return oracle
@@ -422,8 +422,8 @@ class TestLoadRestoresReplayState:
         det.save(path)
         loaded, oracle = OnlineDetector.load(path), self._replayed(det)
 
-        assert loaded.stream.gm_buffer == oracle.stream.gm_buffer
-        assert loaded.stream.lm_buffer == oracle.stream.lm_buffer
+        assert loaded.stream.readings == oracle.stream.readings
+        assert loaded.stream.snapshot() == oracle.stream.snapshot()
         assert loaded.stream.total_seen == oracle.stream.total_seen == det.stream.total_seen
         assert loaded.phase == det.phase
         assert loaded.spot == det.spot
@@ -479,7 +479,7 @@ class TestSharedModel:
         solos = [copy.deepcopy(source) for _ in dets]
         assert solos[0].params is not dets[0].params
         assert solos[0].cache.eff_queries is not dets[0].cache.eff_queries
-        t = source.stream.lm_buffer[-1].t
+        t = source.stream.readings[-1].t
         streams = np.random.default_rng(31).normal(size=(len(dets), 150))
         streams[1, 60:64] += 8.0
         shared = [[] for _ in dets]

@@ -23,23 +23,22 @@ def _push_all(state: StreamState, n: int) -> list[Reading]:
 
 def test_first_push():
     s = StreamState(lm=2, gm=3)
-    s.push(_reading(1))
-    assert list(s.lm_buffer) == [_reading(1)]
-    assert list(s.gm_buffer) == []
+    assert s.push(_reading(1)) is None
+    assert list(s.readings) == [_reading(1)]
 
 
 def test_spill_into_global():
     s = StreamState(lm=2, gm=3)
-    r = _push_all(s, 3)
-    assert list(s.lm_buffer) == [r[1], r[2]]
-    assert list(s.gm_buffer) == [r[0]]
+    r = [_reading(i) for i in range(3)]
+    assert [s.push(x) for x in r] == [None, None, r[0]]
+    assert list(s.readings) == [r[0], r[1], r[2]]
 
 
 def test_global_eviction_discards_oldest():
     s = StreamState(lm=2, gm=3)
-    r = _push_all(s, 6)
-    assert list(s.lm_buffer) == [r[4], r[5]]
-    assert list(s.gm_buffer) == [r[1], r[2], r[3]]
+    r = [_reading(i) for i in range(6)]
+    assert [s.push(x) for x in r] == [None, None, r[0], r[1], r[2], r[3]]
+    assert list(s.readings) == [r[1], r[2], r[3], r[4], r[5]]
 
 
 def test_out_of_order_rejected():
@@ -85,8 +84,9 @@ def test_snapshot_matches_slice_oracle_randomized():
         n = int(rng.integers(0, lm + gm + 20))
         s = StreamState(lm, gm)
         seq = [_reading(i) for i in range(n)]
-        for r in seq:
-            s.push(r)
+        spilled = [s.push(r) for r in seq]
+        assert spilled == [seq[i - lm] if i >= lm else None for i in range(n)]
+        assert list(s.readings) == seq[-(lm + gm) :]
         snap = s.snapshot()
         if n < lm + gm:
             assert snap is None
@@ -103,11 +103,12 @@ def test_restore_matches_push_oracle_randomized():
         gm = int(rng.integers(lm + 1, 12))
         seen = int(rng.integers(0, lm + gm + 20))
         pushed = StreamState(lm, gm)
-        _push_all(pushed, seen)
+        seq = _push_all(pushed, seen)
         restored = StreamState(lm, gm)
-        g = restored.restore([*pushed.gm_buffer, *pushed.lm_buffer], seen)
-        assert g == len(pushed.gm_buffer)
-        assert restored.lm_buffer == pushed.lm_buffer and restored.gm_buffer == pushed.gm_buffer
+        g = restored.restore(list(pushed.readings), seen)
+        # the global window: the last gm readings before the newest lm
+        assert g == len(seq[: max(0, seen - lm)][-gm:])
+        assert restored.readings == pushed.readings and restored.readings.maxlen == lm + gm
         assert restored.total_seen == seen and restored.snapshot() == pushed.snapshot()
 
 
