@@ -60,8 +60,23 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, defaults: dict[str, tuple], parser: argparse.ArgumentParser) -> tuple[dict, set]:
-    """Merge flag values, config-file entries and built-in defaults; also return the keys a flag or entry set."""
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _defaults(cls, fields: dict[str, str]) -> dict:
+    """{flag dest: default} for the flags that set the fields of dataclass `cls`
+    named by `fields`: each such setting takes the field's default and type."""
+    return {dest: getattr(cls, name) for dest, name in fields.items()}
+
+
+def _build(cls, fields: dict[str, str], cfg: dict, **extra):
+    return cls(**{name: cfg[dest] for dest, name in fields.items()}, **extra)
+
+
+def _resolve(args: argparse.Namespace, defaults: dict, parser: argparse.ArgumentParser) -> tuple[dict, set]:
+    """Merge flag values, config-file entries and built-in defaults; also return
+    the keys a flag or entry set. A config value takes its default's type."""
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
@@ -70,14 +85,18 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, tuple], parser: argpa
             file_cfg = load_config_file(args.config)
         except ValueError as exc:
             parser.error(str(exc))
+        # one file may serve both train and detect, so each ignores the other's keys
+        unknown = sorted(set(file_cfg) - set(TRAIN_DEFAULTS) - set(DETECT_DEFAULTS))
+        if unknown:
+            parser.error(f"{args.config}: unknown config key {', '.join(unknown)}")
     resolved = {}
-    for dest, (default, conv) in defaults.items():
+    for dest, default in defaults.items():
         flag_value = getattr(args, dest, None)
         if flag_value is not None:
             resolved[dest] = flag_value
         elif dest in file_cfg:
             try:
-                resolved[dest] = conv(file_cfg[dest])
+                resolved[dest] = type(default)(file_cfg[dest])
             except ValueError as exc:
                 parser.error(f"config key {dest}: {exc}")
         else:
@@ -94,24 +113,16 @@ def _require_file(parser: argparse.ArgumentParser, path: str) -> None:
 # train
 # ---------------------------------------------------------------------------
 
+# flag dest -> the `ModelDims` and `Hyper` field it sets
+MODEL_FIELDS = {"lm": "lm", "gm": "gm", "heads": "heads", "hidden": "hidden", "embed_dim": "C", "e0": "e0", "e1": "e1"}
+HYPER_FIELDS = {"lr": "learning_rate", "weight_decay": "weight_decay", "beta1": "beta1", "beta2": "beta2",
+                "adam_eps": "epsilon", "batch_size": "batch_size", "epochs": "epochs"}
 TRAIN_DEFAULTS = {
-    "lm": (8, int),
-    "gm": (32, int),
-    "heads": (2, int),
-    "hidden": (8, int),
-    "embed_dim": (8, int),
-    "e0": (16, int),
-    "e1": (8, int),
-    "lr": (7e-5, float),
-    "weight_decay": (5e-5, float),
-    "beta1": (0.9, float),
-    "beta2": (0.999, float),
-    "adam_eps": (1e-8, float),
-    "batch_size": (64, int),
-    "epochs": (50, int),
-    "stride": (1, int),
-    "seed": (0, int),
-    "max_train_minutes": (MAX_TRAIN_MINUTES, int),
+    **_defaults(ModelDims, MODEL_FIELDS),
+    **_defaults(Hyper, HYPER_FIELDS),
+    "stride": 1,
+    "seed": 0,
+    "max_train_minutes": MAX_TRAIN_MINUTES,
 }
 
 
@@ -147,27 +158,10 @@ def cmd_train(args, parser) -> int:
         gm_parts.append(batch.gm_windows)
     windows = WindowBatch(np.concatenate(lm_parts), np.concatenate(gm_parts))
 
-    dims = ModelDims(
-        C=cfg["embed_dim"],
-        hidden=cfg["hidden"],
-        heads=cfg["heads"],
-        lm=cfg["lm"],
-        gm=cfg["gm"],
-        e0=cfg["e0"],
-        e1=cfg["e1"],
-    )
-    hyper = Hyper(
-        learning_rate=cfg["lr"],
-        weight_decay=cfg["weight_decay"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        epsilon=cfg["adam_eps"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-    )
+    dims = _build(ModelDims, MODEL_FIELDS, cfg)
     params, report = train(
         windows,
-        hyper,
+        _build(Hyper, HYPER_FIELDS, cfg),
         seed=cfg["seed"],
         dims=dims,
         log=None if args.quiet else (lambda msg: print(msg, file=sys.stderr)),
@@ -190,22 +184,12 @@ def cmd_train(args, parser) -> int:
 # detect
 # ---------------------------------------------------------------------------
 
-DETECT_DEFAULTS = {
-    "q": (1e-4, float),
-    "calibration_len": (1440, int),
-    "init_level": (0.98, float),
-    "refit_stride": (1, int),
-    "jobs": (1, int),
-}
+# flag dest -> the `EngineConfig` field it sets; a resumed engine keeps its own
+ENGINE_FIELDS = {name: name for name in ("q", "calibration_len", "init_level", "refit_stride")}
+DETECT_DEFAULTS = {**_defaults(EngineConfig, ENGINE_FIELDS), "jobs": 1}
 
 
-def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig, save_engine=None, resume=None):
-    if resume:
-        detector = OnlineDetector.load(resume)
-    else:
-        params, stats = load_model(checkpoint_path)
-        detector = OnlineDetector(params, stats, engine_cfg)
-
+def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=None):
     from_stdin = input_path == "-"
     warned = False
     n_steps = 0
@@ -239,9 +223,9 @@ def _run_detection(checkpoint_path, input_path, out_fh, engine_cfg: EngineConfig
 
 
 def _detect_one(task):
-    checkpoint_path, input_path, out_path, engine_cfg = task
+    params, stats, config, input_path, out_path = task
     with open(out_path, "w", encoding="utf-8") as fh:
-        n, elapsed = _run_detection(checkpoint_path, input_path, fh, engine_cfg)
+        n, elapsed = _run_detection(OnlineDetector(params, stats, config), input_path, fh)
     return input_path, n, elapsed
 
 
@@ -251,46 +235,32 @@ def cmd_detect(args, parser) -> int:
         _require_file(parser, args.resume_engine)
         if len(args.inputs) > 1:
             parser.error("--resume-engine continues a single stream")
+        if args.out_dir:
+            parser.error("--resume-engine writes its events to --out or stdout, not --out-dir")
         # the saved engine keeps its model and settings, so these would be dropped
-        dropped = [k for k in ("q", "calibration_len", "init_level", "refit_stride") if k in given]
-        dropped += [k for k in ("checkpoint", "no_cache") if getattr(args, k)]
+        dropped = [k for k in ENGINE_FIELDS if k in given] + [k for k in ("checkpoint", "no_cache") if getattr(args, k)]
         if dropped:
-            names = ", ".join("--" + k.replace("_", "-") for k in dropped)
-            parser.error(f"--resume-engine keeps the saved engine's settings; remove {names}")
-        engine_cfg = None
+            parser.error(f"--resume-engine keeps the saved engine's settings; remove {', '.join(map(_flag, dropped))}")
     else:
         if not args.checkpoint:
             parser.error("--checkpoint is required unless --resume-engine is given")
         _require_file(parser, args.checkpoint)
-        params, _ = load_model(args.checkpoint)
-        engine_cfg = EngineConfig(
-            lm=params.dims.lm,
-            gm=params.dims.gm,
-            q=cfg["q"],
-            calibration_len=cfg["calibration_len"],
-            init_level=cfg["init_level"],
-            cache_enabled=not args.no_cache,
-            refit_stride=cfg["refit_stride"],
-        )
+        params, stats = load_model(args.checkpoint)
+        dims = params.dims
+        config = _build(EngineConfig, ENGINE_FIELDS, cfg, lm=dims.lm, gm=dims.gm, cache_enabled=not args.no_cache)
     for path in args.inputs:
         _require_file(parser, path)
     if len(args.inputs) > 1 and not args.out_dir:
         parser.error("multiple inputs require --out-dir")
 
-    if len(args.inputs) == 1 and not args.out_dir:
-        out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-        try:
-            n, elapsed = _run_detection(
-                args.checkpoint,
-                args.inputs[0],
-                out_fh,
-                engine_cfg,
-                args.save_engine,
-                resume=args.resume_engine,
-            )
-        finally:
-            if args.out:
-                out_fh.close()
+    if not args.out_dir:
+        # built before the events file is opened, so a failed load writes nothing
+        if args.resume_engine:
+            detector = OnlineDetector.load(args.resume_engine)
+        else:
+            detector = OnlineDetector(params, stats, config)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
+            n, elapsed = _run_detection(detector, args.inputs[0], out_fh, args.save_engine)
         if n:
             print(f"processed {n} readings, {elapsed / n * 1000:.3f} ms/reading mean", file=sys.stderr)
         return 0
@@ -299,7 +269,7 @@ def cmd_detect(args, parser) -> int:
     tasks = []
     for path in args.inputs:
         stem = os.path.splitext(os.path.basename(path))[0]
-        tasks.append((args.checkpoint, path, os.path.join(args.out_dir, stem + ".jsonl"), engine_cfg))
+        tasks.append((params, stats, config, path, os.path.join(args.out_dir, stem + ".jsonl")))
     if cfg["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_detect_one, tasks))
@@ -423,10 +393,9 @@ def cmd_eval(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    profile = BaseProfile(noise_kw=args.noise_kw) if args.noise_kw is not None else BaseProfile()
     cfg = SynthConfig(
         days=args.days,
-        base_profile=profile,
+        base_profile=BaseProfile(noise_kw=args.noise_kw),
         ev_power=args.ev_power,
         session_rate=args.session_rate,
         duration_minutes=(args.duration_min, args.duration_max),
@@ -495,6 +464,12 @@ def cmd_spot(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_settings(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    # None marks a flag not given, so a config entry or the default applies
+    for dest, default in defaults.items():
+        parser.add_argument(_flag(dest), type=type(default), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evdetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -504,10 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="model checkpoint to write")
     p_train.add_argument("--config", help="flat key=value config file")
     p_train.add_argument("--quiet", action="store_true")
-    for dest in TRAIN_DEFAULTS:
-        flag = "--" + dest.replace("_", "-")
-        conv = TRAIN_DEFAULTS[dest][1]
-        p_train.add_argument(flag, type=conv, default=None)
+    _add_settings(p_train, TRAIN_DEFAULTS)
     p_train.set_defaults(func=cmd_train)
 
     p_detect = sub.add_parser("detect", help="stream readings through a trained model")
@@ -519,38 +491,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--out-dir", help="events directory for multiple inputs")
     p_detect.add_argument("--save-engine", help="write a resumable engine checkpoint at the end")
     p_detect.add_argument("--resume-engine", help="continue from an engine checkpoint instead of starting fresh")
-    for dest in DETECT_DEFAULTS:
-        flag = "--" + dest.replace("_", "-")
-        conv = DETECT_DEFAULTS[dest][1]
-        p_detect.add_argument(flag, type=conv, default=None)
+    _add_settings(p_detect, DETECT_DEFAULTS)
     p_detect.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("eval", help="compute precision/recall/F1/AUC")
     p_eval.add_argument("--events", action="append", help="engine events JSONL (repeatable)")
     p_eval.add_argument("--labels", action="append", help="labeled meter CSV matching --events")
     p_eval.add_argument("--scores", action="append", help="score,label[,pred] CSV (repeatable)")
-    p_eval.add_argument("--q", type=float, default=1e-4, help="risk for deriving preds from bare scores")
+    p_eval.add_argument("--q", type=float, default=EngineConfig.q, help="risk for deriving preds from bare scores")
     p_eval.add_argument("--calib-frac", type=float, default=0.2)
     p_eval.add_argument("--quiet", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic household CSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--days", type=int, default=7)
-    p_synth.add_argument("--ev-power", type=float, default=3.3)
-    p_synth.add_argument("--session-rate", type=float, default=1.0 / 1.5)
-    p_synth.add_argument("--duration-min", type=int, default=60)
-    p_synth.add_argument("--duration-max", type=int, default=240)
-    p_synth.add_argument("--noise-kw", type=float, default=None)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--start", default="2018-01-01T00:00")
+    shortest, longest = SynthConfig.duration_minutes
+    synth = {"days": SynthConfig.days, "ev_power": SynthConfig.ev_power, "session_rate": SynthConfig.session_rate,
+             "duration_min": shortest, "duration_max": longest, "noise_kw": SynthConfig.base_profile.noise_kw,
+             "seed": SynthConfig.seed}
+    for dest, default in synth.items():
+        p_synth.add_argument(_flag(dest), type=type(default), default=default)
+    p_synth.add_argument("--start", default=SynthConfig.start.isoformat())
     p_synth.set_defaults(func=cmd_synth)
 
     p_spot = sub.add_parser("spot", help="run the dynamic threshold over a score file")
     p_spot.add_argument("--scores", required=True)
-    p_spot.add_argument("--q", type=float, default=1e-4)
+    p_spot.add_argument("--q", type=float, default=EngineConfig.q)
     p_spot.add_argument("--calib", type=float, default=0.2, help="calibration count (>1) or fraction")
-    p_spot.add_argument("--init-level", type=float, default=0.98)
+    p_spot.add_argument("--init-level", type=float, default=EngineConfig.init_level)
     p_spot.add_argument("--out")
     p_spot.set_defaults(func=cmd_spot)
 

@@ -46,6 +46,11 @@ WARMUP = "warmup"
 CALIBRATING = "calibrating"
 DETECTING = "detecting"
 
+# a reading further than this many training standard deviations from the
+# training mean is refused: from about 1e154 the forward overflows while the
+# reading is in the local window, then scores it as ordinary in the global one
+MAX_ABS_Z = 1e100
+
 
 @dataclass
 class EngineConfig:
@@ -338,9 +343,12 @@ class OnlineDetector:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
 
     def step(self, reading: Reading) -> DetectionEvent:
-        # a rejected reading never enters the buffers, so the stream goes on
-        if not math.isfinite(reading.power):
-            return self._rejected(reading, f"non-finite reading power {reading.power}")
+        # a rejected reading never enters the buffers, so the stream goes on;
+        # one compare refuses both a non-finite and a huge reading
+        if not abs(reading.power - self.stats.mean) <= MAX_ABS_Z * self.stats.std:
+            if not math.isfinite(reading.power):
+                return self._rejected(reading, f"non-finite reading power {reading.power}")
+            return self._rejected(reading, f"out-of-range reading power {reading.power} (|z| > {MAX_ABS_Z:g})")
         try:
             self._push(reading)
         except StreamOrderError as exc:

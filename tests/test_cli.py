@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from evdetect import checkpoint, engine
 from evdetect.checkpoint import (
     ENGINE_FORMAT,
     MODEL_FORMAT,
@@ -19,13 +21,15 @@ from evdetect.checkpoint import (
     write_container,
 )
 from evdetect.cli import main
-from evdetect.data import MeterSeries, SeriesStats, format_meter_csv, read_meter_csv
+from evdetect.data import MeterSeries, SeriesStats, SynthConfig, format_meter_csv, read_meter_csv
 from evdetect.engine import EngineConfig, OnlineDetector
 from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams
+from evdetect.nn import Hyper
 
 RUN = [sys.executable, "-m", "evdetect.cli"]
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _model_without_dims(path, params):
@@ -107,6 +111,10 @@ class TestSynth:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["rows"] == 1440
 
+    def test_defaults_are_synth_config(self, workdir, capsys):
+        assert main(["synth", "--out", str(workdir / "default_days.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == SynthConfig().days * 1440
+
 
 class TestTrain:
     def test_zero_epochs_equals_initialization(self, workdir, tiny_setup):
@@ -119,6 +127,41 @@ class TestTrain:
         nb = np.load(out_b)
         for key in na.files:
             np.testing.assert_array_equal(na[key], nb[key])
+
+    def test_defaults_are_model_dims_and_hyper(self, workdir, tiny_setup, monkeypatch):
+        seen = {}
+
+        def stop(windows, hyper, seed, dims, log):
+            seen.update(hyper=hyper, dims=dims)
+            raise RuntimeError("stopped before training")
+
+        monkeypatch.setattr("evdetect.cli.train", stop)
+        assert main(["train", "--data", str(tiny_setup["train_csv"]), "--out", str(workdir / "never.npz")]) == 1
+        assert seen == {"hyper": Hyper(), "dims": ModelDims()}
+
+    def test_unknown_config_key_exits_two(self, workdir, tiny_setup, capsys):
+        cfg = workdir / "typo.cfg"
+        cfg.write_text("epochs = 0\ncalibraton_len = 600\n")
+        for command in (["train", "--data", str(tiny_setup["train_csv"]), "--out", str(workdir / "never.npz")],
+                        ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"])]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--config", str(cfg)])
+            assert excinfo.value.code == 2
+            assert "calibraton_len" in capsys.readouterr().err
+
+    def test_readme_config_sample_serves_train_and_detect(self, workdir, tiny_setup):
+        # the sample mixes train keys with detect's q; each command takes its own
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            sample = fh.read().split("## Configuration", 1)[1].split("```")[1]
+        assert "lm" in sample and "q" in sample
+        cfg = workdir / "readme.cfg"
+        cfg.write_text(sample)
+        model = workdir / "readme_model.npz"
+        args = ["train", "--data", str(tiny_setup["train_csv"]), "--out", str(model), "--config", str(cfg)]
+        assert main(args + ["--epochs", "0", "--quiet"]) == 0
+        args = ["detect", "--checkpoint", str(model), str(tiny_setup["detect_csv"]), "--config", str(cfg)]
+        assert main(args + ["--out", os.devnull]) == 0
 
     def test_config_file_precedence(self, workdir, tiny_setup, capsys):
         cfg = workdir / "train.cfg"
@@ -245,27 +288,55 @@ class TestDetect:
         assert len(scored) == 120 - 1 - 39
         assert all(t in scored and np.isfinite(scored[t]["score"]) for t in filled_t)
 
-    def test_non_finite_score_is_an_error_event(self, workdir, tiny_setup):
-        # a finite reading too large for the forward stays in the windows: its
+    def test_non_finite_score_is_an_error_event(self, workdir, tiny_setup, monkeypatch):
+        # an accepted reading whose forward is not finite (here every window
+        # holding a value beyond 1e50 overflows) stays in the windows: its
         # scores are error events while it is there, and the stream goes on
+        forward = engine.mtr_forward
+
+        def overflowing(lm, gm, *rest):
+            return np.full_like(lm, np.inf) if max(abs(lm).max(), abs(gm).max()) > 1e50 else forward(lm, gm, *rest)
+
+        monkeypatch.setattr(engine, "mtr_forward", overflowing)
         lines = tiny_setup["detect_csv"].read_text().splitlines()
         spike, warm, span = 1600, 8 + 32 - 1, 8 + 32
         t, _, label = lines[1 + spike].split(",")
-        lines[1 + spike] = f"{t},1e200,{label}"
+        lines[1 + spike] = f"{t},1e60,{label}"
         csv, out = workdir / "spike.csv", workdir / "spike_events.jsonl"
         csv.write_text("\n".join(lines) + "\n")
         args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", str(out)]
-        with pytest.warns(RuntimeWarning):
-            code = main(args + ["--calibration-len", "600", "--q", "1e-3"])
-        assert code == 0
+        assert main(args + ["--calibration-len", "600", "--q", "1e-3"]) == 0
         events = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(events) == len(lines) - 1 - warm
         errors = [warm + i for i, e in enumerate(events) if "error" in e]
-        assert errors and all(spike <= row < spike + span for row in errors)
+        assert errors == list(range(spike, spike + span))
         rejected = {"score": None, "threshold": None, "label": 0, "phase": "detecting", "error": "non-finite anomaly score"}
         assert all(events[row - warm] == {"t": events[row - warm]["t"], **rejected} for row in errors)
         after = events[spike + span - warm :]
         assert after and all(np.isfinite(e["score"]) and np.isfinite(e["threshold"]) for e in after)
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("power", ["1e200", "-1e200"])
+    def test_huge_reading_is_one_error_event(self, workdir, tiny_setup, monkeypatch, source, power):
+        # refused before it enters the windows, as a non-finite reading is
+        lines = tiny_setup["detect_csv"].read_text().splitlines()
+        t, _, label = lines[1 + 1600].split(",")
+        outputs = {}
+        for value in ("nan", power):
+            lines[1 + 1600] = f"{t},{value},{label}"
+            csv, out = workdir / f"huge_{value}.csv", workdir / f"huge_{value}_{source}.jsonl"
+            csv.write_text("\n".join(lines) + "\n")
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+            args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+            assert main(args + ["-" if source == "stdin" else str(csv), "--out", str(out)]) == 0
+            outputs[value] = out.read_text().splitlines()
+        errors = [i for i, line in enumerate(outputs[power]) if '"error"' in line]
+        assert len(errors) == 1
+        event = json.loads(outputs[power][errors[0]])
+        assert event["t"] == t and event["score"] is None and event["error"].startswith("out-of-range reading power")
+        del outputs[power][errors[0]], outputs["nan"][errors[0]]
+        assert outputs[power] == outputs["nan"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -535,6 +606,56 @@ class TestDetect:
                      "--out", str(workdir / "never.jsonl")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("existing", [None, b"earlier events\n"], ids=["no-out-file", "existing-out-file"])
+    @pytest.mark.parametrize("flag", ["--resume-engine", "--checkpoint"])
+    def test_failed_load_writes_nothing(self, workdir, tiny_setup, capsys, flag, existing):
+        # a truncated engine file, or a model file of the wrong kind
+        bad = workdir / "bad_load.npz"
+        if flag == "--resume-engine":
+            data = tiny_setup["ckpt"].read_bytes()
+            bad.write_bytes(data[: len(data) // 2])
+        else:
+            np.savez(bad, np.zeros(3))
+        out = workdir / "kept.jsonl"
+        out.unlink(missing_ok=True)
+        if existing is not None:
+            out.write_bytes(existing)
+        capsys.readouterr()
+        assert main(["detect", flag, str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == existing if existing is not None else not out.exists()
+
+    def test_resume_rejects_out_dir(self, workdir, tiny_setup, capsys):
+        engine_ckpt = workdir / "out_dir_engine.npz"
+        OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig()).save(engine_ckpt)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--resume-engine", str(engine_ckpt), str(tiny_setup["detect_csv"]),
+                  "--out-dir", str(workdir / "never_dir")])
+        assert excinfo.value.code == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert not (workdir / "never_dir").exists()
+
+    @pytest.mark.parametrize("n_inputs", [1, 2])
+    def test_detect_reads_checkpoint_once(self, workdir, tiny_setup, monkeypatch, n_inputs):
+        reads = []
+        read = checkpoint.read_container
+        monkeypatch.setattr(checkpoint, "read_container", lambda *a: reads.append(a) or read(*a))
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600"]
+        args += [str(tiny_setup["detect_csv"])] * n_inputs
+        args += ["--out-dir", str(workdir / "read_once")] if n_inputs > 1 else ["--out", os.devnull]
+        assert main(args) == 0
+        assert len(reads) == 1
+
+    def test_engine_defaults_are_engine_config(self, workdir, tiny_setup):
+        lines = tiny_setup["detect_csv"].read_text().splitlines()[:100]
+        csv, engine_ckpt = workdir / "defaults.csv", workdir / "defaults_engine.npz"
+        csv.write_text("\n".join(lines) + "\n")
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", os.devnull]
+        assert main(args + ["--save-engine", str(engine_ckpt)]) == 0
+        dims = load_model(tiny_setup["ckpt"])[0].dims
+        assert read_container(engine_ckpt, ENGINE_FORMAT)[0]["config"] == asdict(EngineConfig(dims.lm, dims.gm))
 
     def test_jobs_fan_out(self, workdir, tiny_setup):
         out_dir = workdir / "fanout"

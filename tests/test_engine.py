@@ -4,6 +4,7 @@ resume and the JSONL event contract."""
 import copy
 import functools
 import math
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 # small calibration sets legitimately trigger the lowered-threshold warning
 pytestmark = pytest.mark.filterwarnings("ignore::evdetect.spot.CalibrationWarning")
 
+from evdetect import engine
 from evdetect.data import SeriesStats, normalize
 from evdetect.engine import (
     CALIBRATING,
@@ -108,18 +110,53 @@ class TestPhases:
         assert ev.error is not None and ev.label == 0
         assert det.stream.total_seen == seen
 
-    def test_non_finite_score_is_an_error_event(self):
+    def test_non_finite_score_is_an_error_event(self, monkeypatch):
         det = _detector(calibration_len=100)
         readings = _readings(np.random.default_rng(4).normal(size=SMALL.lm + SMALL.gm + 120))
         for r in readings:
             det.step(r)
         spot, calib_scores = copy.deepcopy(det.spot), list(det.calib_scores)
         t = readings[-1].t + timedelta(minutes=1)
-        # finite, but its square overflows
-        with pytest.warns(RuntimeWarning):
-            ev = det.step(Reading(t, 1e200))
+        # an accepted reading whose forward overflows
+        monkeypatch.setattr(engine, "mtr_forward", lambda lm, *rest: np.full_like(lm, np.inf))
+        ev = det.step(Reading(t, 1e60))
         assert ev == DetectionEvent(t, None, None, 0, DETECTING, "non-finite anomaly score")
         assert det.spot == spot and det.calib_scores == calib_scores
+        assert det.stream.readings[-1] == Reading(t, 1e60)
+
+    @pytest.mark.parametrize(
+        "power, error",
+        [
+            (1e200, "out-of-range reading power 1e+200 (|z| > 1e+100)"),
+            (-1e200, "out-of-range reading power -1e+200 (|z| > 1e+100)"),
+            (1.000001e100, "out-of-range reading power 1.000001e+100 (|z| > 1e+100)"),
+            (math.inf, "non-finite reading power inf"),
+            (math.nan, "non-finite reading power nan"),
+        ],
+    )
+    def test_huge_or_non_finite_reading_is_rejected(self, power, error):
+        det = _detector(calibration_len=100)
+        readings = _readings(np.random.default_rng(4).normal(size=SMALL.lm + SMALL.gm + 120))
+        for r in readings:
+            det.step(r)
+        spot, seen = copy.deepcopy(det.spot), det.stream.total_seen
+        t = readings[-1].t + timedelta(minutes=1)
+        ev = det.step(Reading(t, power))
+        assert ev == DetectionEvent(t, None, None, 0, DETECTING, error)
+        assert det.spot == spot and det.stream.total_seen == seen
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_reading_at_z_1e99_is_scored(self, cache):
+        # the largest readings the guard lets through keep the forward finite
+        det = _detector(cache=cache, calibration_len=100)
+        rng = np.random.default_rng(5)
+        readings = _readings(np.r_[rng.normal(size=SMALL.lm + SMALL.gm + 120), 1e99, rng.normal(size=SMALL.lm + SMALL.gm)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            events = [det.step(r) for r in readings]
+        after = events[SMALL.lm + SMALL.gm + 120 :]
+        assert all(e.error is None and math.isfinite(e.score) for e in after)
+        assert after[0].score > 1e190
 
     def test_constant_stream_never_alarms(self):
         # constant input -> identical windows -> identical scores -> degenerate
