@@ -231,12 +231,13 @@ def _detect_one(task):
 
 def cmd_detect(args, parser) -> int:
     cfg, given = _resolve(args, DETECT_DEFAULTS, parser)
+    for flag in ("resume_engine", "save_engine"):
+        if args.out_dir and getattr(args, flag):
+            parser.error(f"{_flag(flag)} runs a single stream, with its events in --out or stdout, not --out-dir")
     if args.resume_engine:
         _require_file(parser, args.resume_engine)
         if len(args.inputs) > 1:
             parser.error("--resume-engine continues a single stream")
-        if args.out_dir:
-            parser.error("--resume-engine writes its events to --out or stdout, not --out-dir")
         # the saved engine keeps its model and settings, so these would be dropped
         dropped = [k for k in ENGINE_FIELDS if k in given] + [k for k in ("checkpoint", "no_cache") if getattr(args, k)]
         if dropped:
@@ -298,7 +299,8 @@ def _metrics_from_events(events_path, labels_path):
             if not line:
                 continue
             ev = json.loads(line)
-            if ev.get("phase") != DETECTING:
+            # a rejected reading has no score, as a warmup or calibration one has no label
+            if ev.get("phase") != DETECTING or "error" in ev:
                 continue
             t = ev["t"]
             if t not in truth_by_t:

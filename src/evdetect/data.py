@@ -202,10 +202,6 @@ def normalize(values, stats: SeriesStats) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
 
 
-def denormalize(values, stats: SeriesStats) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * stats.std + stats.mean
-
-
 # ---------------------------------------------------------------------------
 # Sliding windows
 # ---------------------------------------------------------------------------

@@ -17,20 +17,21 @@ folds into the matrices that produce its input (the decoder's last one
 together with the output head); a cached step computes only each norm's row
 variance, the division by its square root and the bias.
 
-State splits in two. Per model: the weights (`ModelParams`) and every fold
-above. Detectors of one model share them, read-only: `OnlineDetector.load`
-reuses the model of a live detector with the same dims and weight bytes, and
-`AttentionCache` takes its folds from a memo keyed the same way; both memos
-hold their entries weakly. Per meter: the stream windows, the cache ring and
-the SPOT state (plus the calibration scores until SPOT is fitted), which is
-all a loaded detector adds to a process that already runs its model.
+State splits in two. Per model: the weights and every fold above, which
+`model.ModelFolds` holds. A detector runs on the read-only model of the
+weights it is built from (`ModelParams.shared`, the one memo, keyed on the
+dims and weight bytes and holding its models weakly); that model builds its
+folds once, so every detector of the same weights, fresh or loaded, shares
+both, and writes to the caller's weights never reach them. Per meter: the
+stream windows, the cache ring and the SPOT state (plus the calibration
+scores until SPOT is fitted), which is all a loaded detector adds to a
+process that already runs its model.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import weakref
 from dataclasses import asdict, dataclass
 from datetime import datetime
 
@@ -39,7 +40,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
-from .model import ModelParams, fold_attention, fold_layer_norms, folded_attention, folded_ln, mtr_forward
+from .model import ModelParams, mtr_forward
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -122,128 +123,30 @@ def anomaly_score(lm_values, lm_hat) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _ModelFolds:
-    """The input-independent arrays of `AttentionCache` for one model (see
-    there), built once per dims and weights and read-only."""
-
-    def __init__(self, params: ModelParams):
-        dims = params.dims
-        C = dims.C
-        enc1, enc2, dec = params.enc1, params.enc2, params.dec
-        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
-        qk, vo = fold_attention(*attns)
-        # the norm each attention's output meets sits at the same place here
-        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
-        folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
-        vo = vo @ folds[:6, None]
-        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `model.folded_attention` takes it
-        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
-        hc = dims.heads * C
-        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
-        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
-
-        # both encoders' self-attention stages see only their learned queries
-        queries = params.enc1_queries.data
-        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
-        self.eff_queries = self.fixed_queries @ qk[2]
-        # slot j (oldest first) pairs with relative offset lm+gm-1-j
-        self.pos_logits = self.eff_queries @ params.pos_gm.T
-        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
-        self.enc1_residual = self.fixed_queries @ folds[2]
-        self.enc1_ln3 = folds[6]
-
-        queries = params.enc2_queries.data
-        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
-        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
-        self.enc2_vo = vo[3]
-        self.enc2_residual = queries[:, hc:]
-        self.enc2_ln3 = folds[7]
-
-        self.dec_self = (rows[4], vo[4])
-        self.dec_cross = (rows[5], vo[5])
-        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
-
-        for value in vars(self).values():
-            for a in value if isinstance(value, tuple) else (value,):
-                a.flags.writeable = False
-
-
-# the folds of every live cache's model, by (dims, weight bytes)
-_MODEL_FOLDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 class AttentionCache:
-    """Precomputed, input-independent pieces of the inference forward, plus
-    the ring of one meter's global window.
+    """The ring of one meter's global window, over its model's folds.
 
-    Every attention is folded into two per-head products (`fold_attention`):
-    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
-    without the per-head projections, the head concatenation and `wo`. Every
-    layer norm is folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
-    P = I - 1/C, the norm of x is `model.folded_ln`(x @ fold, bias). Each fold
-    is multiplied into whatever produces the norm's input: the residual and
-    the attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
-    output plus its input.
+    A cache binds the arrays of `params.folds()` (`model.ModelFolds`: every
+    attention and layer norm folded, enc1's queries and positional logits) as
+    its own attributes, so a step reads them directly; the caches of one
+    read-only model share them. What a cache owns is its ring:
 
-    Per model (every attribute below but the ring): these arrays depend on the
-    weights alone, so all caches of one model share them. They are built once
-    per dims and weight bytes, held while any cache of that model lives, and
-    read-only: a write raises, where it would change every meter. A cache
-    built after the weights change (an Adam step) folds them anew.
-
-    Per meter: `ring`, `ring_ptr` and `ring_count`, which are all a cache
-    owns.
-
-    enc1 (cross-attention over the global window):
-    fixed_queries: post-self-attention query block (e0 x C), frozen at build.
-    eff_queries:   fixed_queries @ qk, the per-head effective queries
-                   (h x e0 x C).
-    pos_logits:    positional logit part per ring slot (h x e0 x gm), slot 0
-                   holding the oldest offset lm+gm-1.
-    ring:          per-reading content logit parts, written twice into a
-                   (h x e0 x 2gm) buffer so the chronological window is always
-                   a contiguous copy-free slice.
-    enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
-                   split as gm_values[:, None] * scale + offset, with scale =
-                   embed_w @ vo @ fold (h x 1 x 2C) and offset =
-                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C).
-    enc1_residual: fixed_queries @ fold of ln2 (e0 x 2C).
-
-    enc2 (its queries are learned constants too, so its whole self-attention
-    stage is frozen):
-    enc2_eff_queries: its post-self-attention queries times each head's qk,
-                      the h rows of each query in turn (e1*h x C).
-    enc2_vo:          vo @ fold of ln2 (h x C x 2C).
-    enc2_residual:    post-self-attention queries @ fold of ln2 (e1 x 2C).
-
-    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs
-    for `model.folded_attention`, with rows = [qk_1 | ... | qk_h | fold]
-    (C x h*C + 2C), so one matmul gives the per-head queries and the residual;
-    fold is that of ln1 and ln2.
-
-    enc1_ln3, enc2_ln3: the folds of the encoder blocks' ln3, which take the
-                      FFN's output plus its input (C x 2C).
-    dec_head:         (fold, bias) of the decoder's ln3 with the output head:
-                      [P | P diag(g) head_w] (C x C+1) and the constant
-                      ln3.bias @ head_w + head_b.
+    ring:       per-reading content logit parts of enc1's cross-attention,
+                eff_queries @ feature, written twice into a (h x e0 x 2gm)
+                buffer so the chronological window is always a contiguous
+                copy-free slice.
+    ring_ptr:   the slot the next reading takes; once the ring is full, the
+                oldest reading's.
+    ring_count: readings in the ring, up to gm.
     """
 
     def __init__(self, params: ModelParams):
+        vars(self).update(vars(params.folds()))
         dims = params.dims
-        key = (dims, params.vector.tobytes())
-        folds = _MODEL_FOLDS.get(key)
-        if folds is None:
-            folds = _MODEL_FOLDS[key] = _ModelFolds(params)
-        # the shared arrays as this cache's own attributes, so a step reads
-        # them directly; `_folds` keeps the memo entry alive
-        vars(self).update(vars(folds))
-        self._folds = folds
-
         self.gm = dims.gm
         self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
         self.ring_ptr = 0
         self.ring_count = 0
-        self.update_madds = dims.heads * dims.e0 * dims.C
 
     def push(self, feature: np.ndarray) -> None:
         """Record the content logits of a feature entering the global window."""
@@ -269,19 +172,12 @@ class AttentionCache:
         self.ring_ptr = g % self.gm
         self.ring_count = g
 
-    def _content_view(self) -> np.ndarray:
-        if self.ring_count < self.gm:
-            raise ValueError("cache ring not yet full")
-        return self.ring[:, :, self.ring_ptr : self.ring_ptr + self.gm]
-
-    def content_logits(self) -> np.ndarray:
-        """Ring contents in chronological (oldest-first) order, (gm x h x e0)."""
-        return np.ascontiguousarray(np.moveaxis(self._content_view(), -1, 0))
-
     def assemble_logits(self) -> np.ndarray:
         """Full cross-attention logits (h x e0 x gm) from cached parts, as a
         new array (a kept buffer would save no time at this size)."""
-        return self.pos_logits + self._content_view()
+        if self.ring_count < self.gm:
+            raise ValueError("cache ring not yet full")
+        return self.pos_logits + self.ring[:, :, self.ring_ptr : self.ring_ptr + self.gm]
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +189,17 @@ class OnlineDetector:
     """Strictly sequential detector for one meter stream.
 
     A meter owns its stream windows, its cache ring, its SPOT state and, until
-    SPOT is calibrated, the calibration scores (emptied once it is). The model
-    and the cache's folds are shared with every other detector of the same
-    weights; `load` decodes a model only if no live detector has it.
+    SPOT is calibrated, the calibration scores (emptied once it is). It runs on
+    `ModelParams.shared` of the weights it is given: a read-only copy, with its
+    folds, that every other detector of the same weights shares, and that later
+    writes to the caller's weights never reach. `load` decodes a model only if
+    no live detector has it.
     """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):
         if config.lm != params.dims.lm or config.gm != params.dims.gm:
             raise ValueError("engine window lengths must match the model dims")
-        self.params = params
+        self.params = params = ModelParams.shared(params.dims, params.vector)
         self.stats = stats
         self.config = config
         self.stream = StreamState(config.lm, config.gm)

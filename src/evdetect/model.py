@@ -157,7 +157,8 @@ class ModelParams:
     gradient, allocated by the first `zero_grad()`. A copy or an unpickled
     model is rebuilt from `vector` (without `grad`), so it keeps this sharing
     and is writable. With `read_only` the vector, and so every view of it,
-    refuses writes (`ModelParams.shared`).
+    refuses writes (`ModelParams.shared`), and `folds()` builds the inference
+    folds once and keeps them.
     """
 
     def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None, *, read_only: bool = False):
@@ -179,6 +180,7 @@ class ModelParams:
         # before any view is taken, as a view keeps the flag it was made with
         self.vector.flags.writeable = not read_only
         self.grad: np.ndarray | None = None
+        self._folds: ModelFolds | None = None
         self._parameters: list[Tensor] = []
         for (path, _, _), view in zip(layout, _tile(self.vector, shapes)):
             *groups, name = path.split(".")
@@ -212,6 +214,16 @@ class ModelParams:
         if params is None:
             params = _SHARED_MODELS[key] = cls(dims, vector=vector, read_only=True)
         return params
+
+    def folds(self) -> "ModelFolds":
+        """The `ModelFolds` of these weights. A read-only model builds them on
+        the first call and keeps them; a writable one folds its weights as they
+        are on each call, since they may have changed since the last."""
+        if self.vector.flags.writeable:
+            return ModelFolds(self)
+        if self._folds is None:
+            self._folds = ModelFolds(self)
+        return self._folds
 
     def __reduce__(self):
         # the default would copy each view apart from the vector
@@ -412,6 +424,95 @@ def _folded_tail(r2: np.ndarray, p: SimpleNamespace, fold: np.ndarray, ln3_bias:
     x2 = folded_ln(r2, p.ln2.bias.data)
     ffn = relu(x2.dot(p.w1.data) + p.b1.data).dot(p.w2.data) + p.b2.data
     return folded_ln((x2 + ffn).dot(fold), ln3_bias)
+
+
+class ModelFolds:
+    """The input-independent arrays of the cached inference forward for one
+    model's weights, read-only: a write raises, where it would change every
+    meter that runs the model. `ModelParams.folds` builds them;
+    `engine.AttentionCache` binds them next to its ring.
+
+    Every attention is folded into two per-head products (`fold_attention`):
+    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
+    without the per-head projections, the head concatenation and `wo`. Every
+    layer norm is folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
+    P = I - 1/C, the norm of x is `folded_ln`(x @ fold, bias). Each fold is
+    multiplied into whatever produces the norm's input: the residual and the
+    attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
+    output plus its input.
+
+    enc1 (cross-attention over the global window):
+    fixed_queries: post-self-attention query block (e0 x C).
+    eff_queries:   fixed_queries @ qk, the per-head effective queries
+                   (h x e0 x C); a reading entering the global window adds
+                   eff_queries @ its feature to the cache's ring.
+    pos_logits:    positional logit part per ring slot (h x e0 x gm), slot 0
+                   holding the oldest offset lm+gm-1.
+    enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
+                   split as gm_values[:, None] * scale + offset, with scale =
+                   embed_w @ vo @ fold (h x 1 x 2C) and offset =
+                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C).
+    enc1_residual: fixed_queries @ fold of ln2 (e0 x 2C).
+
+    enc2 (its queries are learned constants too, so its whole self-attention
+    stage is frozen):
+    enc2_eff_queries: its post-self-attention queries times each head's qk,
+                      the h rows of each query in turn (e1*h x C).
+    enc2_vo:          vo @ fold of ln2 (h x C x 2C).
+    enc2_residual:    post-self-attention queries @ fold of ln2 (e1 x 2C).
+
+    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs
+    for `folded_attention`, with rows = [qk_1 | ... | qk_h | fold]
+    (C x h*C + 2C), so one matmul gives the per-head queries and the residual;
+    fold is that of ln1 and ln2.
+
+    enc1_ln3, enc2_ln3: the folds of the encoder blocks' ln3, which take the
+                      FFN's output plus its input (C x 2C).
+    dec_head:         (fold, bias) of the decoder's ln3 with the output head:
+                      [P | P diag(g) head_w] (C x C+1) and the constant
+                      ln3.bias @ head_w + head_b.
+    """
+
+    def __init__(self, params: ModelParams):
+        dims = params.dims
+        C = dims.C
+        enc1, enc2, dec = params.enc1, params.enc2, params.dec
+        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
+        qk, vo = fold_attention(*attns)
+        # the norm each attention's output meets sits at the same place here
+        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
+        folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
+        vo = vo @ folds[:6, None]
+        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `folded_attention` takes it
+        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
+        hc = dims.heads * C
+        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
+        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
+
+        # both encoders' self-attention stages see only their learned queries
+        queries = params.enc1_queries.data
+        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
+        self.eff_queries = self.fixed_queries @ qk[2]
+        # slot j (oldest first) pairs with relative offset lm+gm-1-j
+        self.pos_logits = self.eff_queries @ params.pos_gm.T
+        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
+        self.enc1_residual = self.fixed_queries @ folds[2]
+        self.enc1_ln3 = folds[6]
+
+        queries = params.enc2_queries.data
+        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
+        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
+        self.enc2_vo = vo[3]
+        self.enc2_residual = queries[:, hc:]
+        self.enc2_ln3 = folds[7]
+
+        self.dec_self = (rows[4], vo[4])
+        self.dec_cross = (rows[5], vo[5])
+        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
+
+        for value in vars(self).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
 
 
 def _ln(x: np.ndarray, p: SimpleNamespace) -> np.ndarray:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "softmax",
     "softmax_rows",
     "linear_forward",
     "layer_norm",
@@ -33,14 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Functional kernels (shared by the autodiff ops and the array inference forward)
 # ---------------------------------------------------------------------------
-
-
-def softmax(v) -> np.ndarray:
-    """Numerically stable softmax of a vector (max-subtraction trick)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("softmax expects a nonempty 1-d vector")
-    return softmax_rows(v)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -407,12 +398,12 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, params: list[Tensor], delta: float = 1e-4, floor: float = 1e-3) -> float:
+def grad_check(f, params: list[Tensor], delta: float = 1e-4) -> float:
     """Worst relative error between reverse-mode and central-difference gradients.
 
     `f` is a closure evaluating the scalar loss from the current parameter
-    values. `floor` bounds the denominator so near-zero gradients are compared
-    on an absolute scale.
+    values. The denominator is at least 1e-3, so near-zero gradients are
+    compared on an absolute scale.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -436,6 +427,6 @@ def grad_check(f, params: list[Tensor], delta: float = 1e-4, floor: float = 1e-3
                 f_lo = float(f().data)
             flat[i] = orig
             fd = (f_hi - f_lo) / (2.0 * delta)
-            denom = max(abs(a_flat[i]), abs(fd), floor)
+            denom = max(abs(a_flat[i]), abs(fd), 1e-3)
             worst = max(worst, abs(a_flat[i] - fd) / denom)
     return worst

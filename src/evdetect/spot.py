@@ -23,6 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 GAMMA_ZERO = 1e-8
+# Grimshaw's root search: equal brackets over the theta range, and brentq's tolerance
+BRACKETS = 20
+THETA_TOL = 1e-10
 # Largest (points, n) block of the bracket grid evaluated in one broadcast. With
 # temporaries much past 256 KB, one big broadcast measured slower than
 # evaluating the points one at a time.
@@ -85,7 +88,7 @@ def _grimshaw_w(theta, y: np.ndarray):
     return u * v - 1.0
 
 
-def grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdFit:
+def grimshaw_fit(excesses) -> GpdFit:
     """Maximum-likelihood GPD fit via the one-dimensional reduction.
 
     The two-parameter problem is reduced to finding roots of u(theta)*v(theta)=1
@@ -94,7 +97,7 @@ def grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdF
     sigma=mean) is always a candidate; the candidate with the highest
     log-likelihood wins.
 
-    Roots are searched over `brackets` equal brackets spanning
+    Roots are searched over `BRACKETS` equal brackets spanning
     [-1/max(y), 10/mean(y)], the one around 0 split to skip the trivial double
     root there. u*v - 1 is evaluated once at every distinct span endpoint, in
     one broadcast over a (points, n) array (row blocks once n is large), and
@@ -121,7 +124,7 @@ def grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdF
         lo = -0.5 / y_max
     hi = 10.0 / y_mean
     dead_zone = 1e-7 / y_mean  # skip the trivial double root at theta = 0
-    edges = np.linspace(lo, hi, brackets + 1).tolist()
+    edges = np.linspace(lo, hi, BRACKETS + 1).tolist()
 
     spans = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -141,7 +144,7 @@ def grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdF
         if w_lo[i] == 0.0:
             roots.append(s_lo)
         else:
-            roots.append(float(brentq(_grimshaw_w, s_lo, s_hi, args=(y,), xtol=theta_tol)))
+            roots.append(float(brentq(_grimshaw_w, s_lo, s_hi, args=(y,), xtol=THETA_TOL)))
 
     for theta in roots:
         if abs(theta) < dead_zone:

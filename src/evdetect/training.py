@@ -13,6 +13,7 @@ from .model import ModelDims, ModelParams, mtr_forward, mtr_forward_t
 from .nn import AdamState, Hyper, Tensor, adam_step
 
 MAX_TRAIN_MINUTES = 4 * 7 * 1440  # default cap on training history
+DIVERGENCE_LIMIT = 1e6  # a batch loss above this aborts training
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,7 +57,6 @@ def train(
     dims: ModelDims | None = None,
     params: ModelParams | None = None,
     patience: int = 5,
-    divergence_limit: float = 1e6,
     log=None,
 ) -> tuple[ModelParams, TrainReport]:
     """Adam over shuffled window batches; deterministic for a fixed seed.
@@ -65,7 +65,7 @@ def train(
     is one Adam update of the flat `params.vector`.
 
     Stops early after `patience` epochs without improvement. A loss above
-    `divergence_limit` aborts with TrainingDiverged carrying the partial report.
+    `DIVERGENCE_LIMIT` aborts with TrainingDiverged carrying the partial report.
     """
     if len(windows) < 1:
         raise ValueError("need at least one training window")
@@ -95,7 +95,7 @@ def train(
             params.zero_grad()
             loss = reconstruction_loss_t(batch, params)
             loss_val = float(loss.data)
-            if not np.isfinite(loss_val) or loss_val > divergence_limit:
+            if not np.isfinite(loss_val) or loss_val > DIVERGENCE_LIMIT:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingDiverged(report)
             loss.backward()

@@ -637,6 +637,19 @@ class TestDetect:
         assert "--out-dir" in capsys.readouterr().err
         assert not (workdir / "never_dir").exists()
 
+    def test_save_engine_rejects_out_dir(self, workdir, tiny_setup, capsys, monkeypatch):
+        # each input of --out-dir runs its own engine, so no one engine is saved
+        reads = []
+        monkeypatch.setattr(checkpoint, "read_container", lambda *a: reads.append(a))
+        engine_ckpt, out_dir = workdir / "never_engine.npz", workdir / "never_save_dir"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"]),
+                  "--out-dir", str(out_dir), "--save-engine", str(engine_ckpt)])
+        assert excinfo.value.code == 2
+        assert "--save-engine" in capsys.readouterr().err
+        assert reads == [] and not engine_ckpt.exists() and not out_dir.exists()
+
     @pytest.mark.parametrize("n_inputs", [1, 2])
     def test_detect_reads_checkpoint_once(self, workdir, tiny_setup, monkeypatch, n_inputs):
         reads = []
@@ -746,6 +759,25 @@ class TestEval:
         assert metrics["recall"] == pytest.approx(r)
         assert metrics["f1"] == pytest.approx(f1)
         assert metrics["auc"] == pytest.approx(auc)
+
+    def test_error_events_are_skipped(self, workdir, tiny_setup, capsys):
+        # a reading refused while detecting has no score, so it counts for nothing
+        lines = tiny_setup["detect_csv"].read_text().splitlines()
+        t, _, label = lines[1 + 3001].split(",")
+        lines[1 + 3001] = f"{t},nan,{label}"
+        csv, events, without = workdir / "nan_row.csv", workdir / "nan_row.jsonl", workdir / "nan_row_without.jsonl"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", str(events)]) == 0
+        written = events.read_text().splitlines()
+        errors = [line for line in written if '"error"' in line]
+        assert len(errors) == 1 and '"phase":"detecting"' in errors[0]
+        without.write_text("\n".join(line for line in written if line not in errors) + "\n")
+        capsys.readouterr()
+        metrics = []
+        for path in (events, without):
+            assert main(["eval", "--events", str(path), "--labels", str(tiny_setup["detect_csv"])]) == 0
+            metrics.append(json.loads(capsys.readouterr().out))
+        assert metrics[0] == metrics[1]
 
     def test_multi_input_mean(self, workdir, capsys):
         scores = workdir / "scores_a.csv"

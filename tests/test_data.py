@@ -14,7 +14,6 @@ from evdetect.data import (
     NormalizationWarning,
     SynthConfig,
     fit_stats,
-    denormalize,
     format_meter_csv,
     iter_meter_csv,
     non_ev_segments,
@@ -177,12 +176,6 @@ class TestStats:
         z = normalize(x, stats)
         assert abs(z.mean()) < 1e-9
         assert abs(z.std() - 1.0) < 1e-6
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=100)
-        stats = fit_stats(x)
-        np.testing.assert_allclose(denormalize(normalize(x, stats), stats), x, atol=1e-12)
 
 
 class TestSlidingWindows:

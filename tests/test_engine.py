@@ -215,7 +215,8 @@ class TestAttentionCache:
             dims = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=gm, e0=6, e1=3)
             cache = AttentionCache(ModelParams(dims, seed=8))
             cache.push(np.ones(8))
-            costs[gm] = cache.update_madds
+            # a push writes one ring column: (h x e0 x C) @ C
+            costs[gm] = cache.eff_queries.size
         assert costs[16] == costs[64] == 2 * 6 * 8  # heads * e0 * C
 
     def test_ring_oldest_entry_age(self):
@@ -228,7 +229,7 @@ class TestAttentionCache:
             det.step(r)
         cache = det.cache
         assert cache.ring_count == SMALL.gm
-        oldest = cache.content_logits()[0]
+        oldest = cache.ring[:, :, cache.ring_ptr]
         feat = det._embed_scalar(float(normalize(values[0], det.stats)))
         np.testing.assert_array_equal(oldest, cache.eff_queries @ feat)
         # and that slot pairs with the tau = lm+gm-1 positional row
@@ -470,7 +471,7 @@ class TestLoadRestoresReplayState:
             np.testing.assert_array_equal(loaded.cache.ring, oracle.cache.ring)
             assert (loaded.cache.ring_ptr, loaded.cache.ring_count) == (oracle.cache.ring_ptr, oracle.cache.ring_count)
             if loaded.cache.ring_count == SMALL.gm:
-                np.testing.assert_array_equal(loaded.cache.content_logits(), det.cache.content_logits())
+                np.testing.assert_array_equal(loaded.cache.assemble_logits(), det.cache.assemble_logits())
         else:
             assert loaded.cache is None
 
@@ -531,8 +532,9 @@ class TestSharedModel:
     def test_one_ulp_weight_change_gets_its_own_model(self, tmp_path):
         det = _calibrated_detector()
         base = self._loads(tmp_path, det, k=1)[0]
-        det.params.vector[7] = np.nextafter(det.params.vector[7], np.inf)
-        det.cache = AttentionCache(det.params)
+        nudged = copy.deepcopy(det.params)
+        nudged.vector[7] = np.nextafter(nudged.vector[7], np.inf)
+        det = OnlineDetector(nudged, det.stats, det.config)
         path = tmp_path / "ulp.npz"
         det.save(path)
         other = OnlineDetector.load(path)
@@ -540,6 +542,26 @@ class TestSharedModel:
         assert other.params.vector[7] != base.params.vector[7]
         assert other.cache.dec_self[0] is not base.cache.dec_self[0]
         assert other.cache.dec_self[0] is det.cache.dec_self[0]
+
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_writes_to_the_callers_weights_never_reach_the_detector(self, cache):
+        # an in-place Adam step on the weights a detector was built from, mid-stream
+        dims = ModelDims()
+        params = ModelParams(dims, seed=33)
+        untouched = copy.deepcopy(params)
+        stats = SeriesStats(mean=0.0, std=1.0, count=1)
+        cfg = EngineConfig(lm=dims.lm, gm=dims.gm, q=1e-3, calibration_len=100, cache_enabled=cache)
+        det, twin = OnlineDetector(params, stats, cfg), OnlineDetector(untouched, stats, cfg)
+        readings = _readings(np.random.default_rng(34).normal(size=400))
+        for r in readings[:150]:
+            det.step(r)
+            twin.step(r)
+        grads = [np.random.default_rng(35).normal(size=params.vector.size)]
+        adam_step([params.vector], grads, AdamState.for_params([params.vector]), Hyper(learning_rate=1e-2))
+        assert not np.array_equal(params.vector, untouched.vector)
+        events = [format_event(det.step(r)) for r in readings[150:]]
+        assert events == [format_event(twin.step(r)) for r in readings[150:]]
+        assert DETECTING in events[-1]
 
     def test_shared_weights_and_folds_refuse_writes(self, tmp_path):
         det = self._loads(tmp_path, _calibrated_detector(), k=1)[0]

