@@ -116,20 +116,16 @@ def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[st
     return meta, {PARAMS_KEY: params.vector}
 
 
-def decode_model(meta: dict, arrays: dict[str, np.ndarray], shared: bool = False) -> tuple[ModelParams, SeriesStats]:
-    """Inverse of `encode_model`; malformed metadata or weights raise ValueError.
-
-    The model is built straight from the stored vector, without a random init.
-    With `shared` it is the read-only `ModelParams.shared` model of these dims
-    and weights, decoded only if no live holder has it already.
+def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelDims, np.ndarray, SeriesStats]:
+    """Inverse of `encode_model`: dims, weight vector and stats; malformed
+    metadata raise ValueError. `load_model` builds a writable model from them,
+    without a random init; `OnlineDetector.load` takes `ModelParams.shared`'s,
+    decoded only if no live holder has it already.
     """
     try:
-        dims = ModelDims(**meta["dims"])
-        stats = SeriesStats(**meta["stats"])
-        flat = arrays[PARAMS_KEY]
+        return ModelDims(**meta["dims"]), arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint metadata: {exc!r}") from exc
-    return (ModelParams.shared(dims, flat) if shared else ModelParams(dims, vector=flat)), stats
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
@@ -137,4 +133,5 @@ def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, SeriesStats]:
-    return decode_model(*read_container(path, MODEL_FORMAT))
+    dims, vector, stats = decode_model(*read_container(path, MODEL_FORMAT))
+    return ModelParams(dims, vector=vector), stats

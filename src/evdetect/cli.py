@@ -200,6 +200,8 @@ def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=Non
                 if new_segment:
                     # after a gap too long to fill, the windows start empty
                     detector.clear_windows()
+                if filled and detector.stream.readings:  # repeat the last power taken, never a refused one
+                    power = detector.stream.readings[-1].power
                 # a reading stepped before SPOT is fitted feeds warmup or calibration
                 if label and detector.spot is None and not warned:
                     print(
@@ -239,7 +241,7 @@ def cmd_detect(args, parser) -> int:
         if len(args.inputs) > 1:
             parser.error("--resume-engine continues a single stream")
         # the saved engine keeps its model and settings, so these would be dropped
-        dropped = [k for k in ENGINE_FIELDS if k in given] + [k for k in ("checkpoint", "no_cache") if getattr(args, k)]
+        dropped = [k for k in ENGINE_FIELDS if k in given] + (["checkpoint"] if args.checkpoint else [])
         if dropped:
             parser.error(f"--resume-engine keeps the saved engine's settings; remove {', '.join(map(_flag, dropped))}")
     else:
@@ -247,8 +249,7 @@ def cmd_detect(args, parser) -> int:
             parser.error("--checkpoint is required unless --resume-engine is given")
         _require_file(parser, args.checkpoint)
         params, stats = load_model(args.checkpoint)
-        dims = params.dims
-        config = _build(EngineConfig, ENGINE_FIELDS, cfg, lm=dims.lm, gm=dims.gm, cache_enabled=not args.no_cache)
+        config = _build(EngineConfig, ENGINE_FIELDS, cfg, lm=params.dims.lm, gm=params.dims.gm)
     for path in args.inputs:
         _require_file(parser, path)
     if len(args.inputs) > 1 and not args.out_dir:
@@ -488,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--checkpoint", help="model checkpoint from `train`")
     p_detect.add_argument("inputs", nargs="+", help="meter CSV files, or - for stdin rows")
     p_detect.add_argument("--config", help="flat key=value config file")
-    p_detect.add_argument("--no-cache", action="store_true", help="disable the incremental attention cache")
     p_detect.add_argument("--out", help="events file (default: stdout)")
     p_detect.add_argument("--out-dir", help="events directory for multiple inputs")
     p_detect.add_argument("--save-engine", help="write a resumable engine checkpoint at the end")

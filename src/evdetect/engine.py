@@ -1,8 +1,8 @@
 """Online detection engine: per-reading ingestion, reconstruction scoring and
 dynamic thresholding, with an incremental attention cache for fast inference.
 
-Every reading is scored by the one array forward, `model.mtr_forward`; the
-cache, when enabled, is a branch inside it. The cache exploits four facts
+Every reading is scored by the one array forward, `model.mtr_forward`; each
+detector's cache is a branch inside it. The cache exploits four facts
 about the model at inference time. Both encoder blocks' queries are learned
 constants, so their post-self-attention query blocks are frozen. Each of
 enc1's cross-attention logits splits into a content part (a dot product with
@@ -18,18 +18,15 @@ together with the output head); a cached step computes only each norm's row
 variance, the division by its square root and the bias.
 
 State splits in two. Per model: the weights and every fold above, which
-`model.ModelFolds` holds. A detector runs on the read-only model of the
-weights it is built from (`ModelParams.shared`, the one memo, keyed on the
-dims and weight bytes and holding its models weakly); that model builds its
-folds once, so every detector of the same weights, fresh or loaded, shares
-both, and writes to the caller's weights never reach them. Per meter: the
-stream windows, the cache ring and the SPOT state (plus the calibration
-scores until SPOT is fitted), which is all a loaded detector adds to a
-process that already runs its model.
+`model.ModelFolds` holds and every detector of the same weights shares (see
+`OnlineDetector`). Per meter: the stream windows, the cache ring and the
+SPOT state (plus the calibration scores until SPOT is fitted), which is all
+a loaded detector adds to a process that already runs its model.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -62,7 +59,6 @@ class EngineConfig:
     q: float = 1e-4
     calibration_len: int = 1440
     init_level: float = 0.98
-    cache_enabled: bool = True
     refit_stride: int = 1
     max_peaks: int | None = None
 
@@ -191,21 +187,30 @@ class OnlineDetector:
     A meter owns its stream windows, its cache ring, its SPOT state and, until
     SPOT is calibrated, the calibration scores (emptied once it is). It runs on
     `ModelParams.shared` of the weights it is given: a read-only copy, with its
-    folds, that every other detector of the same weights shares, and that later
-    writes to the caller's weights never reach. `load` decodes a model only if
-    no live detector has it.
+    folds, that every detector of the same weights shares and that later
+    writes to the caller's weights never reach. A read-only model is kept, so
+    `load` hashes the weights once and decodes a model only if no live
+    detector has it; a deep copy shares the model and folds as well.
     """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):
         if config.lm != params.dims.lm or config.gm != params.dims.gm:
             raise ValueError("engine window lengths must match the model dims")
-        self.params = params = ModelParams.shared(params.dims, params.vector)
+        if params.vector.flags.writeable:
+            params = ModelParams.shared(params.dims, params.vector)
+        self.params = params
         self.stats = stats
         self.config = config
         self.stream = StreamState(config.lm, config.gm)
         self.spot: SpotState | None = None
         self.calib_scores: list[float] = []
-        self.cache = AttentionCache(params) if config.cache_enabled else None
+        self.cache = AttentionCache(params)
+
+    def __deepcopy__(self, memo):
+        memo.update((id(v), v) for v in (self.params, *vars(self.params.folds()).values()))
+        twin = memo[id(self)] = copy.copy(self)
+        vars(twin).update(copy.deepcopy(vars(self), memo))
+        return twin
 
     # -- phase bookkeeping ---------------------------------------------------
 
@@ -218,24 +223,18 @@ class OnlineDetector:
     def _embed_scalar(self, value_norm: float) -> np.ndarray:
         return value_norm * self.params.embed_w.data[0] + self.params.embed_b.data
 
-    def _score(self, lm_norm: np.ndarray, gm_norm: np.ndarray) -> float:
-        # `anomaly_score`'s arithmetic (np.mean is this sum and division), inline
-        d = lm_norm - mtr_forward(lm_norm, gm_norm, self.params, self.cache)
-        return float(np.add.reduce(d * d) / d.size)
-
     # -- the per-reading step -------------------------------------------------
 
     def _push(self, reading: Reading) -> None:
         spilled = self.stream.push(reading)
-        if self.cache is not None and spilled is not None:
+        if spilled is not None:
             self.cache.push(self._embed_scalar((spilled.power - self.stats.mean) / self.stats.std))
 
     def clear_windows(self) -> None:
         """Empty the stream windows and the cache ring, as after a gap too long
         to fill; the SPOT state and the calibration scores stay."""
         self.stream = StreamState(self.config.lm, self.config.gm)
-        if self.cache is not None:
-            self.cache.ring_ptr = self.cache.ring_count = 0
+        self.cache.ring_ptr = self.cache.ring_count = 0
 
     def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
@@ -255,9 +254,11 @@ class OnlineDetector:
         if not self.stream.full:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
 
-        # both windows, oldest first, from one array
+        # both windows, oldest first, from one array; then `anomaly_score`, inline
         values = normalize(np.array([r.power for r in self.stream.readings]), self.stats)
-        score = self._score(values[self.config.gm :], values[: self.config.gm])
+        lm_norm = values[self.config.gm :]
+        d = lm_norm - mtr_forward(lm_norm, values[: self.config.gm], self.params, self.cache)
+        score = float(np.add.reduce(d * d) / d.size)
         # the reading stays in the windows; SPOT and calibration never see the score
         if not math.isfinite(score):
             return self._rejected(reading, "non-finite anomaly score")
@@ -318,9 +319,12 @@ class OnlineDetector:
         kernel of `push` once per reading.
         """
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
-        params, stats = ckpt.decode_model(meta, arrays, shared=True)
+        dims, vector, stats = ckpt.decode_model(meta, arrays)
         try:
-            det = cls(params, stats, EngineConfig(**meta["config"]))
+            # older files carry a cache switch; every detector runs its cache
+            config = dict(meta["config"])
+            config.pop("cache_enabled", None)
+            det = cls(ModelParams.shared(dims, vector), stats, EngineConfig(**config))
             stream, spot = meta["stream"], meta["spot"]
             times = [datetime.fromisoformat(t) for t in stream["t"]]
             filled, powers = stream["filled"], [float(p) for p in arrays["power"]]
@@ -337,6 +341,5 @@ class OnlineDetector:
             g = det.stream.restore(list(map(Reading, times, powers, map(bool, filled))), total_seen)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: stream {exc}") from exc
-        if det.cache is not None:
-            det.cache.fill(det._embed_scalar(((np.array(powers[:g]) - stats.mean) / stats.std)[:, None]))
+        det.cache.fill(det._embed_scalar(((np.array(powers[:g]) - stats.mean) / stats.std)[:, None]))
         return det

@@ -535,13 +535,11 @@ def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
 def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None) -> np.ndarray:
     """Inference forward on plain (batched) arrays; equals `mtr_forward_t`.
 
-    `cache` (an `engine.AttentionCache` over this global window, single window
-    only) supplies every input-independent piece: both encoder blocks'
-    post-self-attention queries, enc1's cross-attention logits and the parts
-    of its values, every attention's folded products (`fold_attention`), and
-    every layer norm folded into the matrices that produce its input
-    (`fold_layer_norms`), the decoder's last one with the output head. That
-    branch equals the plain one to rounding, not bit for bit.
+    Without `cache` it scores any batch of windows: training's full-set loss
+    and the reference the cached branch is tested against. With `cache` (an
+    `engine.AttentionCache` over this global window, single window only) every
+    input-independent piece comes from its `ModelFolds`, and the result equals
+    the plain branch to rounding, not bit for bit.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)

@@ -26,6 +26,8 @@ GAMMA_ZERO = 1e-8
 # Grimshaw's root search: equal brackets over the theta range, and brentq's tolerance
 BRACKETS = 20
 THETA_TOL = 1e-10
+# the fewest excesses over the initial threshold a calibration fits a GPD to
+MIN_PEAKS = 10
 # Largest (points, n) block of the bracket grid evaluated in one broadcast. With
 # temporaries much past 256 KB, one big broadcast measured slower than
 # evaluating the points one at a time.
@@ -200,23 +202,23 @@ class SpotState:
     _since_refit: int = 0
 
 
-def _initial_threshold(scores: np.ndarray, init_level: float, min_peaks: int) -> tuple[float, bool]:
-    """Empirical init_level-quantile, lowered if needed to yield >= min_peaks excesses."""
+def _initial_threshold(scores: np.ndarray, init_level: float) -> tuple[float, bool]:
+    """Empirical init_level-quantile, lowered if needed to yield >= MIN_PEAKS excesses."""
     n = scores.size
     s = np.sort(scores)
     idx = math.ceil(init_level * n) - 1
     idx = min(max(idx, 0), n - 1)
     h = float(s[idx])
-    if np.count_nonzero(scores > h) >= min_peaks:
+    if np.count_nonzero(scores > h) >= MIN_PEAKS:
         return h, False
     # walk the order statistics down until enough strict excesses exist
-    idx = min(idx, n - min_peaks - 1)
-    while idx >= 0 and np.count_nonzero(scores > s[idx]) < min_peaks:
+    idx = min(idx, n - MIN_PEAKS - 1)
+    while idx >= 0 and np.count_nonzero(scores > s[idx]) < MIN_PEAKS:
         idx -= 1
     if idx < 0:
         return float(s[-1]), True  # constant (or near-constant) scores
     warnings.warn(
-        f"initial threshold lowered to the {(idx + 1) / n:.3f} quantile to collect {min_peaks} peaks",
+        f"initial threshold lowered to the {(idx + 1) / n:.3f} quantile to collect {MIN_PEAKS} peaks",
         CalibrationWarning,
         stacklevel=3,
     )
@@ -227,7 +229,6 @@ def pot_calibrate(
     scores,
     q: float = 1e-4,
     init_level: float = 0.98,
-    min_peaks: int = 10,
     refit_stride: int = 1,
     max_peaks: int | None = None,
 ) -> SpotState:
@@ -242,7 +243,7 @@ def pot_calibrate(
     if not np.all(np.isfinite(x)):
         raise ValueError("calibration scores must be finite")
 
-    h, degenerate = _initial_threshold(x, init_level, min_peaks)
+    h, degenerate = _initial_threshold(x, init_level)
     n = int(x.size)
     if degenerate:
         margin = max(1e-9, 1e-6 * abs(h))

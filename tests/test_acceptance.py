@@ -14,7 +14,7 @@ from evdetect.data import SynthConfig, fit_stats, normalize, sliding_windows, sy
 from evdetect.engine import DETECTING, EngineConfig, OnlineDetector
 from evdetect.evaluation import confusion, precision_recall_f1, roc_auc
 from evdetect.memory import Reading, StreamState
-from evdetect.model import ModelDims, ModelParams, encode_global, mtr_forward_t
+from evdetect.model import ModelDims, ModelParams, encode_global, mtr_forward, mtr_forward_t
 from evdetect.nn import Hyper, Tensor, grad_check, no_grad
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 from evdetect.training import train
@@ -32,30 +32,30 @@ def _readings(values):
 
 
 def test_c01_incremental_inference_equivalence():
+    # the cached engine against the batched reference forward over the same
+    # windows, with labels from SPOT driven by the reference scores
     started = time.perf_counter()
     series = synth_household(SynthConfig(days=7, seed=301))
     values = series.powers[:10_000]
     stats = fit_stats(values[:2000])
     params = ModelParams(REFERENCE_DIMS, seed=31)
-    kwargs = dict(lm=8, gm=32, q=1e-4, calibration_len=1440)
-    det_cached = OnlineDetector(params, stats, EngineConfig(cache_enabled=True, **kwargs))
-    det_plain = OnlineDetector(params, stats, EngineConfig(cache_enabled=False, **kwargs))
+    cfg = EngineConfig(lm=8, gm=32, q=1e-4, calibration_len=1440)
+    det = OnlineDetector(params, stats, cfg)
+    events = [det.step(r) for r in _readings(values)][cfg.lm + cfg.gm - 1 :]
 
-    label_flips = 0
-    max_score_diff = 0.0
-    for r in _readings(values):
-        a = det_cached.step(r)
-        b = det_plain.step(r)
-        if a.label != b.label:
-            label_flips += 1
-        if a.score is not None:
-            max_score_diff = max(max_score_diff, abs(a.score - b.score))
+    w = sliding_windows(normalize(values, stats), cfg.lm, cfg.gm)
+    ref = np.mean((w.lm_windows - mtr_forward(w.lm_windows, w.gm_windows, params)) ** 2, axis=1)
+    spot = pot_calibrate(ref[: cfg.calibration_len], q=cfg.q, init_level=cfg.init_level)
+    want = [0] * cfg.calibration_len + [int(spot_step(spot, s) == ANOMALY) for s in ref[cfg.calibration_len :]]
+    label_flips = sum(e.label != lab for e, lab in zip(events, want))
+    max_score_diff = float(np.max(np.abs(np.array([e.score for e in events]) - ref)))
     elapsed = time.perf_counter() - started
 
+    assert len(events) == len(ref)
     assert label_flips == 0
-    assert max_score_diff < 1e-9
+    assert max_score_diff <= 1e-12
     assert elapsed < 120.0
-    _passed(1, f"10k readings, labels identical, max score diff {max_score_diff:.2e}, {elapsed:.1f}s")
+    _passed(1, f"10k readings, labels identical ({sum(want)} alarms), max score diff {max_score_diff:.2e}, {elapsed:.1f}s")
 
 
 def test_c02_gradient_correctness_full_model():

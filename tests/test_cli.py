@@ -207,25 +207,6 @@ class TestDetect:
         phases = {json.loads(line)["phase"] for line in lines}
         assert phases == {"calibrating", "detecting"}
 
-    def test_no_cache_identical_labels(self, workdir, tiny_setup):
-        outs = []
-        for flag in ([], ["--no-cache"]):
-            path = workdir / f"events_{'nc' if flag else 'c'}.jsonl"
-            code = main(
-                [
-                    "detect",
-                    "--checkpoint", str(tiny_setup["ckpt"]),
-                    str(tiny_setup["detect_csv"]),
-                    "--out", str(path),
-                    "--calibration-len", "600",
-                    "--q", "1e-3",
-                ]
-                + flag
-            )
-            assert code == 0
-            outs.append([json.loads(l)["label"] for l in path.read_text().strip().split("\n")])
-        assert outs[0] == outs[1]
-
     def test_stdin_streaming(self, tiny_setup):
         rows = "\n".join(
             f"2019-01-01T{h:02d}:{m:02d}:00,{0.5 + 0.01 * ((h * 60 + m) % 7)}"
@@ -318,25 +299,27 @@ class TestDetect:
     @pytest.mark.parametrize("source", ["file", "stdin"])
     @pytest.mark.parametrize("power", ["1e200", "-1e200"])
     def test_huge_reading_is_one_error_event(self, workdir, tiny_setup, monkeypatch, source, power):
-        # refused before it enters the windows, as a non-finite reading is
+        # refused before it enters the windows, as a non-finite reading is;
+        # the minutes of a short hole after it repeat the last accepted power
         lines = tiny_setup["detect_csv"].read_text().splitlines()
         t, _, label = lines[1 + 1600].split(",")
-        outputs = {}
-        for value in ("nan", power):
-            lines[1 + 1600] = f"{t},{value},{label}"
-            csv, out = workdir / f"huge_{value}.csv", workdir / f"huge_{value}_{source}.jsonl"
-            csv.write_text("\n".join(lines) + "\n")
-            if source == "stdin":
-                monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
-            args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
-            assert main(args + ["-" if source == "stdin" else str(csv), "--out", str(out)]) == 0
-            outputs[value] = out.read_text().splitlines()
-        errors = [i for i, line in enumerate(outputs[power]) if '"error"' in line]
-        assert len(errors) == 1
-        event = json.loads(outputs[power][errors[0]])
-        assert event["t"] == t and event["score"] is None and event["error"].startswith("out-of-range reading power")
-        del outputs[power][errors[0]], outputs["nan"][errors[0]]
-        assert outputs[power] == outputs["nan"]
+        for hole in (0, 3):
+            outputs = {}
+            for value in ("nan", power):
+                rows = [*lines[: 1 + 1600], f"{t},{value},{label}", *lines[1 + 1601 + hole :]]
+                csv, out = workdir / f"huge_{value}.csv", workdir / f"huge_{value}_{source}.jsonl"
+                csv.write_text("\n".join(rows) + "\n")
+                if source == "stdin":
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+                args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+                assert main(args + ["-" if source == "stdin" else str(csv), "--out", str(out)]) == 0
+                outputs[value] = out.read_text().splitlines()
+            errors = [i for i, line in enumerate(outputs[power]) if '"error"' in line]
+            assert len(errors) == 1
+            event = json.loads(outputs[power][errors[0]])
+            assert event["t"] == t and event["score"] is None and event["error"].startswith("out-of-range reading power")
+            del outputs[power][errors[0]], outputs["nan"][errors[0]]
+            assert outputs[power] == outputs["nan"]
 
     @pytest.mark.parametrize(
         "bad",
@@ -510,7 +493,6 @@ class TestDetect:
             pytest.param(["--refit-stride", "0"], None, "--refit-stride", id="flag-refit-stride"),
             pytest.param(["--calibration-len", "10"], None, "--calibration-len", id="flag-calibration-len"),
             pytest.param(["--init-level", "0.9"], None, "--init-level", id="flag-init-level"),
-            pytest.param(["--no-cache"], None, "--no-cache", id="flag-no-cache"),
             pytest.param(["--checkpoint", "MODEL"], None, "--checkpoint", id="flag-checkpoint"),
             pytest.param([], "q = 0.5", "--q", id="config-q"),
             pytest.param([], "refit_stride = 0", "--refit-stride", id="config-refit-stride"),

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 # small calibration sets legitimately trigger the lowered-threshold warning
 pytestmark = pytest.mark.filterwarnings("ignore::evdetect.spot.CalibrationWarning")
 
+from evdetect import checkpoint as ckpt
 from evdetect import engine
-from evdetect.data import SeriesStats, normalize
+from evdetect.data import SeriesStats, normalize, sliding_windows
 from evdetect.engine import (
     CALIBRATING,
     DETECTING,
@@ -31,6 +32,7 @@ from evdetect.engine import (
 from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams, mtr_forward
 from evdetect.nn import AdamState, Hyper, adam_step
+from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 
 T0 = datetime(2018, 1, 1)
 SMALL = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=12, e0=6, e1=3)
@@ -40,16 +42,10 @@ def _readings(values):
     return [Reading(T0 + timedelta(minutes=i), float(v)) for i, v in enumerate(values)]
 
 
-def _detector(dims=SMALL, seed=0, cache=True, calibration_len=150, q=1e-3):
+def _detector(dims=SMALL, seed=0, calibration_len=150, q=1e-3):
     params = ModelParams(dims, seed=seed)
     stats = SeriesStats(mean=0.0, std=1.0, count=1)
-    cfg = EngineConfig(
-        lm=dims.lm,
-        gm=dims.gm,
-        q=q,
-        calibration_len=calibration_len,
-        cache_enabled=cache,
-    )
+    cfg = EngineConfig(lm=dims.lm, gm=dims.gm, q=q, calibration_len=calibration_len)
     return OnlineDetector(params, stats, cfg)
 
 
@@ -145,10 +141,9 @@ class TestPhases:
         assert ev == DetectionEvent(t, None, None, 0, DETECTING, error)
         assert det.spot == spot and det.stream.total_seen == seen
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_reading_at_z_1e99_is_scored(self, cache):
+    def test_reading_at_z_1e99_is_scored(self):
         # the largest readings the guard lets through keep the forward finite
-        det = _detector(cache=cache, calibration_len=100)
+        det = _detector(calibration_len=100)
         rng = np.random.default_rng(5)
         readings = _readings(np.r_[rng.normal(size=SMALL.lm + SMALL.gm + 120), 1e99, rng.normal(size=SMALL.lm + SMALL.gm)])
         with warnings.catch_warnings():
@@ -297,23 +292,25 @@ class TestFoldedForward:
 
 class TestDualRunEquivalence:
     def test_labels_and_scores_match(self):
+        # the cached detector against the batched plain forward over the same
+        # windows, with SPOT driven by the reference scores
         rng = np.random.default_rng(11)
         values = np.concatenate([rng.normal(size=900), rng.normal(loc=6.0, size=30), rng.normal(size=300)])
-        readings = _readings(values)
-        det_cache = _detector(seed=12, cache=True, calibration_len=400)
-        det_plain = _detector(seed=12, cache=False, calibration_len=400)
-        for r in readings:
-            a = det_cache.step(r)
-            b = det_plain.step(r)
-            assert a.label == b.label
-            assert a.phase == b.phase
-            if a.score is not None:
-                assert abs(a.score - b.score) < 1e-9
+        det = _detector(seed=12, calibration_len=400)
+        events = [det.step(r) for r in _readings(values)][SMALL.lm + SMALL.gm - 1 :]
+        w = sliding_windows(values, SMALL.lm, SMALL.gm)
+        ref = np.mean((w.lm_windows - mtr_forward(w.lm_windows, w.gm_windows, det.params)) ** 2, axis=1)
+        np.testing.assert_allclose([e.score for e in events], ref, rtol=0, atol=1e-12)
+        spot = pot_calibrate(ref[:400], q=1e-3)
+        want = [0] * 400 + [int(spot_step(spot, s) == ANOMALY) for s in ref[400:]]
+        assert [e.label for e in events] == want
+        assert [e.phase for e in events] == [CALIBRATING] * 400 + [DETECTING] * (len(ref) - 400)
+        assert sum(want) > 0
 
     def test_anomalies_fire_on_injected_block(self):
         rng = np.random.default_rng(13)
         values = np.concatenate([rng.normal(size=800), np.full(40, 9.0), rng.normal(size=100)])
-        det = _detector(seed=14, cache=True, calibration_len=400, q=1e-3)
+        det = _detector(seed=14, calibration_len=400, q=1e-3)
         labels = [det.step(r).label for r in _readings(values)]
         assert sum(labels[800:840]) >= 20
 
@@ -335,6 +332,25 @@ class TestCheckpointResume:
         det_b = OnlineDetector.load("/tmp/engine_resume_test.npz")
         resumed = [format_event(det_b.step(r)) for r in readings[600:]]
         assert resumed == full_events[600:]
+
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_files_with_the_old_cache_switch_load_and_continue(self, tmp_path, switch):
+        # older engine files carry `cache_enabled` in their config; every
+        # detector now runs its cache, so the switch is read and ignored
+        readings = _readings(np.random.default_rng(19).normal(size=600))
+        det = _detector(seed=16, calibration_len=300)
+        full = [format_event(det.step(r)) for r in readings]
+        det = _detector(seed=16, calibration_len=300)
+        for r in readings[:450]:
+            det.step(r)
+        det.save(tmp_path / "new.npz")
+        meta, arrays = ckpt.read_container(tmp_path / "new.npz", ckpt.ENGINE_FORMAT)
+        for key, path in (("cache_enabled", tmp_path / "old.npz"), ("cache_enable", tmp_path / "typo.npz")):
+            ckpt.write_container(path, ckpt.ENGINE_FORMAT, {**meta, "config": {**meta["config"], key: switch}}, arrays)
+        old = OnlineDetector.load(tmp_path / "old.npz")
+        assert [format_event(old.step(r)) for r in readings[450:]] == full[450:]
+        with pytest.raises(ValueError, match="malformed"):
+            OnlineDetector.load(tmp_path / "typo.npz")
 
     def test_resume_during_warmup(self):
         det_a = _detector(seed=17)
@@ -443,11 +459,10 @@ class TestLoadRestoresReplayState:
         since_clear=st.none() | st.sampled_from([0, 1, SMALL.lm + 1]) | st.integers(0, SMALL.lm + SMALL.gm + 4),
         heads=st.sampled_from([1, 2, 4]),
         e0=st.sampled_from([6, 11]),
-        cache=st.booleans(),
     )
-    def test_loaded_state_equals_per_reading_replay(self, tmp_path_factory, cut, since_clear, heads, e0, cache):
+    def test_loaded_state_equals_per_reading_replay(self, tmp_path_factory, cut, since_clear, heads, e0):
         params = _restore_model(heads, e0)
-        cfg = EngineConfig(lm=SMALL.lm, gm=SMALL.gm, q=1e-3, calibration_len=RESUME_CALIB, cache_enabled=cache)
+        cfg = EngineConfig(lm=SMALL.lm, gm=SMALL.gm, q=1e-3, calibration_len=RESUME_CALIB)
         det = OnlineDetector(params, SeriesStats(mean=0.3, std=1.7, count=1), cfg)
         readings = _readings(np.random.default_rng(cut).normal(size=RESTORE_LEN + SMALL.lm + SMALL.gm + 4))
         for r in readings[:cut]:
@@ -466,14 +481,11 @@ class TestLoadRestoresReplayState:
         assert loaded.phase == det.phase
         assert loaded.spot == det.spot
         assert loaded.calib_scores == det.calib_scores
-        if cache:
-            assert loaded.cache.ring.tobytes() == oracle.cache.ring.tobytes()
-            np.testing.assert_array_equal(loaded.cache.ring, oracle.cache.ring)
-            assert (loaded.cache.ring_ptr, loaded.cache.ring_count) == (oracle.cache.ring_ptr, oracle.cache.ring_count)
-            if loaded.cache.ring_count == SMALL.gm:
-                np.testing.assert_array_equal(loaded.cache.assemble_logits(), det.cache.assemble_logits())
-        else:
-            assert loaded.cache is None
+        assert loaded.cache.ring.tobytes() == oracle.cache.ring.tobytes()
+        np.testing.assert_array_equal(loaded.cache.ring, oracle.cache.ring)
+        assert (loaded.cache.ring_ptr, loaded.cache.ring_count) == (oracle.cache.ring_ptr, oracle.cache.ring_count)
+        if loaded.cache.ring_count == SMALL.gm:
+            np.testing.assert_array_equal(loaded.cache.assemble_logits(), det.cache.assemble_logits())
 
 
 def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 30, calibration_len=RESUME_CALIB):
@@ -513,10 +525,11 @@ class TestSharedModel:
     def test_shared_detectors_match_solo_ones(self, tmp_path):
         source = _calibrated_detector()
         dets = self._loads(tmp_path, source)
-        # a deep copy has its own model and folds
+        # a deep copy shares the model and folds, and owns its meter state
         solos = [copy.deepcopy(source) for _ in dets]
-        assert solos[0].params is not dets[0].params
-        assert solos[0].cache.eff_queries is not dets[0].cache.eff_queries
+        assert solos[0].params is dets[0].params
+        assert solos[0].cache.eff_queries is dets[0].cache.eff_queries
+        assert solos[0].cache.ring is not source.cache.ring and solos[0].stream is not source.stream
         t = source.stream.readings[-1].t
         streams = np.random.default_rng(31).normal(size=(len(dets), 150))
         streams[1, 60:64] += 8.0
@@ -543,14 +556,13 @@ class TestSharedModel:
         assert other.cache.dec_self[0] is not base.cache.dec_self[0]
         assert other.cache.dec_self[0] is det.cache.dec_self[0]
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_writes_to_the_callers_weights_never_reach_the_detector(self, cache):
+    def test_writes_to_the_callers_weights_never_reach_the_detector(self):
         # an in-place Adam step on the weights a detector was built from, mid-stream
         dims = ModelDims()
         params = ModelParams(dims, seed=33)
         untouched = copy.deepcopy(params)
         stats = SeriesStats(mean=0.0, std=1.0, count=1)
-        cfg = EngineConfig(lm=dims.lm, gm=dims.gm, q=1e-3, calibration_len=100, cache_enabled=cache)
+        cfg = EngineConfig(lm=dims.lm, gm=dims.gm, q=1e-3, calibration_len=100)
         det, twin = OnlineDetector(params, stats, cfg), OnlineDetector(untouched, stats, cfg)
         readings = _readings(np.random.default_rng(34).normal(size=400))
         for r in readings[:150]:
@@ -575,6 +587,24 @@ class TestSharedModel:
             det.cache.eff_queries[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             det.cache.dec_cross[1][...] = 0.0
+
+    def test_deep_copy_of_a_detector_keeps_the_read_only_model(self):
+        det = _calibrated_detector()
+        solo = copy.deepcopy(det)
+        with pytest.raises(ValueError, match="read-only"):
+            solo.params.vector[0] += 1e-2
+        t = det.stream.readings[-1].t
+        readings = [Reading(t + timedelta(minutes=k + 1), v) for k, v in enumerate(np.random.default_rng(36).normal(size=200))]
+        assert [format_event(solo.step(r)) for r in readings] == [format_event(det.step(r)) for r in readings]
+
+    def test_a_load_hashes_its_weights_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "hash.npz"
+        _calibrated_detector().save(path)
+        shared, calls = ModelParams.shared.__func__, []
+        monkeypatch.setattr(ModelParams, "shared", classmethod(lambda cls, *a: calls.append(a) or shared(cls, *a)))
+        for _ in range(3):
+            OnlineDetector.load(path)
+        assert len(calls) == 3
 
     def test_deep_copy_of_shared_params_is_writable(self, tmp_path):
         det = self._loads(tmp_path, _calibrated_detector(), k=1)[0]

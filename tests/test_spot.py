@@ -19,6 +19,7 @@ from evdetect import spot
 from evdetect.spot import (
     ANOMALY,
     GAMMA_ZERO,
+    MIN_PEAKS,
     NORMAL,
     PEAK,
     CalibrationWarning,
@@ -259,8 +260,8 @@ class TestCalibration:
         scores = np.concatenate([np.linspace(0, 1, 195), np.full(5, 2.0)])
         scores = np.tile(scores, 3)
         with pytest.warns(CalibrationWarning):
-            state = pot_calibrate(scores, q=1e-4, min_peaks=10)
-        assert len(state.peaks) >= 10
+            state = pot_calibrate(scores, q=1e-4)
+        assert len(state.peaks) >= MIN_PEAKS == 10
 
 
 class TestSpotStep:
