@@ -18,8 +18,11 @@ once SPOT is calibrated nothing reads them, so the member is empty (a file
 that still carries them loads the same). Version 1 files (one npz member per
 weight) are rejected.
 
-`read_container` reads a file's bytes once and walks its members with one
-`zipfile.ZipFile`, which checks each member's CRC. Each npy header goes
+`read_container` reads a file's bytes once and uses `zipfile` only to parse
+the central directory. Each member is then sliced from those bytes, after
+checks that its local header is there, that it is stored (neither compressed
+nor encrypted; `write_container`'s `np.savez` writes only stored members),
+and that its length and CRC-32 match its directory entry. Each npy header goes
 through the public `np.lib.format` parsers (whose `literal_eval` costs more
 than the rest of a member's read), memoised on the raw header bytes. A
 header records only dtype, order and shape, so across the files of one fleet
@@ -35,7 +38,9 @@ import functools
 import io
 import json
 import math
+import struct
 import zipfile
+import zlib
 from dataclasses import asdict
 
 import numpy as np
@@ -48,6 +53,10 @@ PARAMS_KEY = "params"
 MODEL_FORMAT = "evdetect-model"
 ENGINE_FORMAT = "evdetect-engine"
 FORMAT_VERSION = 2
+
+# a zip local file header: signature, 22 bytes of fields the directory repeats,
+# name length, extra-field length; the name and the extra field follow it
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
 
 
 def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -85,6 +94,27 @@ def _npy_array(name: str, member: bytes) -> np.ndarray:
     return np.frombuffer(member, dtype, count, start).reshape(shape, order=order)
 
 
+def _members(data: bytes):
+    """(name, bytes) of each member of the zip archive `data`, sliced from it
+    after the checks the module docstring lists; a failed one raises ValueError."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf:
+        infos = zf.infolist()
+    for info in infos:
+        name = info.filename
+        signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(data, info.header_offset)
+        if signature != b"PK\x03\x04":
+            raise ValueError(f"member {name} has no local header")
+        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+            raise ValueError(f"member {name} is compressed or encrypted, not stored")
+        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+        member = data[start : start + info.file_size]
+        if len(member) != info.file_size or info.compress_size != info.file_size:
+            raise ValueError(f"member {name} has {len(member)} bytes, its directory entry says {info.file_size}")
+        if zlib.crc32(member) != info.CRC:
+            raise ValueError(f"bad CRC-32 for member {name}")
+        yield name, member
+
+
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container; a truncated, corrupt or foreign file raises ValueError.
 
@@ -92,12 +122,9 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    arrays = {}
     try:
-        with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            for name in zf.namelist():
-                arrays[name.removesuffix(".npy")] = _npy_array(name, zf.read(name))
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        arrays = {name.removesuffix(".npy"): _npy_array(name, member) for name, member in _members(data)}
+    except (zipfile.BadZipFile, EOFError, ValueError, struct.error) as exc:
         raise ValueError(f"not a readable {kind} file: {path} ({exc})") from exc
     try:
         meta = json.loads(arrays.pop(FORMAT_KEY).tobytes().decode("utf-8"))

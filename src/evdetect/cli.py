@@ -200,8 +200,10 @@ def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=Non
                 if new_segment:
                     # after a gap too long to fill, the windows start empty
                     detector.clear_windows()
-                if filled and detector.stream.readings:  # repeat the last power taken, never a refused one
-                    power = detector.stream.readings[-1].power
+                if filled:
+                    if not detector.stream.readings:
+                        continue  # nothing accepted since the windows were cleared, so nothing to repeat
+                    power = detector.stream.readings[-1].power  # the last power taken, never a refused one
                 # a reading stepped before SPOT is fitted feeds warmup or calibration
                 if label and detector.spot is None and not warned:
                     print(

@@ -327,10 +327,9 @@ class OnlineDetector:
             det = cls(ModelParams.shared(dims, vector), stats, EngineConfig(**config))
             stream, spot = meta["stream"], meta["spot"]
             times = [datetime.fromisoformat(t) for t in stream["t"]]
-            filled, powers = stream["filled"], [float(p) for p in arrays["power"]]
-            total_seen = stream["total_seen"]
-            if not len(filled) == len(powers) == len(times):
-                raise ValueError(f"{path}: stream has {len(times)} timestamps, {len(filled)} fill flags and {len(powers)} powers")
+            filled, powers, total_seen = stream["filled"], arrays["power"], stream["total_seen"]
+            if not (len(filled) == len(times) and powers.shape == (len(times),) and powers.dtype == np.float64):
+                raise ValueError(f"{path}: stream has {len(times)} timestamps, {len(filled)} fill flags and {powers.dtype} powers of shape {powers.shape}")
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
@@ -338,8 +337,8 @@ class OnlineDetector:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
         try:
-            g = det.stream.restore(list(map(Reading, times, powers, map(bool, filled))), total_seen)
+            g = det.stream.restore(list(map(Reading, times, powers.tolist(), map(bool, filled))), total_seen)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: stream {exc}") from exc
-        det.cache.fill(det._embed_scalar(((np.array(powers[:g]) - stats.mean) / stats.std)[:, None]))
+        det.cache.fill(det._embed_scalar(((powers[:g] - stats.mean) / stats.std)[:, None]))
         return det

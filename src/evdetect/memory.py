@@ -9,16 +9,15 @@ filling happens at ingestion).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 
 class StreamOrderError(ValueError):
     """Raised when a reading arrives with a non-increasing timestamp."""
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     """One timestamped real-power sample (kW). `filled` marks gap-filled rows."""
 
     t: datetime

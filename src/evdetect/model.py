@@ -56,22 +56,9 @@ class ModelDims:
 # ---------------------------------------------------------------------------
 
 
-def positional_encoding(tau: int, C: int) -> np.ndarray:
-    """Sinusoidal encoding of a relative offset: even slots sin, odd slots cos."""
-    if tau < 0:
-        raise ValueError("offset must be nonnegative")
-    if C % 2 != 0:
-        raise ValueError("C must be even")
-    i = np.arange(C // 2, dtype=np.float64)
-    angle = tau / np.power(10000.0, 2.0 * i / C)
-    enc = np.empty(C, dtype=np.float64)
-    enc[0::2] = np.sin(angle)
-    enc[1::2] = np.cos(angle)
-    return enc
-
-
 def positional_table(taus, C: int) -> np.ndarray:
-    """`positional_encoding` rows for a sequence of offsets, in one broadcast."""
+    """Sinusoidal encodings of a sequence of offsets, one row each: even slots
+    sin, odd slots cos."""
     taus = np.asarray(taus, dtype=np.float64)
     if np.any(taus < 0):
         raise ValueError("offset must be nonnegative")

@@ -4,6 +4,7 @@ measured quantities. Budgets and tolerances are asserted, not aspirational.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import multiprocessing
 import time
 from datetime import datetime, timedelta
 
@@ -14,8 +15,8 @@ from evdetect.data import SynthConfig, fit_stats, normalize, sliding_windows, sy
 from evdetect.engine import DETECTING, EngineConfig, OnlineDetector
 from evdetect.evaluation import confusion, precision_recall_f1, roc_auc
 from evdetect.memory import Reading, StreamState
-from evdetect.model import ModelDims, ModelParams, encode_global, mtr_forward, mtr_forward_t
-from evdetect.nn import Hyper, Tensor, grad_check, no_grad
+from evdetect.model import ModelDims, ModelParams, _trd, mtr_forward, mtr_forward_t, self_attend
+from evdetect.nn import Hyper, Tensor, grad_check
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 from evdetect.training import train
 
@@ -270,13 +271,21 @@ def test_c09_fifo_memory_oracle():
     _passed(9, f"10000 random push sequences match the trailing-slice oracle, {elapsed:.1f}s")
 
 
-def test_c10_encoder_scaling_is_affine():
+def _encode(feats, p):
+    """The array encoder inference runs: enc1 over the global window, then enc2."""
+    stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), feats, p.enc1)
+    return _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
+
+
+def _c10_fit() -> tuple[float, float]:
+    """Slope and R^2 of a straight line through the encoder's best wall time
+    at each gm point."""
+
     def encoder(gm, C=128):
         dims = ModelDims(C=C, hidden=16, heads=2, lm=8, gm=gm, e0=8, e1=4)
         params = ModelParams(dims, seed=39)
-        feats = Tensor(np.random.default_rng(gm).normal(size=(gm, C)))
-        with no_grad():
-            encode_global(feats, params)
+        feats = np.random.default_rng(gm).normal(size=(gm, C))
+        _encode(feats, params)
         return params, feats
 
     gms = np.array([32, 64, 128, 256])
@@ -292,15 +301,25 @@ def test_c10_encoder_scaling_is_affine():
         for _ in range(trials):
             for i, (params, feats) in enumerate(encoders):
                 start = time.perf_counter()
-                with no_grad():
-                    for _ in range(reps):
-                        encode_global(feats, params)
+                for _ in range(reps):
+                    _encode(feats, params)
                 times[i] = min(times[i], (time.perf_counter() - start) / reps)
         slope, intercept = np.polyfit(gms, times, 1)
         pred = slope * gms + intercept
         r2 = 1.0 - np.sum((times - pred) ** 2) / np.sum((times - times.mean()) ** 2)
         if r2 >= 0.98:
             break
+    return float(slope), float(r2)
+
+
+def test_c10_encoder_scaling_is_affine(monkeypatch):
+    # OpenBLAS starts its threads only past a matrix-size threshold, so with
+    # several threads the larger gm points bend the line by however busy the
+    # other cores are; a child started with one BLAS thread times the
+    # encoder's own work
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        slope, r2 = pool.apply(_c10_fit)
     assert slope > 0
     assert r2 >= 0.98
-    _passed(10, f"encode wall-time affine over gm in {{32,64,128,256}}, R^2 = {r2:.4f}")
+    _passed(10, f"array encoder wall-time affine over gm in {{32,64,128,256}}, R^2 = {r2:.4f}")

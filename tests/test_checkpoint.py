@@ -122,6 +122,24 @@ def _zip(path, members: dict[str, bytes]) -> None:
             zf.writestr(name + ".npy", data)
 
 
+def _model_file(path):
+    save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+    with zipfile.ZipFile(path) as zf:
+        return zf.getinfo(PARAMS_KEY + ".npy")
+
+
+def _damaged_local_header(path):
+    at = _model_file(path).header_offset
+    raw = bytearray(path.read_bytes())
+    raw[at + 2] ^= 0xFF  # "PK\x03\x04" becomes "PK\xfc\x04"
+    path.write_bytes(bytes(raw))
+
+
+def _cut_inside_member(path):
+    info = _model_file(path)
+    path.write_bytes(path.read_bytes()[: info.header_offset + info.file_size // 2])
+
+
 def _engine_file(path):
     dims = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=12, e0=6, e1=3)
     det = OnlineDetector(
@@ -209,6 +227,9 @@ class TestReadContainer:
             pytest.param(lambda p: np.savez(p, x=np.ones(3)), id="no-meta"),
             pytest.param(lambda p: p.write_bytes(_npy(np.ones(3))), id="plain-npy"),
             pytest.param(lambda p: _zip(p, {FORMAT_KEY: _npy(_header()), "raw": b"not npy"}), id="non-npy-member"),
+            pytest.param(lambda p: np.savez_compressed(p, **{FORMAT_KEY: _header()}, x=np.ones(3)), id="compressed"),
+            pytest.param(_damaged_local_header, id="damaged-local-header"),
+            pytest.param(_cut_inside_member, id="cut-inside-member"),
         ],
     )
     def test_foreign_files_raise_value_error(self, tmp_path, write):

@@ -300,13 +300,14 @@ class TestDetect:
     @pytest.mark.parametrize("power", ["1e200", "-1e200"])
     def test_huge_reading_is_one_error_event(self, workdir, tiny_setup, monkeypatch, source, power):
         # refused before it enters the windows, as a non-finite reading is;
-        # the minutes of a short hole after it repeat the last accepted power
+        # the minutes of a short hole after it repeat the last accepted power,
+        # and stay unfilled when a 199-minute gap has just cleared the windows
         lines = tiny_setup["detect_csv"].read_text().splitlines()
-        t, _, label = lines[1 + 1600].split(",")
-        for hole in (0, 3):
+        for gap, hole in ((0, 0), (0, 3), (199, 3)):
+            t, _, label = lines[1 + 1600 + gap].split(",")
             outputs = {}
             for value in ("nan", power):
-                rows = [*lines[: 1 + 1600], f"{t},{value},{label}", *lines[1 + 1601 + hole :]]
+                rows = [*lines[: 1 + 1600], f"{t},{value},{label}", *lines[1 + 1601 + gap + hole :]]
                 csv, out = workdir / f"huge_{value}.csv", workdir / f"huge_{value}_{source}.jsonl"
                 csv.write_text("\n".join(rows) + "\n")
                 if source == "stdin":

@@ -227,12 +227,6 @@ class TestAttentionCache:
         oldest = cache.ring[:, :, cache.ring_ptr]
         feat = det._embed_scalar(float(normalize(values[0], det.stats)))
         np.testing.assert_array_equal(oldest, cache.eff_queries @ feat)
-        # and that slot pairs with the tau = lm+gm-1 positional row
-        from evdetect.model import positional_encoding
-
-        np.testing.assert_allclose(
-            det.params.pos_gm[0], positional_encoding(SMALL.lm + SMALL.gm - 1, SMALL.C), atol=0
-        )
 
 
 def _windows(det):

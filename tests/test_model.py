@@ -21,13 +21,27 @@ from evdetect.model import (
     folded_ln,
     mtr_forward,
     mtr_forward_t,
-    positional_encoding,
     positional_table,
     trd_forward,
 )
 from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, layer_norm, no_grad
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
+
+
+def positional_encoding(tau: int, C: int) -> np.ndarray:
+    """Oracle for `positional_table`: one offset's sinusoidal encoding, even
+    slots sin, odd slots cos."""
+    if tau < 0:
+        raise ValueError("offset must be nonnegative")
+    if C % 2 != 0:
+        raise ValueError("C must be even")
+    i = np.arange(C // 2, dtype=np.float64)
+    angle = tau / np.power(10000.0, 2.0 * i / C)
+    enc = np.empty(C, dtype=np.float64)
+    enc[0::2] = np.sin(angle)
+    enc[1::2] = np.cos(angle)
+    return enc
 
 
 class TestPositionalEncoding:
@@ -62,6 +76,8 @@ class TestPositionalEncoding:
                 table[0, 0] = 0.0
         np.testing.assert_array_equal(a.pos_lm, positional_table(range(dims.lm - 1, -1, -1), dims.C))
         np.testing.assert_array_equal(a.pos_gm, positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), dims.C))
+        # the oldest global reading, the cache ring's oldest slot, is lm+gm-1 steps back
+        np.testing.assert_array_equal(a.pos_gm[0], positional_encoding(dims.lm + dims.gm - 1, dims.C))
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
