@@ -36,7 +36,7 @@ from .data import (
     synth_household,
     write_meter_csv,
 )
-from .engine import DETECTING, WARMUP, EngineConfig, OnlineDetector, format_event
+from .engine import CALIBRATING, DETECTING, WARMUP, EngineConfig, OnlineDetector, format_event
 from .evaluation import confusion, precision_recall_f1, roc_auc
 from .memory import Reading
 from .model import ModelDims
@@ -193,27 +193,25 @@ def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=Non
     from_stdin = input_path == "-"
     warned = False
     n_steps = 0
+    t = label = None  # the row `run` is stepping, for the calibration warning
+
+    def readings(fh):
+        nonlocal t, label
+        for _, t, power, label in iter_meter_csv(fh):
+            yield Reading(t, power)
+
     started = time.perf_counter()
     with nullcontext(sys.stdin) if from_stdin else open(input_path, "r", encoding="utf-8") as fh:
         try:
-            for _, t, power, filled, label, new_segment in iter_meter_csv(fh):
-                if new_segment:
-                    # after a gap too long to fill, the windows start empty
-                    detector.clear_windows()
-                if filled:
-                    if not detector.stream.readings:
-                        continue  # nothing accepted since the windows were cleared, so nothing to repeat
-                    power = detector.stream.readings[-1].power  # the last power taken, never a refused one
-                # a reading stepped before SPOT is fitted feeds warmup or calibration
-                if label and detector.spot is None and not warned:
+            for n_steps, event in enumerate(detector.run(readings(fh)), start=1):
+                # a labelled row stepped before SPOT was fitted fed warmup or calibration
+                if label and event.t == t and not warned and (detector.spot is None or event.phase == CALIBRATING):
                     print(
                         "warning: EV-labeled readings inside the calibration prefix; "
                         "the initial threshold may be biased",
                         file=sys.stderr,
                     )
                     warned = True
-                event = detector.step(Reading(t, power, filled))
-                n_steps += 1
                 if event.phase != WARMUP or event.error is not None:
                     out_fh.write(format_event(event) + "\n")
                     if from_stdin:
@@ -269,16 +267,18 @@ def cmd_detect(args, parser) -> int:
             print(f"processed {n} readings, {elapsed / n * 1000:.3f} ms/reading mean", file=sys.stderr)
         return 0
 
-    os.makedirs(args.out_dir, exist_ok=True)
-    tasks = []
+    tasks = {}  # events file -> the one task that writes it
     for path in args.inputs:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        tasks.append((params, stats, config, path, os.path.join(args.out_dir, stem + ".jsonl")))
+        out_path = os.path.join(args.out_dir, os.path.splitext(os.path.basename(path))[0] + ".jsonl")
+        if out_path in tasks:
+            parser.error(f"{tasks[out_path][3]} and {path} would both write {out_path}")
+        tasks[out_path] = (params, stats, config, path, out_path)
+    os.makedirs(args.out_dir, exist_ok=True)
     if cfg["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            results = list(pool.map(_detect_one, tasks))
+            results = list(pool.map(_detect_one, tasks.values()))
     else:
-        results = [_detect_one(t) for t in tasks]
+        results = [_detect_one(t) for t in tasks.values()]
     for input_path, n, elapsed in results:
         per = elapsed / n * 1000 if n else 0.0
         print(f"{input_path}: {n} readings, {per:.3f} ms/reading mean", file=sys.stderr)

@@ -1,12 +1,12 @@
-"""Smart-meter data handling: CSV ingestion with gap filling, z-score
-normalization, sliding-window construction and a labeled synthetic household
-generator for experiments without access to real feeder data.
+"""Smart-meter data handling: CSV ingestion, z-score normalization,
+sliding-window construction and a labeled synthetic household generator for
+experiments without access to real feeder data.
 
 CSV schema: header ``timestamp,power_kw`` with an optional ``label`` column;
 timestamps are ISO-8601 on a strictly increasing minute grid. One incremental
-reader, `iter_meter_csv`, validates and gap-fills every source: `detect`
-streams files and stdin through it, and `read_meter_csv` collects it into a
-`MeterSeries` for training and evaluation.
+reader, `iter_meter_csv`, parses every source: `detect` streams files and stdin
+through it into `OnlineDetector.run`, and `read_meter_csv` collects it into a
+`MeterSeries`. Both fill holes of up to `MAX_FILL_MINUTES` missing minutes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import numpy as np
 from .memory import Reading
 
 MINUTE = timedelta(minutes=1)
+# the longest hole, in missing minutes, that is filled from the reading before it
+MAX_FILL_MINUTES = 60
 
 
 class CsvFormatError(ValueError):
@@ -63,25 +65,20 @@ class MeterSeries:
             yield Reading(t, float(p), bool(f))
 
 
-def iter_meter_csv(fh, max_fill_minutes: int = 60):
+def iter_meter_csv(fh):
     """Read a meter CSV incrementally from an open text stream.
 
-    Checks the header, then yields ``(lineno, t, power, filled, label,
-    new_segment)`` for every minute. A gap of up to `max_fill_minutes` is
-    forward-filled before the row that ends it: the filled minutes carry that
-    row's line number, the last finite power, the previous row's label and
-    ``filled=True``. The first row after a longer gap has ``new_segment=True``.
-    `label` is None without a label column. A non-finite power is passed on;
-    unsorted, off-grid or malformed rows raise CsvFormatError naming the line
-    and quoting the row.
+    Checks the header, then yields ``(lineno, t, power, label)`` for every
+    row; `label` is None without a label column. A non-finite power is passed
+    on and holes are left as they are; unsorted, off-grid or malformed rows
+    raise CsvFormatError naming the line and quoting the row.
     """
     header = fh.readline().strip()
     cols = header.split(",")
     if cols[:2] != ["timestamp", "power_kw"] or cols[2:] not in ([], ["label"]):
         raise CsvFormatError(f"line 1: expected header 'timestamp,power_kw[,label]', got {header!r}")
     n_cols = len(cols)
-    prev_t = prev_label = None
-    fill_power = math.nan
+    prev_t = None
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -103,62 +100,56 @@ def iter_meter_csv(fh, max_fill_minutes: int = 60):
                 raise CsvFormatError(f"line {lineno}: label must be 0 or 1 in {line!r}")
             label = int(parts[2])
 
-        new_segment = False
         try:
             step = MINUTE if prev_t is None else t - prev_t
         except TypeError:
             raise CsvFormatError(f"line {lineno}: naive and timezone-aware timestamps mixed at {line!r}") from None
         if step != MINUTE:
-            gap_s = step.total_seconds()
-            if gap_s <= 0:
+            if step <= timedelta(0):
                 raise CsvFormatError(f"line {lineno}: timestamps not strictly increasing at {line!r}")
-            if gap_s % 60:
+            if step % MINUTE:
                 raise CsvFormatError(f"line {lineno}: timestamp off the minute grid in {line!r}")
-            missing = int(gap_s) // 60 - 1
-            if missing > max_fill_minutes:
-                new_segment = True
-            else:
-                for j in range(1, missing + 1):
-                    yield lineno, prev_t + j * MINUTE, fill_power, True, prev_label, False
-
-        yield lineno, t, power, False, label, new_segment
-        prev_t, prev_label = t, label
-        if math.isfinite(power):
-            fill_power = power
+        yield lineno, t, power, label
+        prev_t = t
 
 
-def read_meter_csv(source, max_fill_minutes: int = 60) -> MeterSeries:
+def read_meter_csv(source) -> MeterSeries:
     """Collect `iter_meter_csv` from a path or an open text stream.
 
-    Longer gaps close the current segment and open a new one. A series must
-    be clean, so a non-finite power raises CsvFormatError with its line number.
+    A hole of up to `MAX_FILL_MINUTES` missing minutes is filled with the row
+    before it, flagged as filled; a longer one closes the current segment and
+    opens a new one. A series must be clean, so a non-finite power raises
+    CsvFormatError with its line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
-            return read_meter_csv(fh, max_fill_minutes)
+            return read_meter_csv(fh)
 
-    timestamps, powers, filled, labels, segments = [], [], [], [], []
-    seg_start = 0
-    for lineno, t, power, is_filled, label, new_segment in iter_meter_csv(source, max_fill_minutes):
+    timestamps, powers, filled, labels, starts = [], [], [], [], [0]
+    for lineno, t, power, label in iter_meter_csv(source):
         if not math.isfinite(power):
             raise CsvFormatError(f"line {lineno}: non-finite power")
-        if new_segment:
-            segments.append((seg_start, len(timestamps)))
-            seg_start = len(timestamps)
+        if timestamps and (missing := (t - timestamps[-1]) // MINUTE - 1):
+            if missing > MAX_FILL_MINUTES:
+                starts.append(len(timestamps))
+            else:
+                timestamps += [timestamps[-1] + j * MINUTE for j in range(1, missing + 1)]
+                powers += [powers[-1]] * missing
+                filled += [True] * missing
+                labels += [labels[-1]] * missing
         timestamps.append(t)
         powers.append(power)
-        filled.append(is_filled)
+        filled.append(False)
         labels.append(label)
 
     if not timestamps:
         raise CsvFormatError("no data rows")
-    segments.append((seg_start, len(timestamps)))
     return MeterSeries(
         timestamps=timestamps,
         powers=np.asarray(powers, dtype=np.float64),
         filled=np.asarray(filled, dtype=bool),
         labels=None if labels[0] is None else np.asarray(labels, dtype=np.int64),
-        segments=segments,
+        segments=list(zip(starts, starts[1:] + [len(timestamps)])),
     )
 
 

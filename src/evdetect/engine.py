@@ -19,9 +19,9 @@ variance, the division by its square root and the bias.
 
 State splits in two. Per model: the weights and every fold above, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
-`OnlineDetector`). Per meter: the stream windows, the cache ring and the
-SPOT state (plus the calibration scores until SPOT is fitted), which is all
-a loaded detector adds to a process that already runs its model.
+`OnlineDetector`). Per meter: the stream windows and `last_t`, the cache
+ring and the SPOT state (plus the calibration scores until SPOT is fitted),
+which is all a loaded detector adds to a process that already runs its model.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from datetime import datetime
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import SeriesStats, normalize
+from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, normalize
 from .memory import Reading, StreamOrderError, StreamState
 from .model import ModelParams, mtr_forward
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
@@ -202,6 +202,7 @@ class OnlineDetector:
         self.stats = stats
         self.config = config
         self.stream = StreamState(config.lm, config.gm)
+        self.last_t: datetime | None = None  # the newest timestamp stepped, refused or not
         self.spot: SpotState | None = None
         self.calib_scores: list[float] = []
         self.cache = AttentionCache(params)
@@ -231,15 +232,32 @@ class OnlineDetector:
             self.cache.push(self._embed_scalar((spilled.power - self.stats.mean) / self.stats.std))
 
     def clear_windows(self) -> None:
-        """Empty the stream windows and the cache ring, as after a gap too long
-        to fill; the SPOT state and the calibration scores stay."""
+        """Empty the stream windows and the cache ring, as `run` does after a
+        hole too long to fill; the SPOT state and the calibration scores stay."""
         self.stream = StreamState(self.config.lm, self.config.gm)
         self.cache.ring_ptr = self.cache.ring_count = 0
 
     def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
 
+    def run(self, readings):
+        """Step each reading after the hole since `last_t`, yielding every
+        minute's event: up to `MAX_FILL_MINUTES` missing minutes repeat the
+        windows' newest power, unless they hold none; a longer hole clears them."""
+        for reading in readings:
+            missing = 0 if self.last_t is None else (reading.t - self.last_t) // MINUTE - 1
+            if missing > MAX_FILL_MINUTES:
+                self.clear_windows()
+            elif self.stream.readings:
+                for _ in range(missing):
+                    yield self.step(Reading(self.last_t + MINUTE, self.stream.readings[-1].power, True))
+            yield self.step(reading)
+
     def step(self, reading: Reading) -> DetectionEvent:
+        """Score one reading as the next minute, with no gap handling (`run`
+        does that); a reading not newer than the windows' newest is refused."""
+        if self.last_t is None or reading.t > self.last_t:
+            self.last_t = reading.t
         # a rejected reading never enters the buffers, so the stream goes on;
         # one compare refuses both a non-finite and a huge reading
         if not abs(reading.power - self.stats.mean) <= MAX_ABS_Z * self.stats.std:
@@ -298,6 +316,7 @@ class OnlineDetector:
         meta["config"] = asdict(self.config)
         meta["stream"] = {
             "total_seen": self.stream.total_seen,
+            "last_t": None if self.last_t is None else self.last_t.isoformat(),
             "t": [r.t.isoformat() for r in readings],
             "filled": [r.filled for r in readings],
         }
@@ -327,6 +346,7 @@ class OnlineDetector:
             det = cls(ModelParams.shared(dims, vector), stats, EngineConfig(**config))
             stream, spot = meta["stream"], meta["spot"]
             times = [datetime.fromisoformat(t) for t in stream["t"]]
+            det.last_t = datetime.fromisoformat(stream["last_t"]) if stream.get("last_t") else max(times, default=None)
             filled, powers, total_seen = stream["filled"], arrays["power"], stream["total_seen"]
             if not (len(filled) == len(times) and powers.shape == (len(times),) and powers.dtype == np.float64):
                 raise ValueError(f"{path}: stream has {len(times)} timestamps, {len(filled)} fill flags and {powers.dtype} powers of shape {powers.shape}")
@@ -337,6 +357,8 @@ class OnlineDetector:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
         try:
+            if times and not det.last_t >= times[-1]:
+                raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
             g = det.stream.restore(list(map(Reading, times, powers.tolist(), map(bool, filled))), total_seen)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: stream {exc}") from exc

@@ -2,8 +2,8 @@
 
 One buffer holds the newest lm + gm readings, oldest first: the global window
 is its oldest gm, the local window its newest lm. Both windows are
-index-based, not wall-clock-based, so timestamp gaps are tolerated (gap
-filling happens at ingestion).
+index-based, not wall-clock-based: a push takes any newer timestamp, and
+`OnlineDetector.run` decides what a hole between two readings means.
 """
 
 from __future__ import annotations

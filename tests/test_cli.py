@@ -6,9 +6,13 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evdetect import checkpoint, engine
 from evdetect.checkpoint import (
@@ -21,8 +25,8 @@ from evdetect.checkpoint import (
     write_container,
 )
 from evdetect.cli import main
-from evdetect.data import MeterSeries, SeriesStats, SynthConfig, format_meter_csv, read_meter_csv
-from evdetect.engine import EngineConfig, OnlineDetector
+from evdetect.data import MAX_FILL_MINUTES, MeterSeries, SeriesStats, SynthConfig, format_meter_csv, read_meter_csv
+from evdetect.engine import WARMUP, EngineConfig, OnlineDetector, format_event
 from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams
 from evdetect.nn import Hyper
@@ -463,6 +467,35 @@ class TestDetect:
         assert main(["detect", "--resume-engine", str(engine_ckpt), str(second), "--out", str(part_b)]) == 0
         assert part_a.read_text() + part_b.read_text() == whole.read_text()
 
+    @pytest.mark.parametrize(
+        "skip, refused",
+        [
+            pytest.param(10, False, id="10-minute-hole"),
+            pytest.param(120, False, id="120-minute-gap"),
+            pytest.param(3, True, id="refused-row-then-3-minute-hole"),
+        ],
+    )
+    def test_resume_at_a_gap_equals_one_run(self, workdir, tiny_setup, skip, refused):
+        # the engine file keeps the newest timestamp stepped, so the gap at the
+        # cut is filled or re-warmed as in one run
+        header, *rows = tiny_setup["detect_csv"].read_text().splitlines()
+        cut = 2000
+        if refused:
+            t, _, label = rows[cut - 1].split(",")
+            rows[cut - 1] = f"{t},nan,{label}"
+        rows = rows[:cut] + rows[cut + skip :]
+        name = f"gap_cut_{skip}"
+        csv = {part: workdir / f"{name}_{part}.csv" for part in ("whole", "head", "tail")}
+        events = {part: workdir / f"{name}_{part}.jsonl" for part in csv}
+        for part, sl in (("whole", rows), ("head", rows[:cut]), ("tail", rows[cut:])):
+            csv[part].write_text("\n".join([header, *sl]) + "\n")
+        engine_ckpt = workdir / f"{name}.npz"
+        fresh = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        assert main(fresh + [str(csv["whole"]), "--out", str(events["whole"])]) == 0
+        assert main(fresh + [str(csv["head"]), "--out", str(events["head"]), "--save-engine", str(engine_ckpt)]) == 0
+        assert main(["detect", "--resume-engine", str(engine_ckpt), str(csv["tail"]), "--out", str(events["tail"])]) == 0
+        assert events["head"].read_bytes() + events["tail"].read_bytes() == events["whole"].read_bytes()
+
     def test_long_gap_rewarms_windows(self, workdir, tiny_setup):
         # a 2-hour gap after calibration opens a new segment; no window spans it
         series = read_meter_csv(str(tiny_setup["detect_csv"]))
@@ -537,6 +570,8 @@ class TestDetect:
             "unequal-lengths",
             "total-seen-below-stream",
             "total-seen-above-short-stream",
+            "last-t-before-newest-reading",
+            "last-t-timezone-aware",
         ],
     )
     def test_corrupt_engine_stream_exits_one(self, workdir, tiny_setup, capsys, fault):
@@ -560,6 +595,11 @@ class TestDetect:
         elif fault == "total-seen-above-short-stream":
             # 10 readings, but 60 seen: pushes would have left lm + gm = 40
             stream["t"], stream["filled"], arrays["power"] = stream["t"][-10:], stream["filled"][-10:], arrays["power"][-10:]
+        elif fault == "last-t-before-newest-reading":
+            # a `last_t` behind the windows would fake a hole at the next reading
+            stream["last_t"] = stream["t"][-2]
+        elif fault == "last-t-timezone-aware":
+            stream["last_t"] = stream["t"][-1] + "+00:00"
         else:
             arrays["power"] = arrays["power"][:-1]
         write_container(engine_ckpt, ENGINE_FORMAT, meta, arrays)
@@ -633,16 +673,40 @@ class TestDetect:
         assert "--save-engine" in capsys.readouterr().err
         assert reads == [] and not engine_ckpt.exists() and not out_dir.exists()
 
+    @pytest.mark.parametrize("dirs", [("a", "b"), ("a", "a")], ids=["two-files", "one-file-twice"])
+    def test_out_dir_refuses_two_inputs_of_one_name(self, workdir, tiny_setup, capsys, dirs):
+        # a/m.csv and b/m.csv would both write m.jsonl, and one meter's events would be lost;
+        # a file given twice would write its events file twice
+        inputs = [workdir / d / "m.csv" for d in dirs]
+        for path in inputs:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("\n".join(tiny_setup["detect_csv"].read_text().splitlines()[:100]) + "\n")
+        out_dir = workdir / "one_name"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), *map(str, inputs), "--out-dir", str(out_dir)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert str(inputs[0]) in err and str(inputs[1]) in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("n_inputs", [1, 2])
     def test_detect_reads_checkpoint_once(self, workdir, tiny_setup, monkeypatch, n_inputs):
         reads = []
         read = checkpoint.read_container
         monkeypatch.setattr(checkpoint, "read_container", lambda *a: reads.append(a) or read(*a))
         args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600"]
-        args += [str(tiny_setup["detect_csv"])] * n_inputs
+        inputs = [tiny_setup["detect_csv"]]
+        if n_inputs > 1:
+            # a second meter of another name, so two tasks are built from the one read
+            inputs.append(workdir / "detect_other.csv")
+            inputs[1].write_bytes(inputs[0].read_bytes())
+        args += map(str, inputs)
         args += ["--out-dir", str(workdir / "read_once")] if n_inputs > 1 else ["--out", os.devnull]
         assert main(args) == 0
         assert len(reads) == 1
+        if n_inputs > 1:
+            assert sorted(os.listdir(workdir / "read_once")) == ["detect.jsonl", "detect_other.jsonl"]
 
     def test_engine_defaults_are_engine_config(self, workdir, tiny_setup):
         lines = tiny_setup["detect_csv"].read_text().splitlines()[:100]
@@ -695,6 +759,45 @@ class TestDetect:
         assert message in capsys.readouterr().err
         # rejected while the engine is configured: the events file is never opened
         assert not out.exists()
+
+
+class TestOneGapRule:
+    """`OnlineDetector.run` owns the gap rule, so a library caller, `detect
+    FILE` and `detect -` step the same minutes and write the same events."""
+
+    @pytest.mark.filterwarnings("ignore::evdetect.spot.CalibrationWarning")
+    @given(st.data())
+    def test_library_file_and_stdin_agree(self, workdir, tiny_setup, data):
+        header, *rows = tiny_setup["detect_csv"].read_text().splitlines()
+        extra = data.draw(st.lists(st.integers(1, 90), max_size=2), label="other holes")
+        holes = data.draw(st.permutations([MAX_FILL_MINUTES, MAX_FILL_MINUTES + 1, *extra]), label="holes")
+        runs = data.draw(st.lists(st.integers(1, 200), min_size=len(holes) + 1, max_size=len(holes) + 1), label="runs")
+        kept, start = [], 0
+        for run, hole in zip(runs, [*holes, 0]):
+            kept += range(start, start + run)
+            start += run + hole
+        kept = [rows[i] for i in kept]
+        for i, value in data.draw(
+            st.lists(st.tuples(st.integers(0, len(kept) - 1), st.sampled_from(["nan", "1e200"])), max_size=3),
+            label="refused rows",
+        ):
+            t, _, label = kept[i].split(",")
+            kept[i] = f"{t},{value},{label}"
+        text = "\n".join([header, *kept]) + "\n"
+
+        params, stats = load_model(tiny_setup["ckpt"])
+        det = OnlineDetector(params, stats, EngineConfig(params.dims.lm, params.dims.gm, q=1e-3, calibration_len=100))
+        readings = [Reading(datetime.fromisoformat(t), float(p)) for t, p, _ in (row.split(",") for row in kept)]
+        library = "".join(format_event(e) + "\n" for e in det.run(readings) if e.phase != WARMUP or e.error)
+
+        csv, from_file, from_stdin = workdir / "gap_rule.csv", workdir / "gap_rule_file.jsonl", workdir / "gap_rule_stdin.jsonl"
+        csv.write_text(text)
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "100", "--q", "1e-3"]
+        assert main(args + [str(csv), "--out", str(from_file)]) == 0
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            assert main(args + ["-", "--out", str(from_stdin)]) == 0
+        assert from_file.read_text() == library
+        assert from_stdin.read_text() == library
 
 
 class TestEval:

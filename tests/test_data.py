@@ -2,12 +2,14 @@
 
 import io
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evdetect import data as data_module
 from evdetect.data import (
     CsvFormatError,
     MeterSeries,
@@ -96,14 +98,15 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError, match="line 3: non-finite power"):
             _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01,inf\n")
 
-    def test_iter_passes_non_finite_and_fills_from_last_finite(self):
-        text = "timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01,nan\n2018-01-01T00:04,2.0\n"
+    def test_iter_passes_non_finite_and_yields_no_fill_rows(self):
+        # filling is the reader's caller's: `read_meter_csv` or `OnlineDetector.run`
+        text = "timestamp,power_kw,label\n2018-01-01T00:00,1.0,0\n2018-01-01T00:01,nan,1\n2018-01-01T02:04,2.0,0\n"
         rows = list(iter_meter_csv(io.StringIO(text)))
-        assert [r[0] for r in rows] == [2, 3, 4, 4, 4]
-        np.testing.assert_array_equal([r[2] for r in rows], [1.0, np.nan, 1.0, 1.0, 2.0])
-        assert [r[3] for r in rows] == [False, False, True, True, False]
-        assert {r[4] for r in rows} == {None}
-        assert not any(r[5] for r in rows)
+        assert [len(r) for r in rows] == [4, 4, 4]
+        assert [r[0] for r in rows] == [2, 3, 4]
+        assert [r[1] for r in rows] == [datetime(2018, 1, 1, 0, 0), datetime(2018, 1, 1, 0, 1), datetime(2018, 1, 1, 2, 4)]
+        np.testing.assert_array_equal([r[2] for r in rows], [1.0, np.nan, 2.0])
+        assert [r[3] for r in rows] == [0, 1, 0]
 
     @given(st.data())
     def test_matches_slicing_oracle(self, data):
@@ -127,7 +130,8 @@ class TestReadCsv:
             with pytest.raises(CsvFormatError, match="no data rows"):
                 _csv(text)
             return
-        series = read_meter_csv(io.StringIO(text), max_fill_minutes=max_fill)
+        with mock.patch.object(data_module, "MAX_FILL_MINUTES", max_fill):
+            series = read_meter_csv(io.StringIO(text))
 
         kept = np.flatnonzero(keep)
         runs = np.split(kept, np.flatnonzero(np.diff(kept) - 1 > max_fill) + 1)

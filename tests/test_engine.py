@@ -17,7 +17,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::evdetect.spot.CalibrationWarnin
 
 from evdetect import checkpoint as ckpt
 from evdetect import engine
-from evdetect.data import SeriesStats, normalize, sliding_windows
+from evdetect.data import MAX_FILL_MINUTES, SeriesStats, normalize, sliding_windows
 from evdetect.engine import (
     CALIBRATING,
     DETECTING,
@@ -165,6 +165,81 @@ class TestPhases:
             for r in _readings([1.0] * 400):
                 labels.append(det.step(r).label)
         assert sum(labels) == 0
+
+
+class TestRun:
+    """`run` owns the gap rule: a hole of up to `MAX_FILL_MINUTES` missing
+    minutes is stepped as filled readings of the windows' newest power, and a
+    longer one clears the windows."""
+
+    AT = SMALL.lm + SMALL.gm + 200  # detecting since calibration_len = 150 scores
+
+    @classmethod
+    def _holed(cls, hole):
+        readings = _readings(np.random.default_rng(7).normal(size=cls.AT + 80))
+        return readings[: cls.AT] + [r._replace(t=r.t + timedelta(minutes=hole)) for r in readings[cls.AT :]]
+
+    @staticmethod
+    def _fills(after, n, power):
+        return [Reading(after + timedelta(minutes=j), power, True) for j in range(1, n + 1)]
+
+    def test_a_hole_of_max_fill_minutes_repeats_the_newest_power(self):
+        readings, at = self._holed(MAX_FILL_MINUTES), self.AT
+        oracle = _detector()
+        want = [oracle.step(r) for r in readings[:at] + self._fills(readings[at - 1].t, MAX_FILL_MINUTES, readings[at - 1].power) + readings[at:]]
+        det = _detector()
+        assert list(det.run(readings)) == want
+        assert det.stream.readings == oracle.stream.readings and det.spot == oracle.spot
+
+    def test_a_longer_hole_clears_the_windows(self):
+        readings, at, span = self._holed(MAX_FILL_MINUTES + 1), self.AT, SMALL.lm + SMALL.gm
+        oracle = _detector()
+        want = [oracle.step(r) for r in readings[:at]]
+        oracle.clear_windows()
+        want += [oracle.step(r) for r in readings[at:]]
+        events = list(_detector().run(readings))
+        assert events == want
+        assert [e.phase for e in events[at - 1 : at + span]] == [DETECTING] + [WARMUP] * (span - 1) + [DETECTING]
+
+    def test_a_hole_is_measured_from_a_refused_reading(self):
+        # the refused minute is not filled again; the fills repeat the power before it
+        readings, at = self._holed(3), self.AT
+        readings[at - 1] = readings[at - 1]._replace(power=math.nan)
+        oracle = _detector()
+        want = [oracle.step(r) for r in readings[:at] + self._fills(readings[at - 1].t, 3, readings[at - 2].power) + readings[at:]]
+        assert [format_event(e) for e in _detector().run(readings)] == [format_event(e) for e in want]
+
+    def test_a_hole_stays_unfilled_while_the_windows_hold_nothing(self):
+        readings = _readings(np.random.default_rng(8).normal(size=60))
+        readings = [readings[0]._replace(power=math.nan)] + readings[4:]
+        det = _detector()
+        assert [e.t for e in det.run(readings)] == [r.t for r in readings]
+        assert not any(r.filled for r in det.stream.readings)
+
+    def test_step_keeps_the_newest_timestamp(self):
+        det = _detector()
+        readings = _readings(np.random.default_rng(9).normal(size=30))
+        for r in readings:
+            det.step(r)
+        assert det.step(Reading(T0, 1.0)).error is not None
+        assert det.last_t == readings[-1].t
+
+    @pytest.mark.parametrize("saved", [True, False])
+    def test_resume_at_a_hole_and_from_a_file_without_last_t(self, tmp_path, saved):
+        # a file written before `last_t` was saved resumes from its newest reading
+        readings, at = self._holed(5), self.AT
+        whole = [format_event(e) for e in _detector().run(readings)]
+        det = _detector()
+        head = [format_event(e) for e in det.run(readings[:at])]
+        det.save(tmp_path / "engine.npz")
+        meta, arrays = ckpt.read_container(tmp_path / "engine.npz", ckpt.ENGINE_FORMAT)
+        assert meta["stream"]["last_t"] == readings[at - 1].t.isoformat()
+        if not saved:
+            del meta["stream"]["last_t"]
+            ckpt.write_container(tmp_path / "engine.npz", ckpt.ENGINE_FORMAT, meta, arrays)
+        resumed = OnlineDetector.load(tmp_path / "engine.npz")
+        assert resumed.last_t == readings[at - 1].t
+        assert head + [format_event(e) for e in resumed.run(readings[at:])] == whole
 
 
 class TestAttentionCache:
