@@ -4,9 +4,10 @@ experiments without access to real feeder data.
 
 CSV schema: header ``timestamp,power_kw`` with an optional ``label`` column;
 timestamps are ISO-8601 on a strictly increasing minute grid. One incremental
-reader, `iter_meter_csv`, parses every source: `detect` streams files and stdin
-through it into `OnlineDetector.run`, and `read_meter_csv` collects it into a
-`MeterSeries`. Both fill holes of up to `MAX_FILL_MINUTES` missing minutes.
+reader, `iter_meter_csv`, parses every source and leaves holes as they are:
+`detect` streams files and stdin through it into `OnlineDetector.run`, which
+decides what a hole means, and `read_meter_csv` collects it into a
+`MeterSeries`, filling holes of up to `MAX_FILL_MINUTES` missing minutes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class SeriesStats:
 
 @dataclass
 class MeterSeries:
-    """Columnar meter series: minute timestamps, powers, fill flags, labels.
+    """Columnar meter series: minute timestamps, powers, labels.
 
     `segments` are (start, end) index ranges of contiguous data; a new segment
     starts wherever a gap was too long to forward-fill.
@@ -53,7 +54,6 @@ class MeterSeries:
 
     timestamps: list[datetime]
     powers: np.ndarray
-    filled: np.ndarray
     labels: np.ndarray | None = None
     segments: list[tuple[int, int]] = field(default_factory=list)
 
@@ -61,8 +61,8 @@ class MeterSeries:
         return len(self.timestamps)
 
     def iter_readings(self):
-        for t, p, f in zip(self.timestamps, self.powers, self.filled):
-            yield Reading(t, float(p), bool(f))
+        for t, p in zip(self.timestamps, self.powers):
+            yield Reading(t, float(p))
 
 
 def iter_meter_csv(fh):
@@ -117,15 +117,15 @@ def read_meter_csv(source) -> MeterSeries:
     """Collect `iter_meter_csv` from a path or an open text stream.
 
     A hole of up to `MAX_FILL_MINUTES` missing minutes is filled with the row
-    before it, flagged as filled; a longer one closes the current segment and
-    opens a new one. A series must be clean, so a non-finite power raises
-    CsvFormatError with its line number.
+    before it; a longer one closes the current segment and opens a new one.
+    A series must be clean, so a non-finite power raises CsvFormatError with
+    its line number.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
             return read_meter_csv(fh)
 
-    timestamps, powers, filled, labels, starts = [], [], [], [], [0]
+    timestamps, powers, labels, starts = [], [], [], [0]
     for lineno, t, power, label in iter_meter_csv(source):
         if not math.isfinite(power):
             raise CsvFormatError(f"line {lineno}: non-finite power")
@@ -135,11 +135,9 @@ def read_meter_csv(source) -> MeterSeries:
             else:
                 timestamps += [timestamps[-1] + j * MINUTE for j in range(1, missing + 1)]
                 powers += [powers[-1]] * missing
-                filled += [True] * missing
                 labels += [labels[-1]] * missing
         timestamps.append(t)
         powers.append(power)
-        filled.append(False)
         labels.append(label)
 
     if not timestamps:
@@ -147,7 +145,6 @@ def read_meter_csv(source) -> MeterSeries:
     return MeterSeries(
         timestamps=timestamps,
         powers=np.asarray(powers, dtype=np.float64),
-        filled=np.asarray(filled, dtype=bool),
         labels=None if labels[0] is None else np.asarray(labels, dtype=np.int64),
         segments=list(zip(starts, starts[1:] + [len(timestamps)])),
     )
@@ -299,7 +296,6 @@ def synth_household(cfg: SynthConfig) -> MeterSeries:
     return MeterSeries(
         timestamps=timestamps,
         powers=power,
-        filled=np.zeros(n, dtype=bool),
         labels=labels,
         segments=[(0, n)],
     )

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, normalize
-from .memory import Reading, StreamOrderError, StreamState
+from .memory import Reading, StreamState
 from .model import ModelParams, mtr_forward
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
@@ -240,34 +240,41 @@ class OnlineDetector:
     def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
 
+    def _after_last(self, t: datetime) -> bool:
+        """The one order rule: whether a reading at `t` is newer than `last_t`,
+        the newest timestamp stepped. A timestamp of the other time-zone kind
+        (naive against timezone-aware) raises ValueError, as within one CSV."""
+        if self.last_t is not None and (t.utcoffset() is None) != (self.last_t.utcoffset() is None):
+            raise ValueError(f"reading at {t} and the newest stepped, {self.last_t}, mix naive and timezone-aware timestamps")
+        return self.last_t is None or t > self.last_t
+
     def run(self, readings):
         """Step each reading after the hole since `last_t`, yielding every
         minute's event: up to `MAX_FILL_MINUTES` missing minutes repeat the
         windows' newest power, unless they hold none; a longer hole clears them."""
         for reading in readings:
-            missing = 0 if self.last_t is None else (reading.t - self.last_t) // MINUTE - 1
-            if missing > MAX_FILL_MINUTES:
-                self.clear_windows()
-            elif self.stream.readings:
-                for _ in range(missing):
-                    yield self.step(Reading(self.last_t + MINUTE, self.stream.readings[-1].power, True))
+            if self.last_t is not None and self._after_last(reading.t):
+                missing = (reading.t - self.last_t) // MINUTE - 1
+                if missing > MAX_FILL_MINUTES:
+                    self.clear_windows()
+                elif self.stream.readings:
+                    for _ in range(missing):
+                        yield self.step(Reading(self.last_t + MINUTE, self.stream.readings[-1].power))
             yield self.step(reading)
 
     def step(self, reading: Reading) -> DetectionEvent:
         """Score one reading as the next minute, with no gap handling (`run`
-        does that); a reading not newer than the windows' newest is refused."""
-        if self.last_t is None or reading.t > self.last_t:
-            self.last_t = reading.t
+        does that); a reading not newer than `last_t` is refused."""
+        if not self._after_last(reading.t):
+            return self._rejected(reading, f"reading at {reading.t} is not newer than {self.last_t}")
+        self.last_t = reading.t
         # a rejected reading never enters the buffers, so the stream goes on;
         # one compare refuses both a non-finite and a huge reading
         if not abs(reading.power - self.stats.mean) <= MAX_ABS_Z * self.stats.std:
             if not math.isfinite(reading.power):
                 return self._rejected(reading, f"non-finite reading power {reading.power}")
             return self._rejected(reading, f"out-of-range reading power {reading.power} (|z| > {MAX_ABS_Z:g})")
-        try:
-            self._push(reading)
-        except StreamOrderError as exc:
-            return self._rejected(reading, str(exc))
+        self._push(reading)
 
         if not self.stream.full:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
@@ -318,7 +325,6 @@ class OnlineDetector:
             "total_seen": self.stream.total_seen,
             "last_t": None if self.last_t is None else self.last_t.isoformat(),
             "t": [r.t.isoformat() for r in readings],
-            "filled": [r.filled for r in readings],
         }
         meta["spot"] = spot
         arrays["power"] = np.array([r.power for r in readings], dtype=np.float64)
@@ -329,9 +335,11 @@ class OnlineDetector:
     def load(cls, path) -> "OnlineDetector":
         """Resume a detector saved by `save`; a malformed file raises ValueError.
 
-        The saved readings are restored, not replayed: `StreamState.restore`
-        refills the stream buffer (and rejects a stream that pushes cannot leave),
-        and the cache ring takes the content logits of the global ones in one
+        The saved readings are restored, not replayed. A stream that steps
+        cannot leave is refused: here, timestamps of mixed time-zone kinds,
+        that do not strictly increase or that end after `last_t`; in
+        `StreamState.restore`, a count other than pushes leave. The cache ring
+        takes the content logits of the global readings in one
         `AttentionCache.fill`. The state equals, bit for bit, that of pushing
         the readings one at a time: the features come from the same
         elementwise embed, and `fill`'s stacked matmul runs the matrix-vector
@@ -347,9 +355,9 @@ class OnlineDetector:
             stream, spot = meta["stream"], meta["spot"]
             times = [datetime.fromisoformat(t) for t in stream["t"]]
             det.last_t = datetime.fromisoformat(stream["last_t"]) if stream.get("last_t") else max(times, default=None)
-            filled, powers, total_seen = stream["filled"], arrays["power"], stream["total_seen"]
-            if not (len(filled) == len(times) and powers.shape == (len(times),) and powers.dtype == np.float64):
-                raise ValueError(f"{path}: stream has {len(times)} timestamps, {len(filled)} fill flags and {powers.dtype} powers of shape {powers.shape}")
+            powers, total_seen = arrays["power"], stream["total_seen"]
+            if not (powers.shape == (len(times),) and powers.dtype == np.float64):
+                raise ValueError(f"{path}: stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
@@ -357,9 +365,11 @@ class OnlineDetector:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
         try:
+            if any(a >= b for a, b in zip(times, times[1:])):
+                raise ValueError("timestamps are not strictly increasing")
             if times and not det.last_t >= times[-1]:
                 raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
-            g = det.stream.restore(list(map(Reading, times, powers.tolist(), map(bool, filled))), total_seen)
+            g = det.stream.restore(list(map(Reading, times, powers.tolist())), total_seen)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: stream {exc}") from exc
         det.cache.fill(det._embed_scalar(((powers[:g] - stats.mean) / stats.std)[:, None]))

@@ -2,8 +2,9 @@
 
 One buffer holds the newest lm + gm readings, oldest first: the global window
 is its oldest gm, the local window its newest lm. Both windows are
-index-based, not wall-clock-based: a push takes any newer timestamp, and
-`OnlineDetector.run` decides what a hole between two readings means.
+index-based, not wall-clock-based: the buffer never reads a timestamp, and
+`OnlineDetector` decides which readings come in order and what a hole
+between two of them means.
 """
 
 from __future__ import annotations
@@ -13,16 +14,11 @@ from datetime import datetime
 from typing import NamedTuple
 
 
-class StreamOrderError(ValueError):
-    """Raised when a reading arrives with a non-increasing timestamp."""
-
-
 class Reading(NamedTuple):
-    """One timestamped real-power sample (kW). `filled` marks gap-filled rows."""
+    """One timestamped real-power sample (kW)."""
 
     t: datetime
     power: float
-    filled: bool = False
 
 
 class StreamState:
@@ -48,8 +44,6 @@ class StreamState:
         """Append a reading; returns the one it moves from the local into the
         global window, if more than lm are held."""
         buf = self.readings
-        if buf and r.t <= buf[-1].t:
-            raise StreamOrderError(f"reading at {r.t} is not newer than {buf[-1].t}")
         buf.append(r)
         self.total_seen += 1
         return buf[-self.lm - 1] if len(buf) > self.lm else None
@@ -58,14 +52,12 @@ class StreamState:
         """Set the buffer as pushing `total_seen` readings ending in `readings`
         (oldest first) leaves it; returns how many are in the global window.
 
-        Readings that pushes cannot leave raise ValueError: a count other than
-        min(total_seen, lm + gm), or timestamps that do not strictly increase.
+        A count other than min(total_seen, lm + gm), which pushes cannot leave,
+        raises ValueError.
         """
         n, span = len(readings), self.readings.maxlen
         if type(total_seen) is not int or n != min(total_seen, span):
             raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {span})")
-        if any(a.t >= b.t for a, b in zip(readings, readings[1:])):
-            raise StreamOrderError("timestamps are not strictly increasing")
         self.readings = deque(readings, maxlen=span)
         self.total_seen = total_seen
         return max(0, n - self.lm)

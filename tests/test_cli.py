@@ -359,7 +359,6 @@ class TestDetect:
         gapped = MeterSeries(
             timestamps=[series.timestamps[i] for i in keep],
             powers=series.powers[keep],
-            filled=series.filled[keep],
             labels=series.labels[keep],
         )
         csv = workdir / "two_gaps.csv"
@@ -385,7 +384,7 @@ class TestDetect:
         labels[100:110] = 1
         labels[600:620] = 1  # still inside lm + gm - 1 + calibration_len = 639
         csv = workdir / "ev_in_prefix.csv"
-        csv.write_text(format_meter_csv(MeterSeries(series.timestamps, series.powers, series.filled, labels)))
+        csv.write_text(format_meter_csv(MeterSeries(series.timestamps, series.powers, labels)))
         assert main(args + [str(csv), "--out", str(workdir / "ev_in_prefix_file.jsonl")]) == 0
         assert capsys.readouterr().err.count(warning) == 1
         monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
@@ -397,12 +396,10 @@ class TestDetect:
         series = read_meter_csv(str(tiny_setup["detect_csv"]))
         warning = "warning: EV-labeled readings inside the calibration prefix"
         head, tail, engine = workdir / "warn_head.csv", workdir / "warn_tail.csv", workdir / "warn_engine.npz"
-        head.write_text(format_meter_csv(MeterSeries(series.timestamps[:1000], series.powers[:1000],
-                                                     series.filled[:1000], series.labels[:1000])))
+        head.write_text(format_meter_csv(MeterSeries(series.timestamps[:1000], series.powers[:1000], series.labels[:1000])))
         labels = series.labels[1000:].copy()
         labels[:5] = 1
-        tail.write_text(format_meter_csv(MeterSeries(series.timestamps[1000:], series.powers[1000:],
-                                                     series.filled[1000:], labels)))
+        tail.write_text(format_meter_csv(MeterSeries(series.timestamps[1000:], series.powers[1000:], labels)))
         args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
         assert main(args + [str(head), "--out", os.devnull, "--save-engine", str(engine)]) == 0
         assert OnlineDetector.load(engine).spot is not None
@@ -433,7 +430,6 @@ class TestDetect:
             part = MeterSeries(
                 timestamps=series.timestamps[sl],
                 powers=series.powers[sl],
-                filled=series.filled[sl],
                 labels=series.labels[sl],
                 segments=[(0, len(series.timestamps[sl]))],
             )
@@ -496,6 +492,25 @@ class TestDetect:
         assert main(["detect", "--resume-engine", str(engine_ckpt), str(csv["tail"]), "--out", str(events["tail"])]) == 0
         assert events["head"].read_bytes() + events["tail"].read_bytes() == events["whole"].read_bytes()
 
+    @pytest.mark.parametrize("aware_head", [True, False], ids=["aware-engine-naive-rows", "naive-engine-aware-rows"])
+    def test_resume_on_the_other_time_zone_kind_exits_one(self, workdir, tiny_setup, capsys, aware_head):
+        # the detector refuses the mix, as the CSV reader does within one file
+        header, *rows = tiny_setup["detect_csv"].read_text().splitlines()
+        head, tail = rows[:1000], rows[1000:1099]
+        stamped = [f"{t}+00:00,{rest}" for t, rest in (row.split(",", 1) for row in (head if aware_head else tail))]
+        head, tail = (stamped, tail) if aware_head else (head, stamped)
+        name = f"tz_{'aware' if aware_head else 'naive'}"
+        head_csv, tail_csv, engine_ckpt = (workdir / f"{name}{ext}" for ext in ("_head.csv", "_tail.csv", ".npz"))
+        head_csv.write_text("\n".join([header, *head]) + "\n")
+        tail_csv.write_text("\n".join([header, *tail]) + "\n")
+        fresh = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        assert main(fresh + [str(head_csv), "--out", os.devnull, "--save-engine", str(engine_ckpt)]) == 0
+        capsys.readouterr()
+        code = main(["detect", "--resume-engine", str(engine_ckpt), str(tail_csv), "--out", os.devnull])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "naive and timezone-aware" in err
+
     def test_long_gap_rewarms_windows(self, workdir, tiny_setup):
         # a 2-hour gap after calibration opens a new segment; no window spans it
         series = read_meter_csv(str(tiny_setup["detect_csv"]))
@@ -504,7 +519,6 @@ class TestDetect:
         gapped = MeterSeries(
             timestamps=[series.timestamps[i] for i in keep],
             powers=series.powers[keep],
-            filled=series.filled[keep],
             labels=series.labels[keep],
         )
         csv = workdir / "gapped.csv"
@@ -586,7 +600,6 @@ class TestDetect:
         assert len(stream["t"]) == 40
         if fault == "more-than-lm-plus-gm":
             stream["t"].append("2030-01-01T00:00:00")
-            stream["filled"].append(False)
             arrays["power"] = np.append(arrays["power"], 1.0)
         elif fault == "non-increasing-timestamps":
             stream["t"][5] = stream["t"][4]
@@ -594,7 +607,7 @@ class TestDetect:
             stream["total_seen"] = 39
         elif fault == "total-seen-above-short-stream":
             # 10 readings, but 60 seen: pushes would have left lm + gm = 40
-            stream["t"], stream["filled"], arrays["power"] = stream["t"][-10:], stream["filled"][-10:], arrays["power"][-10:]
+            stream["t"], arrays["power"] = stream["t"][-10:], arrays["power"][-10:]
         elif fault == "last-t-before-newest-reading":
             # a `last_t` behind the windows would fake a hole at the next reading
             stream["last_t"] = stream["t"][-2]

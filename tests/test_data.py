@@ -42,11 +42,10 @@ class TestReadCsv:
         series = _csv("timestamp,power_kw,label\n2018-01-01T00:00,1.0,0\n2018-01-01T00:01,4.3,1\n")
         assert series.labels.tolist() == [0, 1]
 
-    def test_gap_forward_filled_and_flagged(self):
+    def test_gap_forward_filled(self):
         series = _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:02,2.0\n")
         assert len(series) == 3
         assert series.powers.tolist() == [1.0, 1.0, 2.0]
-        assert series.filled.tolist() == [False, True, False]
         assert series.timestamps[1] == datetime(2018, 1, 1, 0, 1)
 
     def test_long_gap_splits_segments(self):
@@ -76,7 +75,6 @@ class TestReadCsv:
         series = MeterSeries(
             timestamps=[t0 + timedelta(minutes=i) for i in range(n)],
             powers=rng.uniform(0, 10, size=n).round(6),
-            filled=np.zeros(n, dtype=bool),
             labels=rng.integers(0, 2, size=n),
             segments=[(0, n)],
         )
@@ -142,7 +140,6 @@ class TestReadCsv:
         assert series.timestamps == [t0 + timedelta(minutes=int(m)) for m in minutes]
         np.testing.assert_array_equal(series.powers, powers[source])
         np.testing.assert_array_equal(series.labels, labels[source])
-        np.testing.assert_array_equal(series.filled, ~keep[minutes])
         assert series.segments == list(zip(starts.tolist(), ends.tolist()))
 
     @pytest.mark.slow
@@ -286,7 +283,6 @@ class TestNonEvSegments:
         series = MeterSeries(
             timestamps=[datetime(2018, 1, 1) + timedelta(minutes=i) for i in range(n)],
             powers=np.zeros(n),
-            filled=np.zeros(n, dtype=bool),
             labels=None if labels is None else np.array(labels, dtype=np.int64),
             segments=list(zip(cuts, cuts[1:])),
         )
@@ -302,7 +298,6 @@ class TestNonEvSegments:
         series = MeterSeries(
             timestamps=[datetime(2018, 1, 1) + timedelta(minutes=i) for i in range(n)],
             powers=np.zeros(n),
-            filled=np.zeros(n, dtype=bool),
             labels=labels,
             segments=[(0, 30), (30, 50)],
         )

@@ -5,7 +5,7 @@ import copy
 import functools
 import math
 import warnings
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -106,6 +106,44 @@ class TestPhases:
         assert ev.error is not None and ev.label == 0
         assert det.stream.total_seen == seen
 
+    def test_a_reading_at_a_refused_minute_is_an_error_event(self):
+        det = _detector()
+        readings = _readings(np.random.default_rng(11).normal(size=30))
+        for r in readings:
+            det.step(r)
+        t = readings[-1].t + timedelta(minutes=1)
+        assert det.step(Reading(t, math.nan)).error is not None
+        seen = det.stream.total_seen
+        ev = det.step(Reading(t, 0.3))
+        assert ev.error == f"reading at {t} is not newer than {t}" and ev.score is None
+        assert det.stream.total_seen == seen and det.last_t == t
+
+    def test_after_clear_windows_an_older_reading_is_an_error_event(self):
+        det = _detector()
+        readings = _readings(np.random.default_rng(12).normal(size=30))
+        for r in readings:
+            det.step(r)
+        det.clear_windows()
+        ev = det.step(readings[10])
+        assert ev.error is not None and ev.phase == WARMUP
+        assert not det.stream.readings and det.last_t == readings[-1].t
+
+    @pytest.mark.parametrize("aware_first", [True, False], ids=["aware-then-naive", "naive-then-aware"])
+    def test_a_reading_of_the_other_time_zone_kind_raises_value_error(self, aware_first):
+        # as the CSV reader refuses mixed kinds within one file; `run` checks
+        # before it measures the hole since `last_t`
+        naive = _readings(np.random.default_rng(13).normal(size=40))
+        aware = [r._replace(t=r.t.replace(tzinfo=timezone.utc)) for r in naive]
+        first, then = (aware, naive) if aware_first else (naive, aware)
+        det = _detector()
+        for r in first[:30]:
+            det.step(r)
+        with pytest.raises(ValueError, match="naive and timezone-aware"):
+            det.step(then[30])
+        with pytest.raises(ValueError, match="naive and timezone-aware"):
+            next(det.run(then[35:]))
+        assert det.last_t == first[29].t and det.stream.total_seen == 30
+
     def test_non_finite_score_is_an_error_event(self, monkeypatch):
         det = _detector(calibration_len=100)
         readings = _readings(np.random.default_rng(4).normal(size=SMALL.lm + SMALL.gm + 120))
@@ -181,7 +219,7 @@ class TestRun:
 
     @staticmethod
     def _fills(after, n, power):
-        return [Reading(after + timedelta(minutes=j), power, True) for j in range(1, n + 1)]
+        return [Reading(after + timedelta(minutes=j), power) for j in range(1, n + 1)]
 
     def test_a_hole_of_max_fill_minutes_repeats_the_newest_power(self):
         readings, at = self._holed(MAX_FILL_MINUTES), self.AT
@@ -214,7 +252,7 @@ class TestRun:
         readings = [readings[0]._replace(power=math.nan)] + readings[4:]
         det = _detector()
         assert [e.t for e in det.run(readings)] == [r.t for r in readings]
-        assert not any(r.filled for r in det.stream.readings)
+        assert list(det.stream.readings) == readings[1:][-(SMALL.lm + SMALL.gm) :]
 
     def test_step_keeps_the_newest_timestamp(self):
         det = _detector()
@@ -420,6 +458,24 @@ class TestCheckpointResume:
         assert [format_event(old.step(r)) for r in readings[450:]] == full[450:]
         with pytest.raises(ValueError, match="malformed"):
             OnlineDetector.load(tmp_path / "typo.npz")
+
+    def test_files_with_fill_flags_load_and_continue(self, tmp_path):
+        # older engine files carry `stream.filled`; nothing reads the flags,
+        # so a load ignores them
+        readings = _readings(np.random.default_rng(20).normal(size=600))
+        readings = readings[:440] + readings[443:]
+        whole = [format_event(e) for e in _detector(seed=16, calibration_len=300).run(readings)]
+        det = _detector(seed=16, calibration_len=300)
+        head = [format_event(e) for e in det.run(readings[:447])]
+        det.save(tmp_path / "new.npz")
+        meta, arrays = ckpt.read_container(tmp_path / "new.npz", ckpt.ENGINE_FORMAT)
+        assert "filled" not in meta["stream"]
+        given = {r.t.isoformat() for r in readings}
+        filled = [t not in given for t in meta["stream"]["t"]]
+        assert sum(filled) == 3
+        ckpt.write_container(tmp_path / "old.npz", ckpt.ENGINE_FORMAT, {**meta, "stream": {**meta["stream"], "filled": filled}}, arrays)
+        old = OnlineDetector.load(tmp_path / "old.npz")
+        assert head + [format_event(e) for e in old.run(readings[447:])] == whole
 
     def test_resume_during_warmup(self):
         det_a = _detector(seed=17)

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from evdetect.memory import Reading, StreamOrderError, StreamState
+from evdetect.memory import Reading, StreamState
 
 T0 = datetime(2018, 1, 1)
 
@@ -39,16 +39,6 @@ def test_global_eviction_discards_oldest():
     r = [_reading(i) for i in range(6)]
     assert [s.push(x) for x in r] == [None, None, r[0], r[1], r[2], r[3]]
     assert list(s.readings) == [r[1], r[2], r[3], r[4], r[5]]
-
-
-def test_out_of_order_rejected():
-    s = StreamState(lm=2, gm=3)
-    s.push(_reading(5))
-    with pytest.raises(StreamOrderError):
-        s.push(_reading(5))
-    with pytest.raises(StreamOrderError):
-        s.push(_reading(4))
-    assert s.total_seen == 1
 
 
 def test_snapshot_boundary():
@@ -121,10 +111,3 @@ def test_restore_rejects_counts_pushes_cannot_leave(n, total_seen):
     s = StreamState(lm=2, gm=5)
     with pytest.raises(ValueError, match="readings, not min"):
         s.restore([_reading(i) for i in range(n)], total_seen)
-
-
-def test_restore_rejects_non_increasing_timestamps():
-    readings = [_reading(i) for i in range(5)]
-    readings[3] = readings[2]
-    with pytest.raises(StreamOrderError):
-        StreamState(lm=2, gm=5).restore(readings, 5)
