@@ -192,12 +192,12 @@ DETECT_DEFAULTS = {**_defaults(EngineConfig, ENGINE_FIELDS), "jobs": 1}
 def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=None):
     from_stdin = input_path == "-"
     warned = False
-    n_steps = 0
+    n_rows = n_steps = 0
     t = label = None  # the row `run` is stepping, for the calibration warning
 
     def readings(fh):
-        nonlocal t, label
-        for _, t, power, label in iter_meter_csv(fh):
+        nonlocal t, label, n_rows
+        for n_rows, (_, t, power, label) in enumerate(iter_meter_csv(fh), start=1):
             yield Reading(t, power)
 
     started = time.perf_counter()
@@ -221,14 +221,13 @@ def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=Non
     elapsed = time.perf_counter() - started
     if save_engine:
         detector.save(save_engine)
-    return n_steps, elapsed
+    return n_rows, n_steps - n_rows, elapsed
 
 
 def _detect_one(task):
     params, stats, config, input_path, out_path = task
     with open(out_path, "w", encoding="utf-8") as fh:
-        n, elapsed = _run_detection(OnlineDetector(params, stats, config), input_path, fh)
-    return input_path, n, elapsed
+        return input_path, *_run_detection(OnlineDetector(params, stats, config), input_path, fh)
 
 
 def cmd_detect(args, parser) -> int:
@@ -262,26 +261,24 @@ def cmd_detect(args, parser) -> int:
         else:
             detector = OnlineDetector(params, stats, config)
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
-            n, elapsed = _run_detection(detector, args.inputs[0], out_fh, args.save_engine)
-        if n:
-            print(f"processed {n} readings, {elapsed / n * 1000:.3f} ms/reading mean", file=sys.stderr)
-        return 0
-
-    tasks = {}  # events file -> the one task that writes it
-    for path in args.inputs:
-        out_path = os.path.join(args.out_dir, os.path.splitext(os.path.basename(path))[0] + ".jsonl")
-        if out_path in tasks:
-            parser.error(f"{tasks[out_path][3]} and {path} would both write {out_path}")
-        tasks[out_path] = (params, stats, config, path, out_path)
-    os.makedirs(args.out_dir, exist_ok=True)
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            results = list(pool.map(_detect_one, tasks.values()))
+            results = [(args.inputs[0], *_run_detection(detector, args.inputs[0], out_fh, args.save_engine))]
     else:
-        results = [_detect_one(t) for t in tasks.values()]
-    for input_path, n, elapsed in results:
-        per = elapsed / n * 1000 if n else 0.0
-        print(f"{input_path}: {n} readings, {per:.3f} ms/reading mean", file=sys.stderr)
+        tasks = {}  # events file -> the one task that writes it
+        for path in args.inputs:
+            out_path = os.path.join(args.out_dir, os.path.splitext(os.path.basename(path))[0] + ".jsonl")
+            if out_path in tasks:
+                parser.error(f"{tasks[out_path][3]} and {path} would both write {out_path}")
+            tasks[out_path] = (params, stats, config, path, out_path)
+        os.makedirs(args.out_dir, exist_ok=True)
+        if cfg["jobs"] > 1:
+            with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+                results = list(pool.map(_detect_one, tasks.values()))
+        else:
+            results = [_detect_one(t) for t in tasks.values()]
+    for input_path, n_rows, n_filled, elapsed in results:
+        per = elapsed / n_rows * 1000 if n_rows else 0.0
+        source = "stdin" if input_path == "-" else input_path
+        print(f"{source}: {n_rows} readings, {n_filled} filled minutes, {per:.3f} ms/reading mean", file=sys.stderr)
     return 0
 
 
@@ -291,7 +288,8 @@ def cmd_detect(args, parser) -> int:
 
 
 def _metrics_from_events(events_path, labels_path):
-    series = read_meter_csv(labels_path)
+    # eval reads no power, so it takes every CSV that `detect` takes
+    series = read_meter_csv(labels_path, refuse_non_finite=False)
     if series.labels is None:
         raise ValueError(f"{labels_path} has no label column")
     truth_by_t = {t.isoformat(): int(lab) for t, lab in zip(series.timestamps, series.labels)}
@@ -330,26 +328,48 @@ def _spot_trace(scores, n_calib, **calibration):
     return steps()
 
 
-def _metrics_from_scores(path, q, calib_frac):
-    rows = []
+def _read_score_csv(path, columns) -> np.ndarray:
+    """The columns that `columns(path, header fields)` picks from a score CSV,
+    as a (rows, k) float64 array; None picks the one column of a headerless
+    file. A row with another field count than the first line's, or a bad
+    number, raises ValueError naming its line."""
+    rows, first = [], 2
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["score", "label"] or (len(header) == 3 and header[2] != "pred") or len(header) > 3:
-            raise ValueError(f"{path}: expected header 'score,label[,pred]'")
-        has_pred = len(header) == 3
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+        fields = fh.readline().strip().split(",")
+        picked = columns(path, fields)
+        if picked is None:  # no header: the first line is a score
+            picked, first = [0], 1
+            fh.seek(0)
+        for lineno, line in enumerate(fh, start=first):
+            if not (line := line.strip()):
                 continue
             parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{path}:{lineno}: wrong field count")
-            rows.append(tuple(float(v) for v in parts))
-    scores = np.array([r[0] for r in rows])
-    truth = np.array([int(r[1]) for r in rows])
-    if has_pred:
-        preds = np.array([int(r[2]) for r in rows])
-        return truth, preds, scores
+            if len(parts) != len(fields):
+                raise ValueError(f"{path}:{lineno}: expected {len(fields)} fields, got {len(parts)}: {line!r}")
+            try:
+                rows.append([float(parts[i]) for i in picked])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad number in {line!r}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, len(picked))
+
+
+def _eval_columns(path, fields):
+    if fields[:2] != ["score", "label"] or fields[2:] not in ([], ["pred"]):
+        raise ValueError(f"{path}: expected header 'score,label[,pred]'")
+    return range(len(fields))
+
+
+def _spot_column(path, fields):
+    if len(fields) > 1 and "score" not in fields:
+        raise ValueError(f"{path}: expected a header naming a 'score' column, or one bare score column")
+    return [fields.index("score")] if "score" in fields else None
+
+
+def _metrics_from_scores(path, q, calib_frac):
+    rows = _read_score_csv(path, _eval_columns)
+    scores, truth = rows[:, 0], rows[:, 1].astype(np.int64)
+    if rows.shape[1] == 3:
+        return truth, rows[:, 2].astype(np.int64), scores
     # derive predictions with a standalone threshold pass over the scores
     n_calib = max(100, int(len(rows) * calib_frac))
     if n_calib >= len(rows):
@@ -426,27 +446,11 @@ def cmd_synth(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_score_column(path) -> np.ndarray:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        cols = first.split(",")
-        score_idx = cols.index("score") if "score" in cols else None
-        if score_idx is None:
-            values.append(float(first))
-            score_idx = 0
-        for line in fh:
-            line = line.strip()
-            if line:
-                values.append(float(line.split(",")[score_idx]))
-    return np.asarray(values, dtype=np.float64)
-
-
 def cmd_spot(args, parser) -> int:
     if not (0.0 < args.calib < 1.0 or 1.0 < args.calib < math.inf):
         raise ValueError(f"--calib must be a fraction in (0, 1) or a count above 1, got {args.calib}")
     _require_file(parser, args.scores)
-    scores = _read_score_column(args.scores)
+    scores = _read_score_csv(args.scores, _spot_column)[:, 0]
     n_calib = int(args.calib) if args.calib > 1 else max(100, int(scores.size * args.calib))
     if n_calib >= scores.size:
         parser.error("calibration consumes the whole score file")

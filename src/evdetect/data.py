@@ -113,21 +113,21 @@ def iter_meter_csv(fh):
         prev_t = t
 
 
-def read_meter_csv(source) -> MeterSeries:
+def read_meter_csv(source, refuse_non_finite: bool = True) -> MeterSeries:
     """Collect `iter_meter_csv` from a path or an open text stream.
 
     A hole of up to `MAX_FILL_MINUTES` missing minutes is filled with the row
     before it; a longer one closes the current segment and opens a new one.
     A series must be clean, so a non-finite power raises CsvFormatError with
-    its line number.
+    its line number, unless `refuse_non_finite` is off (for reading labels).
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
-            return read_meter_csv(fh)
+            return read_meter_csv(fh, refuse_non_finite)
 
     timestamps, powers, labels, starts = [], [], [], [0]
     for lineno, t, power, label in iter_meter_csv(source):
-        if not math.isfinite(power):
+        if refuse_non_finite and not math.isfinite(power):
             raise CsvFormatError(f"line {lineno}: non-finite power")
         if timestamps and (missing := (t - timestamps[-1]) // MINUTE - 1):
             if missing > MAX_FILL_MINUTES:

@@ -318,8 +318,8 @@ class OnlineDetector:
         readings = self.stream.readings
         spot = None
         if self.spot is not None:
-            spot = asdict(self.spot)
-            arrays["peaks"] = np.asarray(spot.pop("peaks"), dtype=np.float64)
+            spot = {**vars(self.spot), "fit": asdict(self.spot.fit)}
+            arrays["peaks"] = spot.pop("peaks")
         meta["config"] = asdict(self.config)
         meta["stream"] = {
             "total_seen": self.stream.total_seen,
@@ -361,7 +361,8 @@ class OnlineDetector:
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
-                det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].tolist()})
+                # a copy: a view would keep the whole file's bytes alive
+                det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].copy()})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
         try:

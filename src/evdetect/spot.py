@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -187,19 +187,24 @@ def gpd_quantile(h: float, fit: GpdFit, q: float, n: int) -> float:
 
 @dataclass
 class SpotState:
-    """Live thresholding state for one stream of scores."""
+    """Live thresholding state for one stream of scores; `peaks` is a float64 array, oldest first."""
 
     q: float
     h: float
     z_q: float
     fit: GpdFit
-    peaks: list[float] = field(default_factory=list)
+    peaks: np.ndarray = field(default_factory=lambda: np.empty(0))
     k: int = 0
     n_peaks_total: int = 0
     refit_stride: int = 1
     max_peaks: int | None = None
     degenerate: bool = False
     _since_refit: int = 0
+
+    def __eq__(self, other):
+        if not isinstance(other, SpotState):
+            return NotImplemented
+        return {**vars(self), "peaks": None} == {**vars(other), "peaks": None} and np.array_equal(self.peaks, other.peaks)
 
 
 def _initial_threshold(scores: np.ndarray, init_level: float) -> tuple[float, bool]:
@@ -244,35 +249,25 @@ def pot_calibrate(
         raise ValueError("calibration scores must be finite")
 
     h, degenerate = _initial_threshold(x, init_level)
-    n = int(x.size)
+    peaks = x[x > h] - h
     if degenerate:
         margin = max(1e-9, 1e-6 * abs(h))
         warnings.warn("constant calibration scores; using h + tiny margin", CalibrationWarning, stacklevel=2)
-        state = SpotState(
-            q=q,
-            h=h,
-            z_q=h + margin,
-            fit=GpdFit(0.0, margin, 0),
-            k=n,
-            refit_stride=refit_stride,
-            max_peaks=max_peaks,
-            degenerate=True,
-        )
-        return state
-
-    peaks = [float(v - h) for v in x[x > h]]
-    fit = grimshaw_fit(peaks)
-    z_q = gpd_quantile(h, fit, q, n)
+        fit, z_q = GpdFit(0.0, margin, 0), h + margin
+    else:
+        fit = grimshaw_fit(peaks)
+        z_q = gpd_quantile(h, fit, q, x.size)
     return SpotState(
         q=q,
         h=h,
         z_q=z_q,
         fit=fit,
         peaks=peaks,
-        k=n,
-        n_peaks_total=len(peaks),
+        k=x.size,
+        n_peaks_total=peaks.size,
         refit_stride=refit_stride,
         max_peaks=max_peaks,
+        degenerate=degenerate,
     )
 
 
@@ -285,25 +280,24 @@ def spot_step(state: SpotState, x: float) -> str:
     """
     if x > state.z_q:
         return ANOMALY
-    if x > state.h:
-        state.peaks.append(float(x - state.h))
-        if state.max_peaks is not None and len(state.peaks) > state.max_peaks:
-            del state.peaks[: len(state.peaks) - state.max_peaks]
-        state.n_peaks_total += 1
-        state.k += 1
-        state._since_refit += 1
-        if state._since_refit >= state.refit_stride or state.fit.n_excesses < 2:
-            if len(state.peaks) >= 2:
-                fitted = grimshaw_fit(state.peaks)
-                state.fit = GpdFit(fitted.gamma_hat, fitted.sigma_hat, state.n_peaks_total)
-                state.degenerate = False
-            state._since_refit = 0
-        else:
-            state.fit = GpdFit(state.fit.gamma_hat, state.fit.sigma_hat, state.n_peaks_total)
+    state.k += 1
+    if not x > state.h:
+        return NORMAL
+    state.peaks = np.append(state.peaks, x - state.h)
+    if state.max_peaks is not None:
+        state.peaks = state.peaks[-state.max_peaks :]
+    state.n_peaks_total += 1
+    state._since_refit += 1
+    # a degenerate state refits on every peak, from its second one on
+    if state._since_refit >= state.refit_stride or state.degenerate:
+        state._since_refit = 0
+        if state.peaks.size >= 2:
+            state.fit = grimshaw_fit(state.peaks)
+            state.degenerate = False
+    if not state.degenerate:
+        state.fit = replace(state.fit, n_excesses=state.n_peaks_total)
         # recompute only while q stays in the quantile's domain; otherwise the
         # previous threshold is kept rather than crashing mid-stream
-        if not state.degenerate and 0.0 < state.q < state.fit.n_excesses / state.k:
+        if 0.0 < state.q < state.fit.n_excesses / state.k:
             state.z_q = gpd_quantile(state.h, state.fit, state.q, state.k)
-        return PEAK
-    state.k += 1
-    return NORMAL
+    return PEAK

@@ -372,6 +372,24 @@ class TestDetect:
         lines = from_file.read_text().splitlines()
         assert len(lines) == len(keep) + 30 - 2 * (8 + 32 - 1)
 
+    def test_summary_counts_rows_and_filled_minutes_apart(self, workdir, tiny_setup, capsys, monkeypatch):
+        # a 30-minute hole: `run` steps 30 filled minutes that are no rows read
+        lines = tiny_setup["detect_csv"].read_text().splitlines()
+        csv = workdir / "summary_holed.csv"
+        csv.write_text("\n".join(lines[:2001] + lines[2031:]) + "\n")
+        rows = len(lines) - 1 - 30
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        capsys.readouterr()
+        assert main(args + [str(csv), "--out", os.devnull]) == 0
+        assert capsys.readouterr().err.startswith(f"{csv}: {rows} readings, 30 filled minutes, ")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv.read_text()))
+        assert main(args + ["-", "--out", os.devnull]) == 0
+        assert capsys.readouterr().err.startswith(f"stdin: {rows} readings, 30 filled minutes, ")
+        assert main(args + [str(csv), str(tiny_setup["detect_csv"]), "--out-dir", str(workdir / "summary")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"{csv}: {rows} readings, 30 filled minutes, ")
+        assert err[1].startswith(f"{tiny_setup['detect_csv']}: {len(lines) - 1} readings, 0 filled minutes, ")
+
     def test_calibration_prefix_warning_once(self, workdir, tiny_setup, capsys, monkeypatch):
         series = read_meter_csv(str(tiny_setup["detect_csv"]))
         warning = "warning: EV-labeled readings inside the calibration prefix"
@@ -878,6 +896,39 @@ class TestEval:
             metrics.append(json.loads(capsys.readouterr().out))
         assert metrics[0] == metrics[1]
 
+    def test_labels_csv_with_refused_powers_is_read(self, workdir, tiny_setup, capsys):
+        # `eval` reads no power, so a CSV that `detect` took is a labels file
+        lines = tiny_setup["detect_csv"].read_text().splitlines()
+        for row, power in ((1500, "nan"), (3001, "1e200")):
+            t, _, label = lines[row].split(",")
+            lines[row] = f"{t},{power},{label}"
+        csv, events = workdir / "refused_powers.csv", workdir / "refused_powers.jsonl"
+        csv.write_text("\n".join(lines) + "\n")
+        args = ["--calibration-len", "600", "--q", "1e-3"]
+        assert main(["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(csv), "--out", str(events)] + args) == 0
+        assert events.read_text().count('"error"') == 2
+        capsys.readouterr()
+        assert main(["eval", "--events", str(events), "--labels", str(csv)]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == ["auc", "f1", "precision", "recall"]
+        # training still needs clean powers, and says where one is not
+        assert main(["train", "--data", str(csv), "--out", str(workdir / "unused.npz"), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: line 1501: non-finite power\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("score,label\n0.5,1\n0.7\n", ":3: expected 2 fields, got 1: '0.7'"),
+            ("score,label\n0.5,x\n", ":2: bad number in '0.5,x'"),
+            ("label,score\n0.5,1\n", ": expected header 'score,label[,pred]'"),
+        ],
+    )
+    def test_malformed_score_file_exits_one(self, workdir, capsys, text, message):
+        path = workdir / "malformed_eval_scores.csv"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
     def test_multi_input_mean(self, workdir, capsys):
         scores = workdir / "scores_a.csv"
         rng = np.random.default_rng(10)
@@ -952,3 +1003,30 @@ class TestSpot:
         capsys.readouterr()
         assert main(["spot", "--scores", str(path), "--calib", calib, "--out", os.devnull]) == 1
         assert "--calib must be a fraction in (0, 1) or a count above 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,score\n0,0.5\n1\n", ":3: expected 2 fields, got 1: '1'"),
+            ("score\n0.5\nhigh\n", ":3: bad number in 'high'"),
+            ("0.5\n0.6,0.7\n", ":2: expected 1 fields, got 2: '0.6,0.7'"),
+            ("label,value\n0,0.5\n", ": expected a header naming a 'score' column, or one bare score column"),
+        ],
+    )
+    def test_malformed_score_file_exits_one(self, workdir, capsys, text, message):
+        path = workdir / "malformed_spot_scores.csv"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["spot", "--scores", str(path), "--out", os.devnull]) == 1
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("header", [None, "score", "t,score,label"])
+    def test_score_column_formats(self, workdir, capsys, header):
+        # a bare score column, or `score` anywhere in a header; other columns are not read
+        values = np.random.default_rng(15).normal(size=800)
+        rows = [f"2018-01-01T00:{i % 60:02d},{v},x" if header == "t,score,label" else str(v) for i, v in enumerate(values)]
+        path, trace = workdir / "spot_formats.csv", workdir / "spot_formats.jsonl"
+        path.write_text("\n".join(([header] if header else []) + rows) + "\n")
+        assert main(["spot", "--scores", str(path), "--calib", "600", "--out", str(trace)]) == 0
+        got = [json.loads(line)["score"] for line in trace.read_text().splitlines()]
+        assert got == [float(format(v, ".9g")) for v in values[600:]]

@@ -423,7 +423,7 @@ class TestDualRunEquivalence:
 
 
 class TestCheckpointResume:
-    def test_resume_mid_stream_identical_events(self):
+    def test_resume_mid_stream_identical_events(self, tmp_path):
         rng = np.random.default_rng(15)
         values = rng.normal(size=1000)
         values[700:705] += 8.0
@@ -435,10 +435,20 @@ class TestCheckpointResume:
         det_a = _detector(seed=16, calibration_len=300)
         for r in readings[:600]:
             det_a.step(r)
-        det_a.save("/tmp/engine_resume_test.npz")
-        det_b = OnlineDetector.load("/tmp/engine_resume_test.npz")
+        det_a.save(tmp_path / "engine.npz")
+        det_b = OnlineDetector.load(tmp_path / "engine.npz")
         resumed = [format_event(det_b.step(r)) for r in readings[600:]]
         assert resumed == full_events[600:]
+
+    def test_loaded_peaks_are_an_owned_float64_array(self, tmp_path):
+        # a view into the file's bytes would keep all of them alive
+        det = _detector(seed=16, calibration_len=300)
+        for r in _readings(np.random.default_rng(15).normal(size=600)):
+            det.step(r)
+        det.save(tmp_path / "engine.npz")
+        peaks = OnlineDetector.load(tmp_path / "engine.npz").spot.peaks
+        assert peaks.dtype == np.float64 and peaks.size == len(det.spot.peaks) > 0
+        assert peaks.base is None and peaks.flags.writeable
 
     @pytest.mark.parametrize("switch", [True, False])
     def test_files_with_the_old_cache_switch_load_and_continue(self, tmp_path, switch):
@@ -477,15 +487,15 @@ class TestCheckpointResume:
         old = OnlineDetector.load(tmp_path / "old.npz")
         assert head + [format_event(e) for e in old.run(readings[447:])] == whole
 
-    def test_resume_during_warmup(self):
+    def test_resume_during_warmup(self, tmp_path):
         det_a = _detector(seed=17)
         rng = np.random.default_rng(18)
         values = rng.normal(size=SMALL.lm + SMALL.gm + 200)
         readings = _readings(values)
         for r in readings[:5]:
             det_a.step(r)
-        det_a.save("/tmp/engine_resume_warmup.npz")
-        det_b = OnlineDetector.load("/tmp/engine_resume_warmup.npz")
+        det_a.save(tmp_path / "engine.npz")
+        det_b = OnlineDetector.load(tmp_path / "engine.npz")
         det_ref = _detector(seed=17)
         for r in readings[:5]:
             det_ref.step(r)
