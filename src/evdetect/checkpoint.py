@@ -18,11 +18,18 @@ once SPOT is calibrated nothing reads them, so the member is empty (a file
 that still carries them loads the same). Version 1 files (one npz member per
 weight) are rejected.
 
-`read_container` reads a file's bytes once and uses `zipfile` only to parse
-the central directory. Each member is then sliced from those bytes, after
+`read_container` reads a file's bytes once and parses the zip container itself,
+with `struct`, as `zipfile` reads it: it finds the end-of-central-directory
+record, walks the central directory, decodes names as UTF-8 when the entry says
+so and as cp437 otherwise, and allows bytes before the archive by shifting every
+offset. It refuses a multi-disk archive and a zip64 one (a zip64 end locator, an
+entry count of 0xFFFF, or a size or offset of 0xFFFFFFFF), and what `zipfile`
+refuses: a directory that does not fit or has a bad signature, a corrupt extra
+field, a member that needs a zip version above 6.3. No engine or model file
+comes near the zip64 limits. Each member is then sliced from those bytes, after
 checks that its local header is there, that it is stored (neither compressed
-nor encrypted; `write_container`'s `np.savez` writes only stored members),
-and that its length and CRC-32 match its directory entry. Each npy header goes
+nor encrypted; `write_container`'s `np.savez` writes only stored members), and
+that its length and CRC-32 match its directory entry. Each npy header goes
 through the public `np.lib.format` parsers (whose `literal_eval` costs more
 than the rest of a member's read), memoised on the raw header bytes. A
 header records only dtype, order and shape, so across the files of one fleet
@@ -39,7 +46,6 @@ import io
 import json
 import math
 import struct
-import zipfile
 import zlib
 from dataclasses import asdict
 
@@ -54,9 +60,19 @@ MODEL_FORMAT = "evdetect-model"
 ENGINE_FORMAT = "evdetect-engine"
 FORMAT_VERSION = 2
 
-# a zip local file header: signature, 22 bytes of fields the directory repeats,
-# name length, extra-field length; the name and the extra field follow it
+# zip records, little-endian (APPNOTE 4.3.7, 4.3.12 and 4.3.16); each names
+# the fields read, and skips the others
+# end of central directory: signature, this disk, the directory's disk, entries
+# on this disk, entries in all, directory size, directory offset, comment length
+_END = struct.Struct("<4s4H2LH")
+# central directory entry: signature, version needed to extract, flags, method,
+# CRC-32, compressed size, size, name, extra and comment lengths, local header
+# offset
+_ENTRY = struct.Struct("<4s2xBxHH4x3L3H8xL")
+# local file header: signature, 22 bytes of fields the directory repeats, name
+# length, extra-field length; the name and the extra field follow it
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
+_ZIP64 = 0xFFFFFFFF
 
 
 def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -97,20 +113,50 @@ def _npy_array(name: str, member: bytes) -> np.ndarray:
 def _members(data: bytes):
     """(name, bytes) of each member of the zip archive `data`, sliced from it
     after the checks the module docstring lists; a failed one raises ValueError."""
-    with zipfile.ZipFile(io.BytesIO(data)) as zf:
-        infos = zf.infolist()
-    for info in infos:
-        name = info.filename
-        signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(data, info.header_offset)
+    end = data.rfind(b"PK\x05\x06", max(len(data) - (1 << 16) - _END.size, 0))
+    if end < 0:
+        raise ValueError("no end-of-central-directory record")
+    _, disk, start_disk, on_disk, count, size, offset, _ = _END.unpack_from(data, end)
+    if disk or start_disk or on_disk != count:
+        raise ValueError("a multi-disk archive")
+    if count == 0xFFFF or _ZIP64 in (size, offset) or (end >= 20 and data[end - 20 : end - 16] == b"PK\x06\x07"):
+        raise ValueError("a zip64 archive")
+    if size > end:
+        raise ValueError(f"a central directory of {size} bytes does not fit before byte {end}")
+    directory, shift = data[end - size : end], end - size - offset
+    at = 0
+    while at < size:
+        signature, version, flags, method, crc, stored, file_size, name_len, extra_len, comment_len, header = (
+            _ENTRY.unpack_from(directory, at)
+        )
+        if signature != b"PK\x01\x02":
+            raise ValueError("bad central directory signature")
+        at += _ENTRY.size
+        # cp437 decodes ASCII as UTF-8 does, only through a slower codec
+        name = directory[at : at + name_len]
+        name = name.decode("utf-8" if flags & 0x800 or name.isascii() else "cp437").partition("\0")[0]
+        extra = directory[at + name_len : at + name_len + extra_len]
+        at += name_len + extra_len + comment_len
+        if version > 63:
+            raise ValueError(f"member {name} needs zip version {version / 10}")
+        if _ZIP64 in (stored, file_size, header):
+            raise ValueError(f"member {name} has zip64 sizes or offset")
+        while len(extra) >= 4:
+            skip = 4 + int.from_bytes(extra[2:4], "little")
+            if skip > len(extra):
+                raise ValueError(f"member {name} has a corrupt extra field")
+            extra = extra[skip:]
+        header += shift
+        signature, name_len, extra_len = _LOCAL_HEADER.unpack_from(data, header)
         if signature != b"PK\x03\x04":
             raise ValueError(f"member {name} has no local header")
-        if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        if method != 0 or flags & 0x1:
             raise ValueError(f"member {name} is compressed or encrypted, not stored")
-        start = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
-        member = data[start : start + info.file_size]
-        if len(member) != info.file_size or info.compress_size != info.file_size:
-            raise ValueError(f"member {name} has {len(member)} bytes, its directory entry says {info.file_size}")
-        if zlib.crc32(member) != info.CRC:
+        start = header + _LOCAL_HEADER.size + name_len + extra_len
+        member = data[start : start + file_size]
+        if len(member) != file_size or stored != file_size:
+            raise ValueError(f"member {name} has {len(member)} bytes, its directory entry says {file_size}")
+        if zlib.crc32(member) != crc:
             raise ValueError(f"bad CRC-32 for member {name}")
         yield name, member
 
@@ -124,7 +170,7 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
         data = fh.read()
     try:
         arrays = {name.removesuffix(".npy"): _npy_array(name, member) for name, member in _members(data)}
-    except (zipfile.BadZipFile, EOFError, ValueError, struct.error) as exc:
+    except (ValueError, struct.error) as exc:
         raise ValueError(f"not a readable {kind} file: {path} ({exc})") from exc
     try:
         meta = json.loads(arrays.pop(FORMAT_KEY).tobytes().decode("utf-8"))

@@ -37,7 +37,7 @@ from .data import (
     write_meter_csv,
 )
 from .engine import CALIBRATING, DETECTING, WARMUP, EngineConfig, OnlineDetector, format_event
-from .evaluation import confusion, precision_recall_f1, roc_auc
+from .evaluation import as_binary, confusion, precision_recall_f1, roc_auc
 from .memory import Reading
 from .model import ModelDims
 from .nn import Hyper
@@ -367,9 +367,11 @@ def _spot_column(path, fields):
 
 def _metrics_from_scores(path, q, calib_frac):
     rows = _read_score_csv(path, _eval_columns)
-    scores, truth = rows[:, 0], rows[:, 1].astype(np.int64)
+    # every label is checked, those of calibration rows too; `confusion`
+    # checks the preds
+    scores, truth = rows[:, 0], as_binary(rows[:, 1], "labels")
     if rows.shape[1] == 3:
-        return truth, rows[:, 2].astype(np.int64), scores
+        return truth, rows[:, 2], scores
     # derive predictions with a standalone threshold pass over the scores
     n_calib = max(100, int(len(rows) * calib_frac))
     if n_calib >= len(rows):

@@ -31,6 +31,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime
+from itertools import repeat
 
 import numpy as np
 
@@ -370,7 +371,9 @@ class OnlineDetector:
                 raise ValueError("timestamps are not strictly increasing")
             if times and not det.last_t >= times[-1]:
                 raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
-            g = det.stream.restore(list(map(Reading, times, powers.tolist())), total_seen)
+            # tuple.__new__ skips the NamedTuple's Python-level constructor
+            readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers.tolist())))
+            g = det.stream.restore(readings, total_seen)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: stream {exc}") from exc
         det.cache.fill(det._embed_scalar(((powers[:g] - stats.mean) / stats.std)[:, None]))

@@ -22,7 +22,8 @@ class Confusion:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def _as_binary(x, name: str) -> np.ndarray:
+def as_binary(x, name: str) -> np.ndarray:
+    """`x` as int64 0/1 values; any other value raises ValueError."""
     a = np.asarray(x)
     if not np.isin(a, (0, 1)).all():
         raise ValueError(f"{name} must be 0/1")
@@ -31,8 +32,8 @@ def _as_binary(x, name: str) -> np.ndarray:
 
 def confusion(labels, preds) -> Confusion:
     """Pointwise confusion counts between truth and predictions."""
-    y = _as_binary(labels, "labels")
-    p = _as_binary(preds, "preds")
+    y = as_binary(labels, "labels")
+    p = as_binary(preds, "preds")
     if y.shape != p.shape:
         raise ValueError(f"length mismatch: {y.shape} vs {p.shape}")
     tp = int(np.sum((y == 1) & (p == 1)))
@@ -52,7 +53,7 @@ def precision_recall_f1(c: Confusion) -> tuple[float, float, float]:
 
 def roc_auc(labels, scores) -> float:
     """Rank-based AUC (Mann-Whitney statistic) with midranks for ties."""
-    y = _as_binary(labels, "labels")
+    y = as_binary(labels, "labels")
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
         raise ValueError(f"length mismatch: {y.shape} vs {s.shape}")

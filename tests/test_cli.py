@@ -929,6 +929,35 @@ class TestEval:
         assert main(["eval", "--scores", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}{message}\n"
 
+    @pytest.mark.parametrize(
+        "header, column, value, message",
+        [
+            ("score,label,pred", 1, "0.7", "labels must be 0/1"),
+            ("score,label,pred", 2, "2", "preds must be 0/1"),
+            ("score,label", 1, "0.7", "labels must be 0/1"),  # a row that only calibrates
+        ],
+        ids=["label", "pred", "calibration-label"],
+    )
+    def test_label_or_pred_not_zero_or_one_exits_one(self, workdir, capsys, header, column, value, message):
+        rows = [[f"{0.01 * i}", str(i % 2), str(i % 2)][: header.count(",") + 1] for i in range(300)]
+        rows[0][column] = value
+        path = workdir / "fractional_scores.csv"
+        path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_float_spelled_labels_and_preds_read(self, workdir, capsys):
+        ints, floats = workdir / "int_scores.csv", workdir / "float_scores.csv"
+        rows = [(0.1 * i, i % 2, (i // 3) % 2) for i in range(50)]
+        ints.write_text("score,label,pred\n" + "".join(f"{s},{y},{p}\n" for s, y, p in rows))
+        floats.write_text("score,label,pred\n" + "".join(f"{s},{float(y)},{float(p)}\n" for s, y, p in rows))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(ints)]) == 0
+        want = capsys.readouterr().out
+        assert main(["eval", "--scores", str(floats)]) == 0
+        assert capsys.readouterr().out == want
+
     def test_multi_input_mean(self, workdir, capsys):
         scores = workdir / "scores_a.csv"
         rng = np.random.default_rng(10)
