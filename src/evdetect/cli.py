@@ -37,7 +37,7 @@ from .data import (
     write_meter_csv,
 )
 from .engine import CALIBRATING, DETECTING, WARMUP, EngineConfig, OnlineDetector, format_event
-from .evaluation import as_binary, confusion, precision_recall_f1, roc_auc
+from .evaluation import confusion, precision_recall_f1, roc_auc
 from .memory import Reading
 from .model import ModelDims
 from .nn import Hyper
@@ -189,45 +189,45 @@ ENGINE_FIELDS = {name: name for name in ("q", "calibration_len", "init_level", "
 DETECT_DEFAULTS = {**_defaults(EngineConfig, ENGINE_FIELDS), "jobs": 1}
 
 
-def _run_detection(detector: OnlineDetector, input_path, out_fh, save_engine=None):
+def _run_detection(task):
+    """Run one stream. `task` is (source, input path or "-", events path or
+    None for stdout, engine path to save or None); the source is an engine
+    file to resume or a (params, stats, config) triple. Returns the input
+    path, the rows read, the minutes `run` filled and the seconds taken."""
+    source, input_path, events_path, save_engine = task
+    # built before anything is opened, so a failed load writes nothing
+    detector = OnlineDetector.load(source) if isinstance(source, str) else OnlineDetector(*source)
     from_stdin = input_path == "-"
     warned = False
     n_rows = n_steps = 0
-    t = label = None  # the row `run` is stepping, for the calibration warning
-
-    def readings(fh):
-        nonlocal t, label, n_rows
-        for n_rows, (_, t, power, label) in enumerate(iter_meter_csv(fh), start=1):
-            yield Reading(t, power)
-
     started = time.perf_counter()
-    with nullcontext(sys.stdin) if from_stdin else open(input_path, "r", encoding="utf-8") as fh:
+    with (
+        open(events_path, "w", encoding="utf-8") if events_path else nullcontext(sys.stdout) as out_fh,
+        nullcontext(sys.stdin) if from_stdin else open(input_path, "r", encoding="utf-8") as fh,
+    ):
         try:
-            for n_steps, event in enumerate(detector.run(readings(fh)), start=1):
-                # a labelled row stepped before SPOT was fitted fed warmup or calibration
-                if label and event.t == t and not warned and (detector.spot is None or event.phase == CALIBRATING):
+            for n_rows, (_, t, power, label) in enumerate(iter_meter_csv(fh), start=1):
+                for event in detector.run((Reading(t, power),)):
+                    n_steps += 1
+                    if event.phase != WARMUP or event.error is not None:
+                        out_fh.write(format_event(event) + "\n")
+                # the row's own event comes last; a labelled row stepped
+                # before SPOT was fitted fed warmup or calibration
+                if label and not warned and (detector.spot is None or event.phase == CALIBRATING):
                     print(
                         "warning: EV-labeled readings inside the calibration prefix; "
                         "the initial threshold may be biased",
                         file=sys.stderr,
                     )
                     warned = True
-                if event.phase != WARMUP or event.error is not None:
-                    out_fh.write(format_event(event) + "\n")
-                    if from_stdin:
-                        out_fh.flush()
+                if from_stdin:
+                    out_fh.flush()
         except CsvFormatError as exc:
             raise CsvFormatError(f"{'stdin' if from_stdin else input_path} {exc}") from None
     elapsed = time.perf_counter() - started
     if save_engine:
         detector.save(save_engine)
-    return n_rows, n_steps - n_rows, elapsed
-
-
-def _detect_one(task):
-    params, stats, config, input_path, out_path = task
-    with open(out_path, "w", encoding="utf-8") as fh:
-        return input_path, *_run_detection(OnlineDetector(params, stats, config), input_path, fh)
+    return input_path, n_rows, n_steps - n_rows, elapsed
 
 
 def cmd_detect(args, parser) -> int:
@@ -243,42 +243,39 @@ def cmd_detect(args, parser) -> int:
         dropped = [k for k in ENGINE_FIELDS if k in given] + (["checkpoint"] if args.checkpoint else [])
         if dropped:
             parser.error(f"--resume-engine keeps the saved engine's settings; remove {', '.join(map(_flag, dropped))}")
+        source = args.resume_engine
     else:
         if not args.checkpoint:
             parser.error("--checkpoint is required unless --resume-engine is given")
         _require_file(parser, args.checkpoint)
         params, stats = load_model(args.checkpoint)
-        config = _build(EngineConfig, ENGINE_FIELDS, cfg, lm=params.dims.lm, gm=params.dims.gm)
+        source = (params, stats, _build(EngineConfig, ENGINE_FIELDS, cfg, lm=params.dims.lm, gm=params.dims.gm))
     for path in args.inputs:
         _require_file(parser, path)
     if len(args.inputs) > 1 and not args.out_dir:
         parser.error("multiple inputs require --out-dir")
 
-    if not args.out_dir:
-        # built before the events file is opened, so a failed load writes nothing
-        if args.resume_engine:
-            detector = OnlineDetector.load(args.resume_engine)
-        else:
-            detector = OnlineDetector(params, stats, config)
-        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
-            results = [(args.inputs[0], *_run_detection(detector, args.inputs[0], out_fh, args.save_engine))]
-    else:
-        tasks = {}  # events file -> the one task that writes it
+    # events file (None for stdout) -> the one task that writes it
+    if args.out_dir:
+        tasks = {}
         for path in args.inputs:
             out_path = os.path.join(args.out_dir, os.path.splitext(os.path.basename(path))[0] + ".jsonl")
             if out_path in tasks:
-                parser.error(f"{tasks[out_path][3]} and {path} would both write {out_path}")
-            tasks[out_path] = (params, stats, config, path, out_path)
+                parser.error(f"{tasks[out_path][1]} and {path} would both write {out_path}")
+            tasks[out_path] = (source, path, out_path, None)
         os.makedirs(args.out_dir, exist_ok=True)
-        if cfg["jobs"] > 1:
-            with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
-                results = list(pool.map(_detect_one, tasks.values()))
-        else:
-            results = [_detect_one(t) for t in tasks.values()]
+    else:
+        tasks = {args.out: (source, args.inputs[0], args.out, args.save_engine)}
+    # a pool worker reads no stdin, so a single stream stays in this process
+    if cfg["jobs"] > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+            results = list(pool.map(_run_detection, tasks.values()))
+    else:
+        results = [_run_detection(task) for task in tasks.values()]
     for input_path, n_rows, n_filled, elapsed in results:
         per = elapsed / n_rows * 1000 if n_rows else 0.0
-        source = "stdin" if input_path == "-" else input_path
-        print(f"{source}: {n_rows} readings, {n_filled} filled minutes, {per:.3f} ms/reading mean", file=sys.stderr)
+        name = "stdin" if input_path == "-" else input_path
+        print(f"{name}: {n_rows} readings, {n_filled} filled minutes, {per:.3f} ms/reading mean", file=sys.stderr)
     return 0
 
 
@@ -331,8 +328,9 @@ def _spot_trace(scores, n_calib, **calibration):
 def _read_score_csv(path, columns) -> np.ndarray:
     """The columns that `columns(path, header fields)` picks from a score CSV,
     as a (rows, k) float64 array; None picks the one column of a headerless
-    file. A row with another field count than the first line's, or a bad
-    number, raises ValueError naming its line."""
+    file. A row with another field count than the first line's, a bad number,
+    or a picked `label` or `pred` other than 0 or 1 raises ValueError naming
+    its line."""
     rows, first = [], 2
     with open(path, "r", encoding="utf-8") as fh:
         fields = fh.readline().strip().split(",")
@@ -350,6 +348,9 @@ def _read_score_csv(path, columns) -> np.ndarray:
                 rows.append([float(parts[i]) for i in picked])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad number in {line!r}") from None
+            for i, value in zip(picked, rows[-1]):
+                if fields[i] in ("label", "pred") and value not in (0.0, 1.0):
+                    raise ValueError(f"{path}:{lineno}: {fields[i]} must be 0 or 1, got {parts[i]!r}")
     return np.array(rows, dtype=np.float64).reshape(-1, len(picked))
 
 
@@ -367,9 +368,8 @@ def _spot_column(path, fields):
 
 def _metrics_from_scores(path, q, calib_frac):
     rows = _read_score_csv(path, _eval_columns)
-    # every label is checked, those of calibration rows too; `confusion`
-    # checks the preds
-    scores, truth = rows[:, 0], as_binary(rows[:, 1], "labels")
+    # the reader checked every label and pred, those of calibration rows too
+    scores, truth = rows[:, 0], rows[:, 1].astype(np.int64)
     if rows.shape[1] == 3:
         return truth, rows[:, 2], scores
     # derive predictions with a standalone threshold pass over the scores
@@ -457,16 +457,12 @@ def cmd_spot(args, parser) -> int:
     if n_calib >= scores.size:
         parser.error("calibration consumes the whole score file")
     trace = _spot_trace(scores, n_calib, q=args.q, init_level=args.init_level)
-    out_fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
         for i, (x, (threshold, label, k)) in enumerate(zip(scores[n_calib:], trace), start=n_calib):
             out_fh.write(
                 f'{{"i":{i},"score":{format(float(x), ".9g")},"threshold":{format(threshold, ".9g")},'
                 f'"label":{label},"k":{k}}}\n'
             )
-    finally:
-        if args.out:
-            out_fh.close()
     return 0
 
 

@@ -211,23 +211,19 @@ def _initial_threshold(scores: np.ndarray, init_level: float) -> tuple[float, bo
     """Empirical init_level-quantile, lowered if needed to yield >= MIN_PEAKS excesses."""
     n = scores.size
     s = np.sort(scores)
-    idx = math.ceil(init_level * n) - 1
-    idx = min(max(idx, 0), n - 1)
-    h = float(s[idx])
-    if np.count_nonzero(scores > h) >= MIN_PEAKS:
-        return h, False
-    # walk the order statistics down until enough strict excesses exist
-    idx = min(idx, n - MIN_PEAKS - 1)
-    while idx >= 0 and np.count_nonzero(scores > s[idx]) < MIN_PEAKS:
-        idx -= 1
-    if idx < 0:
+    idx = min(max(math.ceil(init_level * n) - 1, 0), n - 1)
+    # exactly the order statistics below index m have MIN_PEAKS or more scores above them
+    m = int(np.searchsorted(s, s[n - MIN_PEAKS]))
+    if idx < m:
+        return float(s[idx]), False
+    if m == 0:
         return float(s[-1]), True  # constant (or near-constant) scores
     warnings.warn(
-        f"initial threshold lowered to the {(idx + 1) / n:.3f} quantile to collect {MIN_PEAKS} peaks",
+        f"initial threshold lowered to the {m / n:.3f} quantile to collect {MIN_PEAKS} peaks",
         CalibrationWarning,
         stacklevel=3,
     )
-    return float(s[idx]), False
+    return float(s[m - 1]), False
 
 
 def pot_calibrate(

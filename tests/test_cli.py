@@ -767,6 +767,44 @@ class TestDetect:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == ["detect.jsonl", "detect2.jsonl"]
 
+    @staticmethod
+    def _holed_csv(workdir, tiny_setup, name, rows):
+        """The first `rows` rows of the detect CSV, with a 30-minute hole at row 700."""
+        lines = tiny_setup["detect_csv"].read_text().splitlines()[: rows + 1]
+        csv = workdir / name
+        csv.write_text("\n".join(lines[:701] + lines[731:]) + "\n")
+        return csv
+
+    def test_jobs_two_on_stdin_runs_in_process(self, workdir, tiny_setup):
+        # a pool worker's stdin is /dev/null, so one stream must not be pooled
+        csv = self._holed_csv(workdir, tiny_setup, "jobs_stdin.csv", 1200)
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "-"]
+        one = run_cli(args + ["--jobs", "1"], input=csv.read_text())
+        two = run_cli(args + ["--jobs", "2"], input=csv.read_text())
+        assert (one.returncode, two.returncode) == (0, 0), two.stderr
+        assert two.stdout == one.stdout and one.stdout.count("\n") == 1170 + 30 - 39
+
+    def test_out_dir_with_one_input_writes_what_out_writes(self, workdir, tiny_setup, capsys):
+        csv = self._holed_csv(workdir, tiny_setup, "one_input.csv", 1200)
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", str(csv)]
+        capsys.readouterr()
+        assert main(args + ["--out", str(workdir / "one_input_out.jsonl")]) == 0
+        out_err = capsys.readouterr().err
+        assert main(args + ["--out-dir", str(workdir / "one_input_dir")]) == 0
+        dir_err = capsys.readouterr().err
+        assert (workdir / "one_input_dir" / "one_input.jsonl").read_bytes() == (workdir / "one_input_out.jsonl").read_bytes()
+        # the same counts; only the ms/reading figure may differ
+        assert out_err.rsplit(", ", 1)[0] == dir_err.rsplit(", ", 1)[0] == f"{csv}: 1170 readings, 30 filled minutes"
+
+    def test_out_dir_jobs_two_equals_single_streams(self, workdir, tiny_setup):
+        inputs = [self._holed_csv(workdir, tiny_setup, "pooled_a.csv", 1200), tiny_setup["detect_csv"]]
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "--q", "1e-3"]
+        assert main(args + [*map(str, inputs), "--out-dir", str(workdir / "pooled"), "--jobs", "2"]) == 0
+        for path in inputs:
+            single = workdir / f"single_{path.stem}.jsonl"
+            assert main(args + [str(path), "--out", str(single)]) == 0
+            assert (workdir / "pooled" / f"{path.stem}.jsonl").read_bytes() == single.read_bytes()
+
     def test_refit_stride_zero_exits_one(self, tiny_setup, capsys):
         capsys.readouterr()
         args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), str(tiny_setup["detect_csv"]), "--out", os.devnull]
@@ -932,9 +970,9 @@ class TestEval:
     @pytest.mark.parametrize(
         "header, column, value, message",
         [
-            ("score,label,pred", 1, "0.7", "labels must be 0/1"),
-            ("score,label,pred", 2, "2", "preds must be 0/1"),
-            ("score,label", 1, "0.7", "labels must be 0/1"),  # a row that only calibrates
+            ("score,label,pred", 1, "0.7", ":2: label must be 0 or 1, got '0.7'"),
+            ("score,label,pred", 2, "2", ":2: pred must be 0 or 1, got '2'"),
+            ("score,label", 1, "0.7", ":2: label must be 0 or 1, got '0.7'"),  # a row that only calibrates
         ],
         ids=["label", "pred", "calibration-label"],
     )
@@ -945,7 +983,7 @@ class TestEval:
         path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows))
         capsys.readouterr()
         assert main(["eval", "--scores", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
 
     def test_float_spelled_labels_and_preds_read(self, workdir, capsys):
         ints, floats = workdir / "int_scores.csv", workdir / "float_scores.csv"

@@ -369,6 +369,63 @@ def test_no_warnings_in_normal_calibration():
         pot_calibrate(rng.normal(size=2000), q=1e-4)
 
 
+def oracle_initial_threshold(scores: np.ndarray, init_level: float) -> tuple[float, bool, int | None]:
+    """The walk down the order statistics that `_initial_threshold`'s closed
+    form replaced: (h, degenerate, the index its warning names or None)."""
+    n = scores.size
+    s = np.sort(scores)
+    idx = min(max(math.ceil(init_level * n) - 1, 0), n - 1)
+    if np.count_nonzero(scores > s[idx]) >= MIN_PEAKS:
+        return float(s[idx]), False, None
+    idx = min(idx, n - MIN_PEAKS - 1)
+    while idx >= 0 and np.count_nonzero(scores > s[idx]) < MIN_PEAKS:
+        idx -= 1
+    if idx < 0:
+        return float(s[-1]), True, None
+    return float(s[idx]), False, idx
+
+
+@st.composite
+def calibration_sets(draw):
+    """Calibration scores with and without ties at the top: normal draws,
+    small integers, near-constant values and rounded gamma draws."""
+    kind = draw(st.sampled_from(["normal", "integers", "near-constant", "rounded-gamma"]))
+    n = draw(st.integers(100, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "integers":
+        return rng.integers(0, draw(st.integers(1, 12)), size=n).astype(np.float64)
+    if kind == "near-constant":
+        # a few scores below the constant, and up to twice MIN_PEAKS above it
+        down, up = draw(st.integers(0, 3)), draw(st.integers(0, 2 * MIN_PEAKS))
+        x = np.full(n, 3.0)
+        spots = rng.choice(n, size=down + up, replace=False)
+        x[spots[:down]] -= 1.0
+        x[spots[down:]] += rng.choice([1e-9, 1.0, 2.0], size=up)
+        return x
+    return np.round(rng.gamma(2.0, 1.0, size=n), draw(st.integers(0, 2)))
+
+
+class TestInitialThresholdClosedForm:
+    """`_initial_threshold` picks the walk's order statistic, flag and warning."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(scores=calibration_sets(), init_level=st.floats(0.01, 0.999))
+    def test_matches_the_walk(self, scores, init_level):
+        h, degenerate, warned_idx = oracle_initial_threshold(scores, init_level)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = spot._initial_threshold(scores, init_level)
+        assert got == (h, degenerate)
+        messages = [str(w.message) for w in caught if issubclass(w.category, CalibrationWarning)]
+        if warned_idx is None:
+            assert messages == []
+        else:
+            want = f"initial threshold lowered to the {(warned_idx + 1) / scores.size:.3f} quantile to collect"
+            assert len(messages) == 1 and messages[0].startswith(want)
+
+
 def _snap(gamma: float) -> float:
     """Shapes this close to 0 would overflow sigma/gamma; sample the exponential limit instead."""
     return 0.0 if abs(gamma) < 1e-3 else gamma

@@ -1,5 +1,6 @@
 """Training-loop tests: loss oracle values, gradients, determinism, overfit runs."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -63,6 +64,23 @@ class TestTrain:
         assert r1.epoch_losses == r2.epoch_losses
         for a, b in zip(p1.parameters(), p2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_warm_start_is_deterministic_and_leaves_the_source_alone(self):
+        # fine-tuning a source model: `train(params=...)` updates the model it is given
+        batch = _tiny_batch(seed=9, n=12)
+        source, _ = train(batch, Hyper(learning_rate=1e-3, epochs=2, batch_size=4), seed=3, dims=TINY)
+        before = source.vector.copy()
+        same, report = train(batch, Hyper(epochs=0), params=source)
+        assert same is source and report.epoch_losses == []
+        np.testing.assert_array_equal(source.vector, before)
+
+        hyper = Hyper(learning_rate=1e-3, epochs=2, batch_size=4)
+        tuned_a, report_a = train(batch, hyper, seed=5, params=copy.deepcopy(source))
+        tuned_b, report_b = train(batch, hyper, seed=5, params=copy.deepcopy(source))
+        np.testing.assert_array_equal(tuned_a.vector, tuned_b.vector)
+        assert report_a.epoch_losses == report_b.epoch_losses and len(report_a.epoch_losses) == 2
+        assert not np.array_equal(tuned_a.vector, before)
+        np.testing.assert_array_equal(source.vector, before)
 
     def test_same_seed_init_keeps_the_per_head_draw_order(self):
         # digest of the weights drawn head by head and stacked, before the
