@@ -24,7 +24,6 @@ import numpy as np
 from .checkpoint import load_model, save_model
 from .data import (
     BaseProfile,
-    CsvFormatError,
     SynthConfig,
     WindowBatch,
     fit_stats,
@@ -129,39 +128,31 @@ TRAIN_DEFAULTS = {
 def cmd_train(args, parser) -> int:
     cfg, _ = _resolve(args, TRAIN_DEFAULTS, parser)
     _require_file(parser, args.data)
+    # built first, so a bad setting reads nothing
+    dims, hyper = _build(ModelDims, MODEL_FIELDS, cfg), _build(Hyper, HYPER_FIELDS, cfg)
 
+    # the first non-EV minutes in file order; every run is at least one window
+    # long, so only the budget cuts one short, and it would cut each later one
     series = read_meter_csv(args.data)
-    span = cfg["lm"] + cfg["gm"]
-    segments = non_ev_segments(series, min_len=span)
-    if not segments:
-        print("error: no non-EV segment long enough for one window", file=sys.stderr)
-        return 1
-
-    budget = cfg["max_train_minutes"] if cfg["max_train_minutes"] > 0 else None
-    used: list[np.ndarray] = []
-    total = 0
-    for start, end in segments:
-        seg = series.powers[start:end]
-        if budget is not None and total + seg.size > budget:
-            seg = seg[: budget - total]
-        if seg.size >= span:
-            used.append(seg)
-            total += seg.size
-        if budget is not None and total >= budget:
+    span, cap = cfg["lm"] + cfg["gm"], cfg["max_train_minutes"]
+    room = cap if cap > 0 else len(series)
+    used = []
+    for start, end in non_ev_segments(series, min_len=span):
+        if (n := min(end - start, room)) < span:
             break
+        used.append(series.powers[start : start + n])
+        room -= n
+    if not used:
+        within = f"max-train-minutes {cap}" if 0 < cap < span else args.data
+        raise ValueError(f"no non-EV run of lm + gm = {span} minutes within {within}")
 
     stats = fit_stats(np.concatenate(used))
-    lm_parts, gm_parts = [], []
-    for seg in used:
-        batch = sliding_windows(normalize(seg, stats), cfg["lm"], cfg["gm"], cfg["stride"])
-        lm_parts.append(batch.lm_windows)
-        gm_parts.append(batch.gm_windows)
-    windows = WindowBatch(np.concatenate(lm_parts), np.concatenate(gm_parts))
-
-    dims = _build(ModelDims, MODEL_FIELDS, cfg)
+    batches = [sliding_windows(normalize(run, stats), cfg["lm"], cfg["gm"], cfg["stride"]) for run in used]
+    windows = WindowBatch(np.concatenate([b.lm_windows for b in batches]),
+                          np.concatenate([b.gm_windows for b in batches]))
     params, report = train(
         windows,
-        _build(Hyper, HYPER_FIELDS, cfg),
+        hyper,
         seed=cfg["seed"],
         dims=dims,
         log=None if args.quiet else (lambda msg: print(msg, file=sys.stderr)),
@@ -205,25 +196,23 @@ def _run_detection(task):
         open(events_path, "w", encoding="utf-8") if events_path else nullcontext(sys.stdout) as out_fh,
         nullcontext(sys.stdin) if from_stdin else open(input_path, "r", encoding="utf-8") as fh,
     ):
-        try:
-            for n_rows, (_, t, power, label) in enumerate(iter_meter_csv(fh), start=1):
-                for event in detector.run((Reading(t, power),)):
-                    n_steps += 1
-                    if event.phase != WARMUP or event.error is not None:
-                        out_fh.write(format_event(event) + "\n")
-                # the row's own event comes last; a labelled row stepped
-                # before SPOT was fitted fed warmup or calibration
-                if label and not warned and (detector.spot is None or event.phase == CALIBRATING):
-                    print(
-                        "warning: EV-labeled readings inside the calibration prefix; "
-                        "the initial threshold may be biased",
-                        file=sys.stderr,
-                    )
-                    warned = True
-                if from_stdin:
-                    out_fh.flush()
-        except CsvFormatError as exc:
-            raise CsvFormatError(f"{'stdin' if from_stdin else input_path} {exc}") from None
+        rows = iter_meter_csv(fh, "stdin" if from_stdin else input_path)
+        for n_rows, (_, t, power, label) in enumerate(rows, start=1):
+            for event in detector.run((Reading(t, power),)):
+                n_steps += 1
+                if event.phase != WARMUP or event.error is not None:
+                    out_fh.write(format_event(event) + "\n")
+            # the row's own event comes last; a labelled row stepped
+            # before SPOT was fitted fed warmup or calibration
+            if label and not warned and (detector.spot is None or event.phase == CALIBRATING):
+                print(
+                    "warning: EV-labeled readings inside the calibration prefix; "
+                    "the initial threshold may be biased",
+                    file=sys.stderr,
+                )
+                warned = True
+            if from_stdin:
+                out_fh.flush()
     elapsed = time.perf_counter() - started
     if save_engine:
         detector.save(save_engine)
@@ -232,6 +221,8 @@ def _run_detection(task):
 
 def cmd_detect(args, parser) -> int:
     cfg, given = _resolve(args, DETECT_DEFAULTS, parser)
+    if cfg["jobs"] < 1:
+        raise ValueError(f"jobs must be >= 1, got {cfg['jobs']}")
     for flag in ("resume_engine", "save_engine"):
         if args.out_dir and getattr(args, flag):
             parser.error(f"{_flag(flag)} runs a single stream, with its events in --out or stdout, not --out-dir")
@@ -290,25 +281,30 @@ def _metrics_from_events(events_path, labels_path):
     if series.labels is None:
         raise ValueError(f"{labels_path} has no label column")
     truth_by_t = {t.isoformat(): int(lab) for t, lab in zip(series.timestamps, series.labels)}
-    truth, preds, scores = [], [], []
+    rows = []
     with open(events_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            ev = json.loads(line)
-            # a rejected reading has no score, as a warmup or calibration one has no label
-            if ev.get("phase") != DETECTING or "error" in ev:
-                continue
-            t = ev["t"]
-            if t not in truth_by_t:
-                raise ValueError(f"event timestamp {t} missing from {labels_path}")
-            truth.append(truth_by_t[t])
-            preds.append(int(ev["label"]))
-            scores.append(float(ev["score"]))
-    if not truth:
+            try:
+                ev = json.loads(line)
+                if not isinstance(ev, dict):
+                    raise ValueError(f"expected a JSON object, got {line.strip()!r}")
+                # a rejected reading has no score, as a warmup or calibration one has no label
+                if ev.get("phase") != DETECTING or "error" in ev:
+                    continue
+                if ev["t"] not in truth_by_t:
+                    raise ValueError(f"event timestamp {ev['t']} missing from {labels_path}")
+                if ev["label"] not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {ev['label']!r}")
+                rows.append((truth_by_t[ev["t"]], int(ev["label"]), float(ev["score"])))
+            except KeyError as exc:
+                raise ValueError(f"{events_path}:{lineno}: detecting event has no {exc}") from None
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{events_path}:{lineno}: {exc}") from None
+    if not rows:
         raise ValueError(f"no detecting-phase events in {events_path}")
-    return np.array(truth), np.array(preds), np.array(scores)
+    return tuple(map(np.array, zip(*rows)))
 
 
 def _spot_trace(scores, n_calib, **calibration):
@@ -455,7 +451,7 @@ def cmd_spot(args, parser) -> int:
     scores = _read_score_csv(args.scores, _spot_column)[:, 0]
     n_calib = int(args.calib) if args.calib > 1 else max(100, int(scores.size * args.calib))
     if n_calib >= scores.size:
-        parser.error("calibration consumes the whole score file")
+        raise ValueError(f"{args.scores}: calibration takes {n_calib} scores, leaving none of its {scores.size}")
     trace = _spot_trace(scores, n_calib, q=args.q, init_level=args.init_level)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
         for i, (x, (threshold, label, k)) in enumerate(zip(scores[n_calib:], trace), start=n_calib):

@@ -65,18 +65,24 @@ class MeterSeries:
             yield Reading(t, float(p))
 
 
-def iter_meter_csv(fh):
+def _line(name, lineno) -> str:
+    # called only to raise, so naming the source costs a row nothing
+    return f"{name} line {lineno}" if name else f"line {lineno}"
+
+
+def iter_meter_csv(fh, name: str | None = None):
     """Read a meter CSV incrementally from an open text stream.
 
     Checks the header, then yields ``(lineno, t, power, label)`` for every
     row; `label` is None without a label column. A non-finite power is passed
     on and holes are left as they are; unsorted, off-grid or malformed rows
-    raise CsvFormatError naming the line and quoting the row.
+    raise CsvFormatError naming the line, after `name` when one is given, and
+    quoting the row.
     """
     header = fh.readline().strip()
     cols = header.split(",")
     if cols[:2] != ["timestamp", "power_kw"] or cols[2:] not in ([], ["label"]):
-        raise CsvFormatError(f"line 1: expected header 'timestamp,power_kw[,label]', got {header!r}")
+        raise CsvFormatError(f"{_line(name, 1)}: expected header 'timestamp,power_kw[,label]', got {header!r}")
     n_cols = len(cols)
     prev_t = None
     for lineno, line in enumerate(fh, start=2):
@@ -85,30 +91,30 @@ def iter_meter_csv(fh):
             continue
         parts = line.split(",")
         if len(parts) != n_cols:
-            raise CsvFormatError(f"line {lineno}: expected {n_cols} fields, got {len(parts)}: {line!r}")
+            raise CsvFormatError(f"{_line(name, lineno)}: expected {n_cols} fields, got {len(parts)}: {line!r}")
         try:
             t = datetime.fromisoformat(parts[0])
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: bad timestamp in {line!r}") from None
+            raise CsvFormatError(f"{_line(name, lineno)}: bad timestamp in {line!r}") from None
         try:
             power = float(parts[1])
         except ValueError:
-            raise CsvFormatError(f"line {lineno}: bad power in {line!r}") from None
+            raise CsvFormatError(f"{_line(name, lineno)}: bad power in {line!r}") from None
         label = None
         if n_cols == 3:
             if parts[2] not in ("0", "1"):
-                raise CsvFormatError(f"line {lineno}: label must be 0 or 1 in {line!r}")
+                raise CsvFormatError(f"{_line(name, lineno)}: label must be 0 or 1 in {line!r}")
             label = int(parts[2])
 
         try:
             step = MINUTE if prev_t is None else t - prev_t
         except TypeError:
-            raise CsvFormatError(f"line {lineno}: naive and timezone-aware timestamps mixed at {line!r}") from None
+            raise CsvFormatError(f"{_line(name, lineno)}: naive and timezone-aware timestamps mixed at {line!r}") from None
         if step != MINUTE:
             if step <= timedelta(0):
-                raise CsvFormatError(f"line {lineno}: timestamps not strictly increasing at {line!r}")
+                raise CsvFormatError(f"{_line(name, lineno)}: timestamps not strictly increasing at {line!r}")
             if step % MINUTE:
-                raise CsvFormatError(f"line {lineno}: timestamp off the minute grid in {line!r}")
+                raise CsvFormatError(f"{_line(name, lineno)}: timestamp off the minute grid in {line!r}")
         yield lineno, t, power, label
         prev_t = t
 
@@ -120,15 +126,17 @@ def read_meter_csv(source, refuse_non_finite: bool = True) -> MeterSeries:
     before it; a longer one closes the current segment and opens a new one.
     A series must be clean, so a non-finite power raises CsvFormatError with
     its line number, unless `refuse_non_finite` is off (for reading labels).
+    Errors name the stream's file, when it has one.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
             return read_meter_csv(fh, refuse_non_finite)
 
+    name = getattr(source, "name", None)
     timestamps, powers, labels, starts = [], [], [], [0]
-    for lineno, t, power, label in iter_meter_csv(source):
+    for lineno, t, power, label in iter_meter_csv(source, name):
         if refuse_non_finite and not math.isfinite(power):
-            raise CsvFormatError(f"line {lineno}: non-finite power")
+            raise CsvFormatError(f"{_line(name, lineno)}: non-finite power")
         if timestamps and (missing := (t - timestamps[-1]) // MINUTE - 1):
             if missing > MAX_FILL_MINUTES:
                 starts.append(len(timestamps))
@@ -141,7 +149,7 @@ def read_meter_csv(source, refuse_non_finite: bool = True) -> MeterSeries:
         labels.append(label)
 
     if not timestamps:
-        raise CsvFormatError("no data rows")
+        raise CsvFormatError(f"{name}: no data rows" if name else "no data rows")
     return MeterSeries(
         timestamps=timestamps,
         powers=np.asarray(powers, dtype=np.float64),

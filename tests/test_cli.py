@@ -25,7 +25,7 @@ from evdetect.checkpoint import (
     write_container,
 )
 from evdetect.cli import main
-from evdetect.data import MAX_FILL_MINUTES, MeterSeries, SeriesStats, SynthConfig, format_meter_csv, read_meter_csv
+from evdetect.data import MAX_FILL_MINUTES, MINUTE, MeterSeries, SeriesStats, SynthConfig, format_meter_csv, read_meter_csv
 from evdetect.engine import WARMUP, EngineConfig, OnlineDetector, format_event
 from evdetect.memory import Reading
 from evdetect.model import ModelDims, ModelParams
@@ -120,6 +120,38 @@ class TestSynth:
         assert json.loads(capsys.readouterr().out)["rows"] == SynthConfig().days * 1440
 
 
+# two non-EV runs, 100 and 120 minutes long, split by a 30-minute EV session
+SPLIT_RUNS = [0] * 100 + [1] * 30 + [0] * 120
+
+
+def _labelled_csv(path, labels):
+    """Write a meter CSV of one row per label, a minute apart; returns `path`."""
+    start = datetime(2018, 1, 1)
+    path.write_text("timestamp,power_kw,label\n" + "".join(
+        f"{(start + i * MINUTE).isoformat()},{0.5 + 0.1 * (i % 7) + 3.0 * y},{y}\n" for i, y in enumerate(labels)
+    ))
+    return path
+
+
+def oracle_windows(labels, span, budget):
+    """Training windows at stride 1 when the minutes are taken one row at a
+    time: non-EV rows in file order, in runs of at least `span` rows, until
+    `budget` rows are taken (all of them when `budget` <= 0)."""
+    left = budget if budget > 0 else len(labels)
+    windows = run = 0
+    for label in [*labels, 1]:  # an EV row after the last closes its run
+        if label == 0 and run < left:
+            run += 1
+            continue
+        if run >= span:
+            windows += run - span + 1
+            left -= run
+        run = 0
+        if label == 0:  # the budget ended the run; nothing later is taken
+            break
+    return windows
+
+
 class TestTrain:
     def test_zero_epochs_equals_initialization(self, workdir, tiny_setup):
         out_a = workdir / "init_a.npz"
@@ -188,6 +220,60 @@ class TestTrain:
         assert summary["windows"] == (n - 20) // 50 + 1  # flag stride won
         meta = json.loads(np.load(out)["__meta__"].tobytes())
         assert meta["dims"]["lm"] == 4 and meta["dims"]["gm"] == 16
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            pytest.param("--batch-size", "0", "batch_size must be >= 1, got 0", id="batch-size-0"),
+            pytest.param("--batch-size", "-4", "batch_size must be >= 1, got -4", id="batch-size-neg"),
+            pytest.param("--epochs", "-1", "epochs must be >= 0, got -1", id="epochs-neg"),
+        ],
+    )
+    def test_bad_setting_exits_one_before_reading(self, workdir, capsys, flag, value, message):
+        # the data would be refused at line 2, so only a setting checked first names itself
+        data, out = workdir / "unread.csv", workdir / "bad_setting.npz"
+        data.write_text("timestamp,power_kw\nnot-a-time,1.0\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "budget, windows",
+        [(40, 1), (70, 31), (100, 61), (139, 61), (140, 62), (180, 102), (0, 142), (-3, 142)],
+        ids=["one-window", "cuts-first-run", "ends-on-first-run", "remainder-under-a-window",
+             "one-window-into-second-run", "into-second-run", "zero-no-cap", "negative-no-cap"],
+    )
+    def test_windows_match_row_by_row_oracle(self, workdir, capsys, budget, windows):
+        # windows counted by hand: a run of n minutes holds n - 39 at stride 1
+        assert oracle_windows(SPLIT_RUNS, 40, budget) == windows
+        data = _labelled_csv(workdir / "split_runs.csv", SPLIT_RUNS)
+        capsys.readouterr()
+        args = ["train", "--data", str(data), "--out", str(workdir / "split_runs.npz"),
+                "--epochs", "0", "--quiet", "--max-train-minutes", str(budget)]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["windows"] == windows
+
+    @pytest.mark.parametrize("budget", [39, 10, 1])
+    def test_budget_below_one_window_exits_one(self, workdir, capsys, budget):
+        data, out = _labelled_csv(workdir / "split_runs.csv", SPLIT_RUNS), workdir / "below_one_window.npz"
+        capsys.readouterr()
+        args = ["train", "--data", str(data), "--out", str(out), "--quiet"]
+        assert main(args + ["--max-train-minutes", str(budget)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no non-EV run of lm + gm = 40 minutes within max-train-minutes {budget}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_no_long_enough_run_names_the_file(self, workdir, capsys):
+        # every 30th minute is EV, so no non-EV run reaches 40 minutes
+        data = _labelled_csv(workdir / "short_runs.csv", [int(i % 30 == 29) for i in range(300)])
+        out = workdir / "short_runs.npz"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: no non-EV run of lm + gm = 40 minutes within {data}\n"
+        assert not out.exists()
 
 
 class TestDetect:
@@ -818,6 +904,8 @@ class TestDetect:
             pytest.param("--q", "1", "q must lie in (0, 1)", id="q-1"),
             pytest.param("--init-level", "0", "init_level must lie in (0, 1)", id="init-level-0"),
             pytest.param("--init-level", "1.5", "init_level must lie in (0, 1)", id="init-level-1.5"),
+            pytest.param("--jobs", "0", "jobs must be >= 1, got 0", id="jobs-0"),
+            pytest.param("--jobs", "-5", "jobs must be >= 1, got -5", id="jobs-neg"),
         ],
     )
     def test_out_of_range_setting_exits_one_before_reading(self, tiny_setup, workdir, capsys, flag, value, message):
@@ -950,7 +1038,46 @@ class TestEval:
         assert sorted(json.loads(capsys.readouterr().out)) == ["auc", "f1", "precision", "recall"]
         # training still needs clean powers, and says where one is not
         assert main(["train", "--data", str(csv), "--out", str(workdir / "unused.npz"), "--quiet"]) == 1
-        assert capsys.readouterr().err == "error: line 1501: non-finite power\n"
+        assert capsys.readouterr().err == f"error: {csv} line 1501: non-finite power\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param('{"t":"2018-01-01T00:01:00","score":0.5', "Expecting ',' delimiter", id="cut"),
+            pytest.param('{"t":"2018-01-01T00:01:00","threshold":1.0,"label":0,"phase":"detecting"}',
+                         "detecting event has no 'score'", id="no-score"),
+            pytest.param('{"score":0.5,"threshold":1.0,"label":0,"phase":"detecting"}',
+                         "detecting event has no 't'", id="no-t"),
+            pytest.param("[1,2]", "expected a JSON object, got '[1,2]'", id="not-an-object"),
+            pytest.param('{"t":"2018-01-01T00:01:00","score":0.5,"threshold":1.0,"label":2,"phase":"detecting"}',
+                         "label must be 0 or 1, got 2", id="label-2"),
+            pytest.param('{"t":"2018-01-01T00:01:00","score":"high","threshold":1.0,"label":0,"phase":"detecting"}',
+                         "could not convert string to float: 'high'", id="score-string"),
+            pytest.param('{"t":"2018-01-01T00:01:00","score":null,"threshold":1.0,"label":0,"phase":"detecting"}',
+                         "not 'NoneType'", id="score-null"),
+            pytest.param('{"t":"2019-01-01T00:00:00","score":0.5,"threshold":1.0,"label":0,"phase":"detecting"}',
+                         "event timestamp 2019-01-01T00:00:00 missing from {labels}", id="t-not-in-labels"),
+        ],
+    )
+    def test_bad_event_line_exits_one(self, workdir, capsys, line, message):
+        labels, events = workdir / "bad_event_labels.csv", workdir / "bad_event.jsonl"
+        labels.write_text("timestamp,power_kw,label\n" + "".join(f"2018-01-01T00:0{i}:00,1.0,{i % 2}\n" for i in range(3)))
+        good = '{"t":"2018-01-01T00:00:00","score":0.1,"threshold":1.0,"label":0,"phase":"detecting"}'
+        events.write_text(f"{good}\n\n{line}\n{good}\n")
+        capsys.readouterr()
+        assert main(["eval", "--events", str(events), "--labels", str(labels)]) == 1
+        err = capsys.readouterr().err
+        # the blank line 2 is skipped but counted
+        assert err.startswith(f"error: {events}:3: ") and err.count("\n") == 1
+        assert message.format(labels=labels) in err
+
+    def test_calibration_using_every_score_exits_one(self, workdir, capsys):
+        # 100 bare scores: calibration takes at least 100, so none are left
+        path = workdir / "all_calibration_scores.csv"
+        path.write_text("score,label\n" + "".join(f"{0.01 * i},{i % 2}\n" for i in range(100)))
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not enough rows beyond the calibration fraction\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -1086,6 +1213,16 @@ class TestSpot:
         capsys.readouterr()
         assert main(["spot", "--scores", str(path), "--out", os.devnull]) == 1
         assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    @pytest.mark.parametrize("calib, n_calib", [("0.2", 100), ("80", 80)], ids=["fraction", "count"])
+    def test_calibration_using_every_score_exits_one(self, workdir, capsys, calib, n_calib):
+        # a fraction calibrates on at least 100 scores, and the file has 80
+        path, out = workdir / "spot_scores_80.csv", workdir / "spot_all_calibration.jsonl"
+        path.write_text("score\n" + "\n".join(str(v) for v in np.random.default_rng(16).normal(size=80)) + "\n")
+        capsys.readouterr()
+        assert main(["spot", "--scores", str(path), "--calib", calib, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: calibration takes {n_calib} scores, leaving none of its 80\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("header", [None, "score", "t,score,label"])
     def test_score_column_formats(self, workdir, capsys, header):

@@ -96,6 +96,26 @@ class TestReadCsv:
         with pytest.raises(CsvFormatError, match="line 3: non-finite power"):
             _csv("timestamp,power_kw\n2018-01-01T00:00,1.0\n2018-01-01T00:01,inf\n")
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("2018-01-01T00:00,1.0\n2018-01-01T00:00,2.0\n", " line 3: timestamps not strictly increasing at "),
+            ("2018-01-01T00:00,1.0\n2018-01-01T00:01,nan\n", " line 3: non-finite power"),
+            ("", ": no data rows"),
+        ],
+        ids=["unsorted", "non-finite", "empty"],
+    )
+    def test_errors_from_a_path_name_it(self, tmp_path, body, message):
+        path = tmp_path / "meter.csv"
+        path.write_text("timestamp,power_kw\n" + body)
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_meter_csv(path)
+        assert str(excinfo.value).startswith(f"{path}{message}")
+
+    def test_iter_names_a_given_source(self):
+        with pytest.raises(CsvFormatError, match="^stdin line 1: expected header"):
+            list(iter_meter_csv(io.StringIO("time,watts\n"), "stdin"))
+
     def test_iter_passes_non_finite_and_yields_no_fill_rows(self):
         # filling is the reader's caller's: `read_meter_csv` or `OnlineDetector.run`
         text = "timestamp,power_kw,label\n2018-01-01T00:00,1.0,0\n2018-01-01T00:01,nan,1\n2018-01-01T02:04,2.0,0\n"

@@ -146,6 +146,12 @@ class TestAdam:
             Hyper(learning_rate=0.0)
         with pytest.raises(ValueError):
             Hyper(beta1=1.0)
+        for batch_size in (0, -4):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                Hyper(batch_size=batch_size)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            Hyper(epochs=-1)
+        assert Hyper(batch_size=1, epochs=0).epochs == 0
 
 
 class TestGradCheck:
