@@ -128,8 +128,10 @@ TRAIN_DEFAULTS = {
 def cmd_train(args, parser) -> int:
     cfg, _ = _resolve(args, TRAIN_DEFAULTS, parser)
     _require_file(parser, args.data)
-    # built first, so a bad setting reads nothing
+    # built and checked first, so a bad setting reads nothing
     dims, hyper = _build(ModelDims, MODEL_FIELDS, cfg), _build(Hyper, HYPER_FIELDS, cfg)
+    if cfg["stride"] < 1:
+        raise ValueError(f"stride must be >= 1, got {cfg['stride']}")
 
     # the first non-EV minutes in file order; every run is at least one window
     # long, so only the budget cuts one short, and it would cut each later one
@@ -307,18 +309,22 @@ def _metrics_from_events(events_path, labels_path):
     return tuple(map(np.array, zip(*rows)))
 
 
-def _spot_trace(scores, n_calib, **calibration):
-    """Calibrate SPOT on `scores[:n_calib]` now, then step it over the rest;
-    the iterator yields (threshold before the step, label, k) per score."""
+def _spot_trace(path, scores, calib, **calibration):
+    """Calibrate SPOT now on `calib` scores for a count above 1, else on that
+    fraction of them but at least 100; return the count and an iterator that
+    steps SPOT over the rest, yielding (score, threshold before, label, k)."""
+    n_calib = int(calib) if calib > 1 else max(100, int(scores.size * calib))
+    if n_calib >= scores.size:
+        raise ValueError(f"{path}: calibration takes {n_calib} scores, leaving none of its {scores.size}")
     state = pot_calibrate(scores[:n_calib], **calibration)
 
     def steps():
         for x in scores[n_calib:]:
             threshold = state.z_q
             label = int(spot_step(state, float(x)) == ANOMALY)
-            yield threshold, label, state.k
+            yield x, threshold, label, state.k
 
-    return steps()
+    return n_calib, steps()
 
 
 def _read_score_csv(path, columns) -> np.ndarray:
@@ -369,10 +375,8 @@ def _metrics_from_scores(path, q, calib_frac):
     if rows.shape[1] == 3:
         return truth, rows[:, 2], scores
     # derive predictions with a standalone threshold pass over the scores
-    n_calib = max(100, int(len(rows) * calib_frac))
-    if n_calib >= len(rows):
-        raise ValueError(f"{path}: not enough rows beyond the calibration fraction")
-    preds = np.array([label for _, label, _ in _spot_trace(scores, n_calib, q=q)], dtype=np.int64)
+    n_calib, trace = _spot_trace(path, scores, calib_frac, q=q)
+    preds = np.array([label for _, _, label, _ in trace], dtype=np.int64)
     return truth[n_calib:], preds, scores[n_calib:]
 
 
@@ -449,12 +453,9 @@ def cmd_spot(args, parser) -> int:
         raise ValueError(f"--calib must be a fraction in (0, 1) or a count above 1, got {args.calib}")
     _require_file(parser, args.scores)
     scores = _read_score_csv(args.scores, _spot_column)[:, 0]
-    n_calib = int(args.calib) if args.calib > 1 else max(100, int(scores.size * args.calib))
-    if n_calib >= scores.size:
-        raise ValueError(f"{args.scores}: calibration takes {n_calib} scores, leaving none of its {scores.size}")
-    trace = _spot_trace(scores, n_calib, q=args.q, init_level=args.init_level)
+    n_calib, trace = _spot_trace(args.scores, scores, args.calib, q=args.q, init_level=args.init_level)
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out_fh:
-        for i, (x, (threshold, label, k)) in enumerate(zip(scores[n_calib:], trace), start=n_calib):
+        for i, (x, threshold, label, k) in enumerate(trace, start=n_calib):
             out_fh.write(
                 f'{{"i":{i},"score":{format(float(x), ".9g")},"threshold":{format(threshold, ".9g")},'
                 f'"label":{label},"k":{k}}}\n'

@@ -43,6 +43,13 @@ class SeriesStats:
     std: float
     count: int
 
+    def __post_init__(self):
+        # a checkpoint's header carries these, and every reading divides by std
+        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean)):
+            raise ValueError(f"stats mean must be a finite number, got {self.mean!r}")
+        if not (isinstance(self.std, (int, float)) and math.isfinite(self.std) and self.std > 0):
+            raise ValueError(f"stats std must be a finite positive number, got {self.std!r}")
+
 
 @dataclass
 class MeterSeries:
@@ -256,6 +263,8 @@ class SynthConfig:
     start: datetime = datetime(2018, 1, 1)
 
     def __post_init__(self):
+        if self.days < 1:
+            raise ValueError(f"days must be >= 1, got {self.days}")
         if self.ev_power <= 0:
             raise ValueError("ev_power must be positive")
         if self.duration_minutes[0] < 15 or self.duration_minutes[0] > self.duration_minutes[1]:

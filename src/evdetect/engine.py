@@ -182,6 +182,25 @@ class AttentionCache:
 # ---------------------------------------------------------------------------
 
 
+def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
+    """Why `spot_step` could not step a resumed SPOT state, or why it is not
+    the state its engine's settings calibrate; None for a sound state."""
+    for name in ("q", "refit_stride", "max_peaks"):
+        if getattr(spot, name) != getattr(config, name):
+            return f"{name} {getattr(spot, name)!r} differs from the config's {getattr(config, name)!r}"
+    fit = spot.fit
+    for name, x in {"h": spot.h, "z_q": spot.z_q, "gamma_hat": fit.gamma_hat, "sigma_hat": fit.sigma_hat}.items():
+        if not (isinstance(x, (int, float)) and math.isfinite(x)):
+            return f"{name} must be a finite number, got {x!r}"
+    for name, x in {"k": spot.k, "n_peaks_total": spot.n_peaks_total, "_since_refit": spot._since_refit,
+                    "n_excesses": fit.n_excesses}.items():
+        if not (isinstance(x, int) and x >= 0):
+            return f"{name} must be a count, got {x!r}"
+    if not isinstance(spot.degenerate, bool):
+        return f"degenerate must be true or false, got {spot.degenerate!r}"
+    return None
+
+
 class OnlineDetector:
     """Strictly sequential detector for one meter stream.
 
@@ -339,7 +358,8 @@ class OnlineDetector:
         The saved readings are restored, not replayed. A stream that steps
         cannot leave is refused: here, timestamps of mixed time-zone kinds,
         that do not strictly increase or that end after `last_t`; in
-        `StreamState.restore`, a count other than pushes leave. The cache ring
+        `StreamState.restore`, a count other than pushes leave. So is a SPOT
+        state that `_spot_fault` finds unsound. The cache ring
         takes the content logits of the global readings in one
         `AttentionCache.fill`. The state equals, bit for bit, that of pushing
         the readings one at a time: the features come from the same
@@ -366,6 +386,8 @@ class OnlineDetector:
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].copy()})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
+        if det.spot is not None and (fault := _spot_fault(det.spot, det.config)):
+            raise ValueError(f"{path}: spot {fault}")
         try:
             if any(a >= b for a, b in zip(times, times[1:])):
                 raise ValueError("timestamps are not strictly increasing")

@@ -41,6 +41,9 @@ class ModelDims:
     e1: int = 8
 
     def __post_init__(self):
+        for name, size in vars(self).items():
+            if not (isinstance(size, int) and size >= 1):
+                raise ValueError(f"model size {name} must be an integer >= 1, got {size!r}")
         if self.C % 2 != 0:
             raise ValueError("feature width C must be even (sinusoidal position pairs)")
         if self.C % self.heads != 0:

@@ -65,16 +65,21 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     return _layer_norm(x, gain, bias, eps)
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    """`layer_norm`'s arithmetic without its argument checks, for callers whose
-    gain and bias are float64 arrays of the row width (the model's weights)."""
+def _normalized(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of x centred and scaled to unit variance, and the row's 1/std."""
     # `ndarray.mean` is a sum followed by a division by the row width; calling
     # the reduction directly keeps that arithmetic and skips the wrapper
     n = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centred**2, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    return centred * inv_std * gain + bias
+    return centred * inv_std, inv_std
+
+
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    """`layer_norm`'s arithmetic without its argument checks, for callers whose
+    gain and bias are float64 arrays of the row width (the model's weights)."""
+    return _normalized(x, eps)[0] * gain + bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -198,16 +203,8 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
-        a, b = self, Tensor._wrap(other)
-        out_data = a.data - b.data
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.data.shape))
-
-        return Tensor._make(out_data, (a, b), backward)
+        # a - b and a + (-b) are the same IEEE operation, as are their gradients
+        return self + -Tensor._wrap(other)
 
     def __mul__(self, other) -> "Tensor":
         a, b = self, Tensor._wrap(other)
@@ -263,10 +260,7 @@ class Tensor:
 
     def layer_norm(self, gain: "Tensor", bias: "Tensor", eps: float = 1e-5) -> "Tensor":
         a = self
-        mu = a.data.mean(axis=-1, keepdims=True)
-        var = ((a.data - mu) ** 2).mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (a.data - mu) * inv_std
+        xhat, inv_std = _normalized(a.data, eps)
         out_data = xhat * gain.data + bias.data
 
         def backward(g):
@@ -286,7 +280,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         a = self
-        out_data = np.maximum(a.data, 0.0)
+        out_data = relu(a.data)
 
         def backward(g):
             if a.requires_grad:

@@ -29,7 +29,6 @@ class TrainReport:
     initial_loss: float = float("nan")
     wall_time_s: float = 0.0
     seed: int = 0
-    stopped_early: bool = False
 
 
 def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> Tensor:
@@ -112,7 +111,6 @@ def train(
         else:
             stale += 1
             if stale >= patience:
-                report.stopped_early = True
                 break
 
     report.final_loss = reconstruction_loss(windows, params)

@@ -119,6 +119,14 @@ class TestSynth:
         assert main(["synth", "--out", str(workdir / "default_days.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == SynthConfig().days * 1440
 
+    @pytest.mark.parametrize("days", ["0", "-2"])
+    def test_days_below_one_exits_one(self, workdir, capsys, days):
+        out = workdir / "no_days.csv"
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--days", days]) == 1
+        assert capsys.readouterr().err == f"error: days must be >= 1, got {days}\n"
+        assert not out.exists()
+
 
 # two non-EV runs, 100 and 120 minutes long, split by a 30-minute EV session
 SPLIT_RUNS = [0] * 100 + [1] * 30 + [0] * 120
@@ -228,6 +236,11 @@ class TestTrain:
             pytest.param("--batch-size", "0", "batch_size must be >= 1, got 0", id="batch-size-0"),
             pytest.param("--batch-size", "-4", "batch_size must be >= 1, got -4", id="batch-size-neg"),
             pytest.param("--epochs", "-1", "epochs must be >= 0, got -1", id="epochs-neg"),
+            pytest.param("--heads", "0", "model size heads must be an integer >= 1, got 0", id="heads-0"),
+            pytest.param("--embed-dim", "0", "model size C must be an integer >= 1, got 0", id="embed-dim-0"),
+            pytest.param("--lm", "0", "model size lm must be an integer >= 1, got 0", id="lm-0"),
+            pytest.param("--hidden", "0", "model size hidden must be an integer >= 1, got 0", id="hidden-0"),
+            pytest.param("--stride", "0", "stride must be >= 1, got 0", id="stride-0"),
         ],
     )
     def test_bad_setting_exits_one_before_reading(self, workdir, capsys, flag, value, message):
@@ -747,6 +760,55 @@ class TestDetect:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            pytest.param("dims", "heads", 0, "model size heads must be an integer >= 1, got 0", id="heads-0"),
+            pytest.param("dims", "C", -2, "model size C must be an integer >= 1, got -2", id="embed-dim-neg"),
+            pytest.param("dims", "heads", 2.0, "model size heads must be an integer >= 1, got 2.0", id="heads-float"),
+            pytest.param("stats", "mean", "0.5", "stats mean must be a finite number, got '0.5'", id="mean-string"),
+            pytest.param("stats", "std", None, "stats std must be a finite positive number, got None", id="std-null"),
+            pytest.param("stats", "std", 0.0, "stats std must be a finite positive number, got 0.0", id="std-0"),
+            pytest.param("stats", "std", -1.0, "stats std must be a finite positive number, got -1.0", id="std-neg"),
+        ],
+    )
+    def test_bad_model_header_exits_one(self, workdir, tiny_setup, capsys, section, key, value, message):
+        meta, arrays = read_container(tiny_setup["ckpt"], MODEL_FORMAT)
+        meta[section][key] = value
+        bad, out = workdir / "bad_header.npz", workdir / "bad_header.jsonl"
+        write_container(bad, MODEL_FORMAT, meta, arrays)
+        capsys.readouterr()
+        assert main(["detect", "--checkpoint", str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("h", "x", "h must be a finite number, got 'x'"),
+            ("z_q", None, "z_q must be a finite number, got None"),
+            ("k", "5", "k must be a count, got '5'"),
+            ("refit_stride", 0, "refit_stride 0 differs from the config's 1"),
+            ("q", 0.5, "q 0.5 differs from the config's 0.0001"),
+            ("max_peaks", 50, "max_peaks 50 differs from the config's None"),
+        ],
+        ids=["h-string", "z_q-null", "k-string", "refit-stride-0", "q-other", "max-peaks-other"],
+    )
+    def test_bad_engine_spot_exits_one(self, workdir, tiny_setup, capsys, key, value, message):
+        # a detector past calibration, so its engine file holds a SPOT state
+        det = OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig(calibration_len=600))
+        for reading in list(read_meter_csv(str(tiny_setup["detect_csv"])).iter_readings())[:660]:
+            det.step(reading)
+        bad, out = workdir / "bad_spot.npz", workdir / "bad_spot.jsonl"
+        det.save(bad)
+        meta, arrays = read_container(bad, ENGINE_FORMAT)
+        meta["spot"][key] = value
+        write_container(bad, ENGINE_FORMAT, meta, arrays)
+        capsys.readouterr()
+        assert main(["detect", "--resume-engine", str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: spot {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("existing", [None, b"earlier events\n"], ids=["no-out-file", "existing-out-file"])
     @pytest.mark.parametrize("flag", ["--resume-engine", "--checkpoint"])
     def test_failed_load_writes_nothing(self, workdir, tiny_setup, capsys, flag, existing):
@@ -1077,7 +1139,7 @@ class TestEval:
         path.write_text("score,label\n" + "".join(f"{0.01 * i},{i % 2}\n" for i in range(100)))
         capsys.readouterr()
         assert main(["eval", "--scores", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: not enough rows beyond the calibration fraction\n"
+        assert capsys.readouterr().err == f"error: {path}: calibration takes 100 scores, leaving none of its 100\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -95,6 +95,13 @@ class TestPositionalEncoding:
         with pytest.raises(ValueError):
             ModelDims(C=4, hidden=4, heads=2, lm=4, gm=4, e0=3, e1=2)  # lm < gm
 
+    @pytest.mark.parametrize("name", ["C", "hidden", "heads", "lm", "gm", "e0", "e1"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_size_below_one_rejected(self, name, size):
+        # refused before the divisibility checks, which would divide by it
+        with pytest.raises(ValueError, match=f"^model size {name} must be an integer >= 1, got {size}$"):
+            ModelDims(**{name: size})
+
 
 def _straight_line_trd(tokens, memory, p):
     """Independent dense reimplementation of one block, plain numpy throughout."""
