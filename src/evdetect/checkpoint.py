@@ -41,6 +41,7 @@ data is shorter or longer than its header says.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import json
@@ -179,7 +180,7 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(meta, dict) or meta.get("format") != kind:
         raise ValueError(f"not a {kind} file: {path}")
     if meta.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported {kind} version {meta.get('version')}")
+        raise ValueError(f"unsupported {kind} version {meta.get('version')}: {path}")
     return meta, arrays
 
 
@@ -190,15 +191,26 @@ def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[st
 
 
 def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelDims, np.ndarray, SeriesStats]:
-    """Inverse of `encode_model`: dims, weight vector and stats; malformed
-    metadata raise ValueError. `load_model` builds a writable model from them,
-    without a random init; `OnlineDetector.load` takes `ModelParams.shared`'s,
-    decoded only if no live holder has it already.
+    """Inverse of `encode_model`: dims, weight vector and stats. A missing key
+    raises KeyError, a field of the wrong kind TypeError or ValueError; the
+    loaders decode under `naming`. `load_model` builds a writable model from
+    them, without a random init; `OnlineDetector.load` takes
+    `ModelParams.shared`'s, decoded only if no live holder has it already.
     """
+    return ModelDims(**meta["dims"]), arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
+
+
+@contextlib.contextmanager
+def naming(path, kind: str):
+    """Decode `path`'s header and arrays inside this block: any error becomes
+    one ValueError that names the file, a missing key or a field of the wrong
+    type as malformed metadata."""
     try:
-        return ModelDims(**meta["dims"]), arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
+        yield
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint metadata: {exc!r}") from exc
+        raise ValueError(f"{path}: malformed {kind} metadata: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
@@ -206,5 +218,7 @@ def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, SeriesStats]:
-    dims, vector, stats = decode_model(*read_container(path, MODEL_FORMAT))
-    return ModelParams(dims, vector=vector), stats
+    meta, arrays = read_container(path, MODEL_FORMAT)
+    with naming(path, MODEL_FORMAT):
+        dims, vector, stats = decode_model(meta, arrays)
+        return ModelParams(dims, vector=vector), stats

@@ -353,7 +353,8 @@ class OnlineDetector:
 
     @classmethod
     def load(cls, path) -> "OnlineDetector":
-        """Resume a detector saved by `save`; a malformed file raises ValueError.
+        """Resume a detector saved by `save`; a malformed file raises a
+        ValueError that names it.
 
         The saved readings are restored, not replayed. A stream that steps
         cannot leave is refused: here, timestamps of mixed time-zone kinds,
@@ -367,8 +368,8 @@ class OnlineDetector:
         kernel of `push` once per reading.
         """
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
-        dims, vector, stats = ckpt.decode_model(meta, arrays)
-        try:
+        with ckpt.naming(path, ckpt.ENGINE_FORMAT):
+            dims, vector, stats = ckpt.decode_model(meta, arrays)
             # older files carry a cache switch; every detector runs its cache
             config = dict(meta["config"])
             config.pop("cache_enabled", None)
@@ -378,25 +379,23 @@ class OnlineDetector:
             det.last_t = datetime.fromisoformat(stream["last_t"]) if stream.get("last_t") else max(times, default=None)
             powers, total_seen = arrays["power"], stream["total_seen"]
             if not (powers.shape == (len(times),) and powers.dtype == np.float64):
-                raise ValueError(f"{path}: stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
+                raise ValueError(f"stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
             if spot is None:
                 det.calib_scores = arrays["calib_scores"].tolist()
             else:
                 # a copy: a view would keep the whole file's bytes alive
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].copy()})
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed {ckpt.ENGINE_FORMAT} metadata: {exc!r}") from exc
-        if det.spot is not None and (fault := _spot_fault(det.spot, det.config)):
-            raise ValueError(f"{path}: spot {fault}")
-        try:
-            if any(a >= b for a, b in zip(times, times[1:])):
-                raise ValueError("timestamps are not strictly increasing")
-            if times and not det.last_t >= times[-1]:
-                raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
-            # tuple.__new__ skips the NamedTuple's Python-level constructor
-            readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers.tolist())))
-            g = det.stream.restore(readings, total_seen)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: stream {exc}") from exc
+                if fault := _spot_fault(det.spot, det.config):
+                    raise ValueError(f"spot {fault}")
+            try:
+                if any(a >= b for a, b in zip(times, times[1:])):
+                    raise ValueError("timestamps are not strictly increasing")
+                if times and not det.last_t >= times[-1]:
+                    raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
+                # tuple.__new__ skips the NamedTuple's Python-level constructor
+                readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers.tolist())))
+                g = det.stream.restore(readings, total_seen)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"stream {exc}") from exc
         det.cache.fill(det._embed_scalar(((powers[:g] - stats.mean) / stats.std)[:, None]))
         return det

@@ -10,6 +10,11 @@ to a scalar reading.
 Every block ("TRD" below) is self-attention, cross-attention and a
 feed-forward net, each followed by residual-add + layer norm (post-norm
 ordering).
+
+`mtr_forward` is the one forward, on plain arrays. Inference runs it, with an
+attention cache per stream in the engine; training runs it with a tape and
+then `mtr_backward`, the hand-written reverse pass over that tape, which adds
+every gradient to the flat `ModelParams.grad`.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .nn import Tensor, _layer_norm, concat_last, relu, softmax_rows, uniform_init
+from .nn import Tensor, _normalized, relu, softmax_rows, uniform_init
 
 LN_EPS = 1e-5
 
@@ -132,11 +137,20 @@ def _tile(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
+def _place(root, path: str, value) -> None:
+    """Set `root`.path to `value`: "enc1.self_attn.wo" sets
+    root.enc1.self_attn.wo, making the groups on first use."""
+    *groups, name = path.split(".")
+    for group in groups:
+        root = root.__dict__.setdefault(group, SimpleNamespace())
+    setattr(root, name, value)
+
+
 class ModelParams:
     """All learned weights: scalar embedding, two encoder blocks with learned
     query tokens, one decoder block, scalar output head.
 
-    `vector`, one 1-D float64 array, stores every weight. Each weight is a leaf
+    `vector`, one 1-D float64 array, stores every weight. Each weight is a
     `Tensor` over a reshaped view of it, at the attribute path `_layout` gives
     (`enc1.ln1.gain`, ...). A stack `wq_all` is a (heads, C, d) view, and `wq`
     holds a `Tensor` per head over views of it, so an in-place update of the
@@ -173,17 +187,13 @@ class ModelParams:
         self._folds: ModelFolds | None = None
         self._parameters: list[Tensor] = []
         for (path, _, _), view in zip(layout, _tile(self.vector, shapes)):
-            *groups, name = path.split(".")
-            node = self  # "enc1.self_attn.wo" -> self.enc1.self_attn.wo, groups made on first use
-            for group in groups:
-                node = node.__dict__.setdefault(group, SimpleNamespace())
-            if name.endswith("_all"):
-                setattr(node, name, view)
-                leaves = [Tensor(head, requires_grad=True) for head in view]
-                setattr(node, name.removesuffix("_all"), leaves)
+            if path.endswith("_all"):
+                _place(self, path, view)
+                leaves = [Tensor(head) for head in view]
+                _place(self, path.removesuffix("_all"), leaves)
             else:
-                leaves = [Tensor(view, requires_grad=True)]
-                setattr(node, name, leaves[0])
+                leaves = [Tensor(view)]
+                _place(self, path, leaves[0])
             self._parameters += leaves
         # relative-position rows for the local and global windows (shared, read-only)
         self.pos_lm = _shared_table(dims.lm - 1, 0, dims.C)
@@ -220,102 +230,54 @@ class ModelParams:
         return type(self), (self.dims, 0, self.vector)
 
     def parameters(self) -> list[Tensor]:
-        """Every weight as a leaf `Tensor`, in storage order; a stack gives one per head."""
+        """Every weight as a `Tensor`, in storage order; a stack gives one per head."""
         return list(self._parameters)
 
     def zero_grad(self) -> None:
-        """Zero `grad` and point each parameter's `.grad` at its view of it, so
-        backward accumulates the gradients in place."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.vector)
-            self._grad_views = _tile(self.grad, [t.shape for t in self._parameters])
-        else:
+        """Zero `grad`, allocating it on the first call. Then each parameter's
+        `.grad` is its view of it, and `_grads` is the weights' tree over it
+        (`_grads.enc1.self_attn.wq_all`, ...), where `mtr_backward` adds."""
+        if self.grad is not None:
             self.grad.fill(0.0)
-        for t, g in zip(self._parameters, self._grad_views):
-            t.grad = g
+            return
+        self.grad = np.zeros_like(self.vector)
+        for t, view in zip(self._parameters, _tile(self.grad, [t.shape for t in self._parameters])):
+            t.grad = view
+        layout = _layout(self.dims)
+        self._grads = SimpleNamespace()
+        for (path, _, _), view in zip(layout, _tile(self.grad, [shape for _, shape, _ in layout])):
+            _place(self._grads, path, view)
 
 
 _SHARED_MODELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
-# Forward pieces. A `SimpleNamespace` argument is one group of `_layout`: a
-# block (`enc1`), one of its attentions (`enc1.self_attn`) or a layer norm.
+# The forward on plain arrays. A `SimpleNamespace` argument is one group of
+# `_layout`: a block (`enc1`), one of its attentions (`enc1.self_attn`) or a
+# layer norm. Given a `tape` (a list), each piece appends what its backward
+# needs, and `mtr_backward` pops the records in reverse order.
 # ---------------------------------------------------------------------------
 
 
-def multi_head_attention(queries: Tensor, memory: Tensor, p: SimpleNamespace) -> Tensor:
-    """Multi-head attention with `memory` providing both keys and values."""
-    d = p.wq[0].shape[1]
-    scale = 1.0 / math.sqrt(d)
-    heads = []
-    for wq, wk, wv in zip(p.wq, p.wk, p.wv):
-        q = queries.matmul(wq)
-        k = memory.matmul(wk)
-        v = memory.matmul(wv)
-        logits = q.matmul(k.transpose_last()) * scale
-        heads.append(logits.softmax_last().matmul(v))
-    return concat_last(heads).matmul(p.wo)
-
-
-def feed_forward(x: Tensor, p: SimpleNamespace) -> Tensor:
-    return (x.matmul(p.w1) + p.b1).relu().matmul(p.w2) + p.b2
-
-
-def trd_forward(tokens: Tensor, memory: Tensor, p: SimpleNamespace) -> Tensor:
-    """Self-attention, cross-attention over `memory`, FFN; post-norm residuals."""
-    x1 = (tokens + multi_head_attention(tokens, tokens, p.self_attn)).layer_norm(p.ln1.gain, p.ln1.bias, LN_EPS)
-    x2 = (x1 + multi_head_attention(x1, memory, p.cross_attn)).layer_norm(p.ln2.gain, p.ln2.bias, LN_EPS)
-    return (x2 + feed_forward(x2, p)).layer_norm(p.ln3.gain, p.ln3.bias, LN_EPS)
-
-
-def embed_window(values: Tensor, pos: np.ndarray, p: ModelParams) -> Tensor:
-    """Map raw (batched) window values [.., n] to features [.., n, C]."""
-    n = values.shape[-1]
-    x = values.reshape(*values.shape, 1)
-    feats = x.matmul(p.embed_w) + p.embed_b
-    return feats + Tensor(pos[:n])
-
-
-def encode_global(gm_features: Tensor, p: ModelParams) -> Tensor:
-    """Compress global-window features [.., gm, C] into [.., e1, C]."""
-    stage1 = trd_forward(p.enc1_queries, gm_features, p.enc1)
-    return trd_forward(p.enc2_queries, stage1, p.enc2)
-
-
-def decode_local(lm_features: Tensor, encoded: Tensor, p: ModelParams) -> Tensor:
-    """Reconstruct the local window [.., lm] from its features and the encoded context."""
-    out = trd_forward(lm_features, encoded, p.dec)
-    rec = out.matmul(p.head_w) + p.head_b
-    return rec.reshape(*rec.shape[:-1])
-
-
-def mtr_forward_t(lm_values: Tensor, gm_values: Tensor, p: ModelParams) -> Tensor:
-    """Full reconstruction pass on (batched) normalized window values."""
-    lm_feats = embed_window(lm_values, p.pos_lm, p)
-    gm_feats = embed_window(gm_values, p.pos_gm, p)
-    encoded = encode_global(gm_feats, p)
-    return decode_local(lm_feats, encoded, p)
-
-
-# ---------------------------------------------------------------------------
-# Inference forward on plain arrays (the same arithmetic as the Tensor ops,
-# without graph nodes)
-# ---------------------------------------------------------------------------
-
-
-def _mha(x: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    """`multi_head_attention` on arrays, all heads at once.
+def _mha(x: np.ndarray, memory: np.ndarray, p: SimpleNamespace, tape: list | None = None) -> np.ndarray:
+    """Multi-head attention of queries `x` over `memory` (keys and values),
+    all heads at once.
 
     Each projection is one broadcast matmul against the (h, C, d) stacks, so
     heads sit on a new axis -3.
     """
     mem = memory[..., None, :, :]
     q = x[..., None, :, :] @ p.wq_all
-    logits = q @ (mem @ p.wk_all).swapaxes(-1, -2) * (1.0 / math.sqrt(p.wq_all.shape[-1]))
-    # (.., h, n, d) -> (.., n, h*d): the heads side by side, as `concat_last`
-    joined = (softmax_rows(logits) @ (mem @ p.wv_all)).swapaxes(-3, -2)
-    return joined.reshape(*joined.shape[:-2], -1) @ p.wo.data
+    k = mem @ p.wk_all
+    v = mem @ p.wv_all
+    weights = softmax_rows(q @ k.swapaxes(-1, -2) * (1.0 / math.sqrt(p.wq_all.shape[-1])))
+    # (.., h, n, d) -> (.., n, h*d): the heads side by side
+    joined = (weights @ v).swapaxes(-3, -2)
+    joined = joined.reshape(*joined.shape[:-2], -1)
+    if tape is not None:
+        tape.append((x, memory, q, k, v, weights, joined))
+    return joined @ p.wo.data
 
 
 def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
@@ -505,28 +467,45 @@ class ModelFolds:
                 a.flags.writeable = False
 
 
-def _ln(x: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    return _layer_norm(x, p.gain.data, p.bias.data, LN_EPS)
+def _ln(x: np.ndarray, p: SimpleNamespace, tape: list | None = None) -> np.ndarray:
+    xhat, inv_std = _normalized(x, LN_EPS)
+    if tape is not None:
+        tape.append((xhat, inv_std))
+    return xhat * p.gain.data + p.bias.data
 
 
-def self_attend(tokens: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    """First stage of a TRD block on arrays: self-attention, residual, norm."""
-    return _ln(tokens + _mha(tokens, tokens, p.self_attn), p.ln1)
+def self_attend(tokens: np.ndarray, p: SimpleNamespace, tape: list | None = None) -> np.ndarray:
+    """First stage of a TRD block: self-attention, residual, norm."""
+    return _ln(tokens + _mha(tokens, tokens, p.self_attn, tape), p.ln1, tape)
 
 
-def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace) -> np.ndarray:
-    """The rest of `trd_forward` on arrays, after `self_attend` gave `x1`:
+def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace, tape: list | None = None) -> np.ndarray:
+    """The rest of TRD block `p`, after `self_attend` gave `x1`:
     cross-attention over `memory`, FFN, post-norm residuals."""
-    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn), p.ln2)
-    ffn = relu(x2 @ p.w1.data + p.b1.data) @ p.w2.data + p.b2.data
-    return _ln(x2 + ffn, p.ln3)
+    x2 = _ln(x1 + _mha(x1, memory, p.cross_attn, tape), p.ln2, tape)
+    hidden = relu(x2 @ p.w1.data + p.b1.data)
+    if tape is not None:
+        tape.append((x2, hidden))
+    return _ln(x2 + (hidden @ p.w2.data + p.b2.data), p.ln3, tape)
 
 
-def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None) -> np.ndarray:
-    """Inference forward on plain (batched) arrays; equals `mtr_forward_t`.
+def _embed(values: np.ndarray, pos: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Window values [.., n] as features [.., n, C]: the scalar embedding plus
+    each position's row of `pos` (n x C)."""
+    return values[..., None] @ p.embed_w.data + p.embed_b.data + pos
 
-    Without `cache` it scores any batch of windows: training's full-set loss
-    and the reference the cached branch is tested against. With `cache` (an
+
+def _head(out: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The decoder's features [.., lm, C] projected to the reconstruction [.., lm]."""
+    return (out @ p.head_w.data + p.head_b.data)[..., 0]
+
+
+def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None, tape=None) -> np.ndarray:
+    """The reconstruction of (batched) normalized windows.
+
+    Without `cache` it scores any batch of windows: training's loss and the
+    reference the cached branch is tested against. A `tape` (a list, plain
+    branch only) records what `mtr_backward` needs. With `cache` (an
     `engine.AttentionCache` over this global window, single window only) every
     input-independent piece comes from its `ModelFolds`, and the result equals
     the plain branch to rounding, not bit for bit.
@@ -535,14 +514,15 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
     gm_values = np.asarray(gm_values, dtype=np.float64)
     if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
         raise ValueError("window lengths do not match model dims")
-    embed_w, embed_b = p.embed_w.data, p.embed_b.data
-    lm_feats = lm_values[..., None] @ embed_w + embed_b + p.pos_lm
+    lm_feats = _embed(lm_values, p.pos_lm, p)
     if cache is None:
-        gm_feats = gm_values[..., None] @ embed_w + embed_b + p.pos_gm
-        stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), gm_feats, p.enc1)
-        encoded = _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
-        out = _trd(self_attend(lm_feats, p.dec), encoded, p.dec)
-        return (out @ p.head_w.data + p.head_b.data)[..., 0]
+        gm_feats = _embed(gm_values, p.pos_gm, p)
+        stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1, tape), gm_feats, p.enc1, tape)
+        encoded = _trd(self_attend(p.enc2_queries.data, p.enc2, tape), stage1, p.enc2, tape)
+        out = _trd(self_attend(lm_feats, p.dec, tape), encoded, p.dec, tape)
+        if tape is not None:
+            tape.append((lm_values, gm_values, out))
+        return _head(out, p)
     # enc1's values are gm_feats @ vo @ fold, split into a per-reading and a fixed part
     scale, offset = cache.enc1_values
     cross = _attend(cache.assemble_logits(), gm_values[:, None] * scale + offset)
@@ -551,3 +531,131 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
     encoded = _folded_tail(cache.enc2_residual + cross, p.enc2, cache.enc2_ln3, p.enc2.ln3.bias.data)
     x1 = folded_ln(folded_attention(lm_feats, lm_feats, *cache.dec_self), p.dec.ln1.bias.data)
     return _folded_tail(folded_attention(x1, encoded, *cache.dec_cross), p.dec, *cache.dec_head)[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# The reverse pass over a tape of the plain forward. Each `*_backward` takes
+# the gradient of the loss with respect to its piece's output, adds to the
+# gradient tree `g` of the piece's weights, and returns the gradients of its
+# inputs.
+# ---------------------------------------------------------------------------
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """`a` as one 2-D stack of its last-axis rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _sum_to(d: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The gradient `d` of a broadcast of `like` summed back to `like`'s shape
+    (the broadcast adds leading axes only)."""
+    return d.reshape(-1, *like.shape).sum(axis=0) if d.ndim > like.ndim else d
+
+
+def mtr_backward(tape: list, grad: np.ndarray, p: ModelParams) -> None:
+    """Add to `p.grad` the gradient of a loss whose gradient with respect to
+    `mtr_forward`'s output is `grad`, running back over the `tape` that
+    forward filled; the tape is consumed. The first call on a model allocates
+    `p.grad` zeroed (`ModelParams.zero_grad`)."""
+    if p.grad is None:
+        p.zero_grad()
+    g = p._grads
+    lm_values, gm_values, out = tape.pop()
+    g.head_b += grad.sum()
+    g.head_w += _rows(out).T @ grad.reshape(-1, 1)
+    d_x1, d_encoded = _trd_backward(grad[..., None] @ p.head_w.data.T, p.dec, g.dec, tape)
+    d_lm_feats = _self_attend_backward(d_x1, p.dec, g.dec, tape)
+    d_x1, d_stage1 = _trd_backward(d_encoded, p.enc2, g.enc2, tape)
+    g.enc2_queries += _self_attend_backward(d_x1, p.enc2, g.enc2, tape)
+    d_x1, d_gm_feats = _trd_backward(d_stage1, p.enc1, g.enc1, tape)
+    g.enc1_queries += _self_attend_backward(d_x1, p.enc1, g.enc1, tape)
+    for values, d in ((lm_values, d_lm_feats), (gm_values, d_gm_feats)):
+        g.embed_w += values.reshape(1, -1) @ _rows(d)
+        g.embed_b += _rows(d).sum(axis=0)
+
+
+def _trd_backward(d: np.ndarray, p: SimpleNamespace, g: SimpleNamespace, tape: list) -> tuple[np.ndarray, np.ndarray]:
+    """`_trd`'s backward: the gradients of `x1` and of `memory`."""
+    d = _ln_backward(d, p.ln3, g.ln3, tape.pop())
+    x2, hidden = tape.pop()
+    g.b2 += _rows(d).sum(axis=0)
+    g.w2 += _rows(hidden).T @ _rows(d)
+    d_hidden = (d @ p.w2.data.T) * (hidden > 0.0)
+    g.b1 += _rows(d_hidden).sum(axis=0)
+    g.w1 += _rows(x2).T @ _rows(d_hidden)
+    d = _ln_backward(d + d_hidden @ p.w1.data.T, p.ln2, g.ln2, tape.pop())
+    record = tape.pop()
+    d_x1, d_memory = _mha_backward(d, p.cross_attn, g.cross_attn, record)
+    # an encoder's x1 is one set of queries for the whole batch
+    return _sum_to(d + d_x1, record[0]), d_memory
+
+
+def _self_attend_backward(d: np.ndarray, p: SimpleNamespace, g: SimpleNamespace, tape: list) -> np.ndarray:
+    """`self_attend`'s backward: the gradient of `tokens`."""
+    d = _ln_backward(d, p.ln1, g.ln1, tape.pop())
+    d_x, d_memory = _mha_backward(d, p.self_attn, g.self_attn, tape.pop())
+    return d + d_x + d_memory
+
+
+def _ln_backward(d: np.ndarray, p: SimpleNamespace, g: SimpleNamespace, record: tuple) -> np.ndarray:
+    """`_ln`'s backward, from its x-hat and 1/std."""
+    xhat, inv_std = record
+    g.gain += _rows(d * xhat).sum(axis=0)
+    g.bias += _rows(d).sum(axis=0)
+    d_xhat = d * p.gain.data
+    centred = d_xhat - d_xhat.mean(axis=-1, keepdims=True)
+    return inv_std * (centred - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True))
+
+
+def _mha_backward(d: np.ndarray, p: SimpleNamespace, g: SimpleNamespace, record: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """`_mha`'s backward: the gradients of `x` and of `memory`, with the
+    batch axes of the output."""
+    x, memory, q, k, v, weights, joined = record
+    h, _, d_head = p.wq_all.shape
+    g.wo += _rows(joined).T @ _rows(d)
+    d = d @ p.wo.data.T
+    d = d.reshape(*d.shape[:-1], h, d_head).swapaxes(-3, -2)  # (.., h, n, d)
+    d_weights = d @ v.swapaxes(-1, -2)
+    d_logits = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(d_head))
+    d_x = _project_backward(x, d_logits @ k, p.wq_all, g.wq_all)
+    d_memory = _project_backward(memory, d_logits.swapaxes(-1, -2) @ q, p.wk_all, g.wk_all)
+    return d_x, d_memory + _project_backward(memory, weights.swapaxes(-1, -2) @ d, p.wv_all, g.wv_all)
+
+
+def _project_backward(x: np.ndarray, d: np.ndarray, w: np.ndarray, g_w: np.ndarray) -> np.ndarray:
+    """The backward of the per-head projections x[..., None, :, :] @ w, with
+    `w` a (h, C, d) stack and `d` (.., h, n, d): adds to `g_w` and returns the
+    gradient of `x`, with the batch axes of `d`.
+
+    The heads are read side by side, as x @ [w_1 | ... | w_h], so each
+    gradient is one 2-D matmul over every row of the batch.
+    """
+    h, C, d_head = w.shape
+    d = d.swapaxes(-3, -2)
+    d = d.reshape(*d.shape[:-2], h * d_head)  # (.., n, h*d)
+    x = _rows(np.broadcast_to(x, (*d.shape[:-1], C)))
+    g_w += (x.T @ _rows(d)).reshape(C, h, d_head).swapaxes(0, 1)
+    return d @ w.swapaxes(0, 1).reshape(C, h * d_head).T
+
+
+# ---------------------------------------------------------------------------
+# Pieces of the forward on `Tensor`-wrapped arrays. They serve only
+# `perfbench`'s traced path, and go when the benchmark drives the engine's own
+# entry points (ROADMAP direction 1).
+# ---------------------------------------------------------------------------
+
+
+def trd_forward(tokens: Tensor, memory: Tensor, p: SimpleNamespace) -> Tensor:
+    """TRD block `p` on `tokens` over `memory`. Benchmark only."""
+    return Tensor(_trd(self_attend(tokens.data, p), memory.data, p))
+
+
+def embed_window(values: Tensor, pos: np.ndarray, p: ModelParams) -> Tensor:
+    """`_embed` of (batched) window values [.., n]. Benchmark only."""
+    return Tensor(_embed(values.data, pos[: values.shape[-1]], p))
+
+
+def decode_local(lm_features: Tensor, encoded: Tensor, p: ModelParams) -> Tensor:
+    """The reconstruction from the local window's features and the encoded
+    context. Benchmark only."""
+    return Tensor(_head(_trd(self_attend(lm_features.data, p.dec), encoded.data, p.dec), p))

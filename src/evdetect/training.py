@@ -1,4 +1,9 @@
-"""Self-supervised reconstruction training on non-EV windows."""
+"""Self-supervised reconstruction training on non-EV windows.
+
+Each batch runs `model.mtr_forward` with a tape, and `model.mtr_backward`
+adds the loss's gradient to the flat `ModelParams.grad` for one Adam update
+of the flat `ModelParams.vector`.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import WindowBatch
-from .model import ModelDims, ModelParams, mtr_forward, mtr_forward_t
-from .nn import AdamState, Hyper, Tensor, adam_step
+from .model import ModelDims, ModelParams, mtr_backward, mtr_forward
+from .nn import AdamState, Hyper, adam_step
 
 MAX_TRAIN_MINUTES = 4 * 7 * 1440  # default cap on training history
 DIVERGENCE_LIMIT = 1e6  # a batch loss above this aborts training
@@ -31,17 +36,31 @@ class TrainReport:
     seed: int = 0
 
 
-def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> Tensor:
-    """Mean squared reconstruction error over batch and local-window positions."""
-    lm = Tensor(batch.lm_windows)
-    gm = Tensor(batch.gm_windows)
-    rec = mtr_forward_t(lm, gm, params)
-    diff = rec - lm
-    return (diff * diff).mean_all()
+@dataclass
+class BatchLoss:
+    """A batch's loss `data` (0-d) and the tape of the forward that gave it."""
+
+    data: np.ndarray
+    params: ModelParams
+    tape: list
+    diff: np.ndarray  # reconstruction minus target
+
+    def backward(self) -> None:
+        """Add the loss's gradient to `params.grad`; this consumes the tape."""
+        # d mean(diff^2) / d diff; 2/n is exact, so this is 2 * (diff * (1/n))
+        mtr_backward(self.tape, self.diff * (2.0 / self.diff.size), self.params)
+
+
+def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> BatchLoss:
+    """Mean squared reconstruction error over batch and local-window
+    positions, ready for `backward`."""
+    tape: list = []
+    diff = mtr_forward(batch.lm_windows, batch.gm_windows, params, tape=tape) - batch.lm_windows
+    return BatchLoss(np.asarray((diff * diff).mean()), params, tape, diff)
 
 
 def reconstruction_loss(batch: WindowBatch, params: ModelParams) -> float:
-    """`reconstruction_loss_t`'s value, through the array forward."""
+    """`reconstruction_loss_t`'s value, without a tape."""
     d = mtr_forward(batch.lm_windows, batch.gm_windows, params) - batch.lm_windows
     loss = float((d * d).mean())
     if not np.isfinite(loss):
@@ -60,8 +79,8 @@ def train(
 ) -> tuple[ModelParams, TrainReport]:
     """Adam over shuffled window batches; deterministic for a fixed seed.
 
-    Backward writes every gradient into the flat `params.grad`, and each batch
-    is one Adam update of the flat `params.vector`.
+    Each batch's backward adds every gradient to the flat `params.grad`, and
+    the batch is one Adam update of the flat `params.vector`.
 
     Stops early after `patience` epochs without improvement. A loss above
     `DIVERGENCE_LIMIT` aborts with TrainingDiverged carrying the partial report.

@@ -11,14 +11,14 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from evdetect.data import SynthConfig, fit_stats, normalize, sliding_windows, synth_household
+from evdetect.data import SynthConfig, WindowBatch, fit_stats, normalize, sliding_windows, synth_household
 from evdetect.engine import DETECTING, EngineConfig, OnlineDetector
 from evdetect.evaluation import confusion, precision_recall_f1, roc_auc
 from evdetect.memory import Reading, StreamState
-from evdetect.model import ModelDims, ModelParams, _trd, mtr_forward, mtr_forward_t, self_attend
-from evdetect.nn import Hyper, Tensor, grad_check
+from evdetect.model import ModelDims, ModelParams, _trd, mtr_forward, self_attend
+from evdetect.nn import Hyper, grad_check
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
-from evdetect.training import train
+from evdetect.training import reconstruction_loss, reconstruction_loss_t, train
 
 REFERENCE_DIMS = ModelDims(C=8, hidden=8, heads=2, lm=8, gm=32, e0=16, e1=8)
 T0 = datetime(2018, 1, 1)
@@ -64,19 +64,14 @@ def test_c02_gradient_correctness_full_model():
     dims = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
     params = ModelParams(dims, seed=32)
     rng = np.random.default_rng(33)
-    lm = Tensor(rng.normal(size=(1, 2)))
-    gm = Tensor(rng.normal(size=(1, 4)))
-
-    def loss():
-        rec = mtr_forward_t(lm, gm, params)
-        diff = rec - lm
-        return (diff * diff).mean_all()
-
-    err = grad_check(loss, params.parameters(), delta=1e-4)
+    batch = WindowBatch(rng.normal(size=(1, 2)), rng.normal(size=(1, 4)))
+    params.zero_grad()
+    reconstruction_loss_t(batch, params).backward()
+    err = grad_check(lambda: reconstruction_loss(batch, params), params.vector, params.grad, delta=1e-4)
     elapsed = time.perf_counter() - started
     assert err < 1e-4
     assert elapsed < 30.0
-    n_params = sum(p.data.size for p in params.parameters())
+    n_params = params.vector.size
     _passed(2, f"max relative gradient error {err:.2e} over {n_params} parameters, {elapsed:.1f}s")
 
 

@@ -241,6 +241,11 @@ class TestTrain:
             pytest.param("--lm", "0", "model size lm must be an integer >= 1, got 0", id="lm-0"),
             pytest.param("--hidden", "0", "model size hidden must be an integer >= 1, got 0", id="hidden-0"),
             pytest.param("--stride", "0", "stride must be >= 1, got 0", id="stride-0"),
+            pytest.param("--lr", "nan", "learning_rate must be a finite number > 0, got nan", id="lr-nan"),
+            pytest.param("--lr", "inf", "learning_rate must be a finite number > 0, got inf", id="lr-inf"),
+            pytest.param("--weight-decay", "nan", "weight_decay must be a finite number, got nan", id="wd-nan"),
+            pytest.param("--adam-eps", "-1", "epsilon must be a finite number >= 0, got -1.0", id="adam-eps-neg"),
+            pytest.param("--adam-eps", "inf", "epsilon must be a finite number >= 0, got inf", id="adam-eps-inf"),
         ],
     )
     def test_bad_setting_exits_one_before_reading(self, workdir, capsys, flag, value, message):
@@ -779,7 +784,40 @@ class TestDetect:
         write_container(bad, MODEL_FORMAT, meta, arrays)
         capsys.readouterr()
         assert main(["detect", "--checkpoint", str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, flag, message",
+        [
+            pytest.param("std0.npz", "--checkpoint", "{}: stats std must be a finite positive number, got 0",
+                         id="model-std-0"),
+            pytest.param("v1.npz", "--checkpoint", "unsupported evdetect-model version 1: {}", id="model-version-1"),
+            pytest.param("no_total_seen.npz", "--resume-engine",
+                         "{}: malformed evdetect-engine metadata: KeyError('total_seen')", id="engine-no-total-seen"),
+            pytest.param("heads3.npz", "--resume-engine", "{}: head count must divide C", id="engine-heads-3"),
+        ],
+    )
+    def test_load_error_names_the_file(self, workdir, tiny_setup, capsys, name, flag, message):
+        bad, out = workdir / name, workdir / "never.jsonl"
+        if flag == "--checkpoint":
+            meta, arrays = read_container(tiny_setup["ckpt"], MODEL_FORMAT)
+            if name == "std0.npz":
+                meta["stats"]["std"] = 0
+            else:
+                meta["version"] = 1
+            write_container(bad, MODEL_FORMAT, meta, arrays)
+        else:
+            OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig()).save(bad)
+            meta, arrays = read_container(bad, ENGINE_FORMAT)
+            if name == "heads3.npz":
+                meta["dims"]["heads"] = 3
+            else:
+                del meta["stream"]["total_seen"]
+            write_container(bad, ENGINE_FORMAT, meta, arrays)
+        capsys.readouterr()
+        assert main(["detect", flag, str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(bad)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Transformer-block tests: positional encoding, the straight-line dense
-reimplementation check, the flat parameter layout, gradient checks and timing
-shape."""
+reimplementation check, the flat parameter layout, gradient checks of the
+hand-written backward and timing shape."""
 
 import copy
 import math
@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 
 from evdetect.checkpoint import load_model, save_model
-from evdetect.data import SeriesStats
+from evdetect.data import SeriesStats, WindowBatch
 from evdetect.model import (
     LN_EPS,
     ModelDims,
     ModelParams,
-    encode_global,
+    _mha,
+    _trd,
     fold_layer_norms,
     folded_ln,
     mtr_forward,
-    mtr_forward_t,
     positional_table,
-    trd_forward,
+    self_attend,
 )
-from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, layer_norm, no_grad
+from evdetect.nn import AdamState, Hyper, adam_step, grad_check, layer_norm
+from evdetect.training import reconstruction_loss, reconstruction_loss_t
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
 
@@ -129,14 +130,32 @@ def _straight_line_trd(tokens, memory, p):
     return ln(x2 + ffn, p.ln3)
 
 
+def _straight_line_forward(lm, gm, p):
+    """Oracle for `mtr_forward` on one window, from `_straight_line_trd`,
+    which reads the per-head weights."""
+
+    def embed(values, pos):
+        return values[:, None] @ p.embed_w.data + p.embed_b.data + pos
+
+    stage1 = _straight_line_trd(p.enc1_queries.data, embed(gm, p.pos_gm), p.enc1)
+    encoded = _straight_line_trd(p.enc2_queries.data, stage1, p.enc2)
+    out = _straight_line_trd(embed(lm, p.pos_lm), encoded, p.dec)
+    return (out @ p.head_w.data + p.head_b.data)[:, 0]
+
+
+def encode(feats, p):
+    """Both encoder blocks: global-window features [.., gm, C] -> [.., e1, C]."""
+    stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1), feats, p.enc1)
+    return _trd(self_attend(p.enc2_queries.data, p.enc2), stage1, p.enc2)
+
+
 class TestTRD:
     def test_degenerate_single_token(self):
         dims = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=1)
         params = ModelParams(dims, seed=1)
-        with no_grad():
-            out = trd_forward(Tensor(np.random.default_rng(0).normal(size=(1, 4))), Tensor(np.zeros((1, 4))), params.dec)
-        assert out.data.shape == (1, 4)
-        assert np.all(np.isfinite(out.data))
+        out = _trd(self_attend(np.random.default_rng(0).normal(size=(1, 4)), params.dec), np.zeros((1, 4)), params.dec)
+        assert out.shape == (1, 4)
+        assert np.all(np.isfinite(out))
 
     def test_identical_memory_rows_collapse_cross_attention(self):
         rng = np.random.default_rng(4)
@@ -145,8 +164,7 @@ class TestTRD:
         params = ModelParams(TINY, seed=2)
         ap = params.dec.cross_attn
         x = rng.normal(size=(3, 4))
-        with no_grad():
-            out = multi_head(x, memory, ap)
+        out = _mha(x, memory, ap)
         # every query attends to identical values: result equals projecting the row
         expected_heads = [row @ wv.data for wv in ap.wv]
         expected = np.concatenate(expected_heads) @ ap.wo.data
@@ -157,16 +175,9 @@ class TestTRD:
         params = ModelParams(TINY, seed=3)
         tokens = rng.normal(size=(3, 4))
         memory = rng.normal(size=(6, 4))
-        with no_grad():
-            got = trd_forward(Tensor(tokens), Tensor(memory), params.dec).data
+        got = _trd(self_attend(tokens, params.dec), memory, params.dec)
         want = _straight_line_trd(tokens, memory, params.dec)
         np.testing.assert_allclose(got, want, atol=1e-9)
-
-
-def multi_head(x, memory, ap):
-    from evdetect.model import multi_head_attention
-
-    return multi_head_attention(Tensor(np.asarray(x, dtype=float)), Tensor(np.asarray(memory, dtype=float)), ap).data
 
 
 class TestFoldedLayerNorm:
@@ -204,9 +215,7 @@ class TestForward:
             params = ModelParams(dims, seed=4)
             rng = np.random.default_rng(gm)
             feats = rng.normal(size=(gm, 8))
-            with no_grad():
-                out = encode_global(Tensor(feats), params)
-            assert out.data.shape == (4, 8)
+            assert encode(feats, params).shape == (4, 8)
 
     def test_reference_dims_run(self):
         params = ModelParams(ModelDims(), seed=5)
@@ -236,21 +245,21 @@ class TestForward:
         rng = np.random.default_rng(12)
         lm = rng.normal(size=(5, 2))
         gm = rng.normal(size=(5, 4))
-        with no_grad():
-            batched = mtr_forward_t(Tensor(lm), Tensor(gm), params).data
+        batched = mtr_forward(lm, gm, params)
         for i in range(5):
             single = mtr_forward(lm[i], gm[i], params)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
-    def test_array_forward_equals_tensor_forward_exactly(self):
-        # the inference forward is the training forward without graph nodes
+    def test_taped_forward_equals_untaped_exactly(self):
+        # training runs the inference forward; the tape only keeps intermediates
         params = ModelParams(ModelDims(), seed=17)
         rng = np.random.default_rng(18)
         lm = rng.normal(size=(6, 8))
         gm = rng.normal(size=(6, 32))
-        with no_grad():
-            want = mtr_forward_t(Tensor(lm), Tensor(gm), params).data
-        np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
+        tape = []
+        np.testing.assert_array_equal(mtr_forward(lm, gm, params, tape=tape), mtr_forward(lm, gm, params))
+        # per block: two attentions, three norms, the FFN; then the head's inputs
+        assert len(tape) == 3 * 6 + 1
 
     def test_stacked_heads_follow_updates_and_loads(self, tmp_path):
         # the (h, C, d) stacks read by the array forward share memory with the
@@ -261,10 +270,10 @@ class TestForward:
         gm = rng.normal(size=(4, 32))
 
         def assert_forwards_agree(p):
-            with no_grad():
-                want = mtr_forward_t(Tensor(lm), Tensor(gm), p).data
-            np.testing.assert_array_equal(mtr_forward(lm, gm, p), want)
-            return want
+            want = np.stack([_straight_line_forward(a, b, p) for a, b in zip(lm, gm)])
+            got = mtr_forward(lm, gm, p)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            return got
 
         before = assert_forwards_agree(params)
         tensors = params.parameters()
@@ -283,11 +292,16 @@ class TestForward:
         np.testing.assert_array_equal(assert_forwards_agree(loaded), after)
 
     def test_attention_rows_sum_to_one_inside_model(self):
-        # the softmax op guarantees this; spot-check through a hooked forward
+        # the attention weights the tape keeps for the backward
+        params = ModelParams(TINY, seed=13)
         rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(4, 6)))
-        s = x.softmax_last().data
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
+        tape = []
+        mtr_forward(rng.normal(size=(3, 2)), rng.normal(size=(3, 4)), params, tape=tape)
+        weights = [record[5] for record in tape if len(record) == 7]
+        assert [w.shape for w in weights] == [(2, 3, 3), (3, 2, 3, 4), (2, 2, 2), (3, 2, 2, 3), (3, 2, 2, 2), (3, 2, 2, 2)]
+        for w in weights:
+            assert np.all(w >= 0.0)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestFlatLayout:
@@ -309,10 +323,9 @@ class TestFlatLayout:
         params = ModelParams(TINY, seed=24)
         assert params.grad is None  # inference-only models carry no gradient storage
         rng = np.random.default_rng(25)
-        lm, gm = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 4)))
+        batch = WindowBatch(rng.normal(size=(3, 2)), rng.normal(size=(3, 4)))
         params.zero_grad()
-        diff = mtr_forward_t(lm, gm, params) - lm
-        (diff * diff).mean_all().backward()
+        reconstruction_loss_t(batch, params).backward()
         tensors = params.parameters()
         assert all(np.shares_memory(t.grad, params.grad) for t in tensors)
         np.testing.assert_array_equal(np.concatenate([t.grad.ravel() for t in tensors]), params.grad)
@@ -339,20 +352,30 @@ class TestFlatLayout:
         np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
 
 
+def _analytic_gradient(batch, params):
+    params.zero_grad()
+    reconstruction_loss_t(batch, params).backward()
+    return params.grad.copy()
+
+
 class TestGradients:
     def test_full_model_grad_check_tiny(self):
         params = ModelParams(TINY, seed=14)
         rng = np.random.default_rng(15)
-        lm = Tensor(rng.normal(size=(1, 2)))
-        gm = Tensor(rng.normal(size=(1, 4)))
-
-        def loss():
-            rec = mtr_forward_t(lm, gm, params)
-            diff = rec - lm
-            return (diff * diff).mean_all()
-
-        err = grad_check(loss, params.parameters(), delta=1e-4)
+        batch = WindowBatch(rng.normal(size=(1, 2)), rng.normal(size=(1, 4)))
+        grad = _analytic_gradient(batch, params)
+        err = grad_check(lambda: reconstruction_loss(batch, params), params.vector, grad, delta=1e-4)
         assert err < 1e-4, f"max relative gradient error {err}"
+
+    def test_planted_wrong_gradient_is_caught(self):
+        # one block's gradient 1% off must show far above the check's bound
+        params = ModelParams(TINY, seed=14)
+        rng = np.random.default_rng(15)
+        batch = WindowBatch(rng.normal(size=(1, 2)), rng.normal(size=(1, 4)))
+        _analytic_gradient(batch, params)
+        params.dec.w1.grad *= 1.01  # its view of the flat gradient
+        err = grad_check(lambda: reconstruction_loss(batch, params), params.vector, params.grad, delta=1e-4)
+        assert err >= 1e-4, f"planted error reported as {err}"
 
 
 @pytest.mark.slow
@@ -363,13 +386,11 @@ class TestScalingShape:
             dims = ModelDims(C=64, hidden=32, heads=2, lm=8, gm=gm, e0=16, e1=8)
             params = ModelParams(dims, seed=16)
             feats = np.random.default_rng(gm).normal(size=(gm, 64))
-            t = Tensor(feats)
             best = float("inf")
             for _ in range(5):
                 start = time.perf_counter()
-                with no_grad():
-                    for _ in range(reps):
-                        encode_global(t, params)
+                for _ in range(reps):
+                    encode(feats, params)
                 best = min(best, (time.perf_counter() - start) / reps)
             return best
 

@@ -1,20 +1,22 @@
-"""Kernel, autodiff and Adam tests against hand-computed and finite-difference oracles."""
+"""Kernel, gradient and Adam tests against hand-computed and finite-difference oracles."""
 
 import numpy as np
 import pytest
 
+from evdetect.data import WindowBatch
+from evdetect.model import ModelDims, ModelParams
 from evdetect.nn import (
     AdamState,
     Hyper,
-    Tensor,
     adam_step,
-    concat_last,
     grad_check,
     layer_norm,
     linear_forward,
-    no_grad,
     softmax_rows,
 )
+from evdetect.training import reconstruction_loss, reconstruction_loss_t
+
+TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
 
 
 class TestLinearForward:
@@ -144,6 +146,13 @@ class TestAdam:
     def test_bad_hyper_rejected(self):
         with pytest.raises(ValueError):
             Hyper(learning_rate=0.0)
+        for field in ("learning_rate", "weight_decay", "epsilon"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+                    Hyper(**{field: value})
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0, got -1e-08"):
+            Hyper(epsilon=-1e-8)
+        assert Hyper(epsilon=0.0).epsilon == 0.0
         with pytest.raises(ValueError):
             Hyper(beta1=1.0)
         for batch_size in (0, -4):
@@ -154,73 +163,69 @@ class TestAdam:
         assert Hyper(batch_size=1, epochs=0).epochs == 0
 
 
+def _model_gradient(batch, params):
+    params.zero_grad()
+    reconstruction_loss_t(batch, params).backward()
+    return params.grad.copy()
+
+
 class TestGradCheck:
     def test_square_at_three(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        err = grad_check(lambda: (x * x).mean_all(), [x], delta=1e-4)
+        x = np.array([3.0])
+        err = grad_check(lambda: float(np.mean(x * x)), x, np.array([6.0]), delta=1e-4)
         assert err < 1e-8
 
     def test_linear_net_mse(self):
         rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=2), requires_grad=True)
-        x = Tensor(rng.normal(size=(5, 3)))
-        target = Tensor(rng.normal(size=(5, 2)))
+        theta = rng.normal(size=3 * 2 + 2)  # w (3, 2), then b (2,)
+        x = rng.normal(size=(5, 3))
+        target = rng.normal(size=(5, 2))
+
+        def diff():
+            return x @ theta[:6].reshape(3, 2) + theta[6:] - target
 
         def loss():
-            diff = x.matmul(w) + b - target
-            return (diff * diff).mean_all()
+            return float(np.mean(diff() ** 2))
 
-        assert grad_check(loss, [w, b], delta=1e-4) < 1e-6
+        d = 2.0 * diff() / diff().size
+        grad = np.concatenate([(x.T @ d).ravel(), d.sum(axis=0)])
+        assert grad_check(loss, theta, grad, delta=1e-4) < 1e-6
 
     def test_dead_softmax_path(self):
         # all mass on one token: gradients are tiny but must still match FD
-        logits = Tensor(np.array([[30.0, 0.0, -5.0]]), requires_grad=True)
-        v = Tensor(np.array([[1.0], [2.0], [3.0]]))
-
-        def loss():
-            return logits.softmax_last().matmul(v).mean_all()
-
-        assert grad_check(loss, [logits], delta=1e-4) < 1e-4
+        logits = np.array([30.0, 0.0, -5.0])
+        v = np.array([1.0, 2.0, 3.0])
+        s = softmax_rows(logits)
+        grad = s * (v - s @ v)
+        assert grad_check(lambda: float(softmax_rows(logits) @ v), logits, grad, delta=1e-4) < 1e-4
 
     def test_every_op_composed(self):
+        # the whole model at dims where no two sizes coincide, on a batch
+        params = ModelParams(ModelDims(C=6, hidden=5, heads=3, lm=3, gm=7, e0=4, e1=2), seed=42)
         rng = np.random.default_rng(42)
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        gain = Tensor(rng.normal(size=4), requires_grad=True)
-        bias = Tensor(rng.normal(size=4), requires_grad=True)
-
-        def loss():
-            y = a.matmul(b).relu()
-            y = (y + a).layer_norm(gain, bias, 1e-5)
-            z = concat_last([y.softmax_last(), y.transpose_last().softmax_last().transpose_last()])
-            z = z.matmul(Tensor(np.ones((8, 2)))) - a.matmul(Tensor(np.ones((4, 2))))
-            return (z * z).mean_all()
-
-        assert grad_check(loss, [a, b, gain, bias], delta=1e-4) < 1e-4
+        batch = WindowBatch(rng.normal(size=(3, 3)), rng.normal(size=(3, 7)))
+        grad = _model_gradient(batch, params)
+        assert grad_check(lambda: reconstruction_loss(batch, params), params.vector, grad, delta=1e-4) < 1e-4
 
 
 class TestAutodiffMechanics:
-    def test_no_grad_suppresses_graph(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        with no_grad():
-            y = x * x
-        assert y._backward is None and y._parents == ()
-
     def test_broadcast_add_gradient(self):
-        x = Tensor(np.zeros((3, 4)), requires_grad=True)
-        b = Tensor(np.zeros(4), requires_grad=True)
-        (x + b).mean_all().backward()
-        np.testing.assert_allclose(b.grad, np.full(4, 3.0 / 12.0))
-        np.testing.assert_allclose(x.grad, np.full((3, 4), 1.0 / 12.0))
+        # an encoder's queries are broadcast over the batch, so the backward
+        # sums their gradient over it: a batch's gradient is the windows' mean
+        params = ModelParams(TINY, seed=16)
+        rng = np.random.default_rng(17)
+        batch = WindowBatch(rng.normal(size=(4, 2)), rng.normal(size=(4, 4)))
+        each = [_model_gradient(WindowBatch(batch.lm_windows[i : i + 1], batch.gm_windows[i : i + 1]), params)
+                for i in range(4)]
+        np.testing.assert_allclose(_model_gradient(batch, params), np.mean(each, axis=0), rtol=0, atol=1e-14)
 
     def test_grad_accumulates_through_shared_node(self):
-        x = Tensor(np.array([1.5]), requires_grad=True)
-        y = x * x + x * x  # two paths through x
-        y.mean_all().backward()
-        np.testing.assert_allclose(x.grad, [6.0])
-
-    def test_backward_requires_scalar(self):
-        x = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(ValueError):
-            (x * x).backward()
+        # two backwards without a zero_grad between them add up
+        params = ModelParams(TINY, seed=18)
+        rng = np.random.default_rng(19)
+        a, b = (WindowBatch(rng.normal(size=(2, 2)), rng.normal(size=(2, 4))) for _ in range(2))
+        want = _model_gradient(a, params) + _model_gradient(b, params)
+        params.zero_grad()
+        reconstruction_loss_t(a, params).backward()
+        reconstruction_loss_t(b, params).backward()
+        np.testing.assert_allclose(params.grad, want, rtol=0, atol=1e-15)

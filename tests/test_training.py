@@ -41,8 +41,15 @@ class TestReconstructionLoss:
     def test_gradient_passes_grad_check(self):
         params = ModelParams(TINY, seed=4)
         batch = _tiny_batch(seed=5, n=2)
-        err = grad_check(lambda: reconstruction_loss_t(batch, params), params.parameters(), delta=1e-4)
+        params.zero_grad()
+        reconstruction_loss_t(batch, params).backward()
+        err = grad_check(lambda: reconstruction_loss(batch, params), params.vector, params.grad, delta=1e-4)
         assert err < 1e-4
+
+    def test_taped_loss_equals_untaped(self):
+        params = ModelParams(TINY, seed=4)
+        batch = _tiny_batch(seed=5, n=3)
+        assert float(reconstruction_loss_t(batch, params).data) == reconstruction_loss(batch, params)
 
 
 class TestTrain:
@@ -114,11 +121,10 @@ class TestTrain:
             total = 0.0
             for lo in range(0, len(batch), hyper.batch_size):
                 idx = order[lo : lo + hyper.batch_size]
-                for t in tensors:
-                    t.zero_grad()
+                ref.zero_grad()
                 loss = reconstruction_loss_t(WindowBatch(batch.lm_windows[idx], batch.gm_windows[idx]), ref)
                 loss.backward()
-                grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+                grads = [t.grad for t in tensors]
                 adam_step(opt_params, grads, state, hyper)
                 total += float(loss.data) * len(idx)
             losses.append(total / len(batch))
