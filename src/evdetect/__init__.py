@@ -14,7 +14,6 @@ from .data import (
     synth_household,
 )
 from .engine import (
-    AttentionCache,
     DetectionEvent,
     EngineConfig,
     OnlineDetector,

@@ -1,16 +1,16 @@
 """Online detection engine: per-reading ingestion, reconstruction scoring and
-dynamic thresholding, with an incremental attention cache for fast inference.
+dynamic thresholding, on the cached branch of the forward for fast inference.
 
-Every reading is scored by the one array forward, `model.mtr_forward`; each
-detector's cache is a branch inside it. The cache exploits four facts
-about the model at inference time. Both encoder blocks' queries are learned
-constants, so their post-self-attention query blocks are frozen. Each of
-enc1's cross-attention logits splits into a content part (a dot product with
-the reading's embedded feature, computed once when the reading enters the
-global window) and a positional part (precomputable for every relative
-offset); assembling the logit matrix then costs O(gm*e0) additions per step
-instead of O(gm*e0*C) multiply-adds. The weights are constants, so every
-attention's query-key and value-output products fold into two per-head
+Every reading is scored by the one array forward, `model.mtr_forward`, on its
+cached branch, which reads every input-independent piece from the model's
+folds (`model.ModelFolds`). The folds exploit four facts about the model at
+inference time. Both encoder blocks' queries are learned constants, so their
+post-self-attention query blocks are frozen. A global-window feature is its
+scalar reading times the embedding plus a fixed bias and positional row, so
+each of enc1's cross-attention logits and values is affine in that one reading:
+a per-model scale and offset, and assembling the logit matrix costs O(gm*e0)
+multiply-adds per step instead of O(gm*e0*C). The weights are constants, so
+every attention's query-key and value-output products fold into two per-head
 (C x C) matrices once, at build, and a cached step skips the per-head
 projections. And a layer norm's centring and gain are linear, so each one
 folds into the matrices that produce its input (the decoder's last one
@@ -19,9 +19,9 @@ variance, the division by its square root and the bias.
 
 State splits in two. Per model: the weights and every fold above, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
-`OnlineDetector`). Per meter: the stream windows and `last_t`, the cache
-ring and the SPOT state (plus the calibration scores until SPOT is fitted),
-which is all a loaded detector adds to a process that already runs its model.
+`OnlineDetector`). Per meter: the stream windows and `last_t`, and the SPOT
+state (plus the calibration scores until SPOT is fitted), which is all a
+loaded detector adds to a process that already runs its model.
 """
 
 from __future__ import annotations
@@ -116,68 +116,6 @@ def anomaly_score(lm_values, lm_hat) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Incremental attention cache
-# ---------------------------------------------------------------------------
-
-
-class AttentionCache:
-    """The ring of one meter's global window, over its model's folds.
-
-    A cache binds the arrays of `params.folds()` (`model.ModelFolds`: every
-    attention and layer norm folded, enc1's queries and positional logits) as
-    its own attributes, so a step reads them directly; the caches of one
-    read-only model share them. What a cache owns is its ring:
-
-    ring:       per-reading content logit parts of enc1's cross-attention,
-                eff_queries @ feature, written twice into a (h x e0 x 2gm)
-                buffer so the chronological window is always a contiguous
-                copy-free slice.
-    ring_ptr:   the slot the next reading takes; once the ring is full, the
-                oldest reading's.
-    ring_count: readings in the ring, up to gm.
-    """
-
-    def __init__(self, params: ModelParams):
-        vars(self).update(vars(params.folds()))
-        dims = params.dims
-        self.gm = dims.gm
-        self.ring = np.zeros((dims.heads, dims.e0, 2 * dims.gm))
-        self.ring_ptr = 0
-        self.ring_count = 0
-
-    def push(self, feature: np.ndarray) -> None:
-        """Record the content logits of a feature entering the global window."""
-        col = self.eff_queries @ feature
-        self.ring[:, :, self.ring_ptr] = col
-        self.ring[:, :, self.ring_ptr + self.gm] = col
-        self.ring_ptr = (self.ring_ptr + 1) % self.gm
-        self.ring_count = min(self.ring_count + 1, self.gm)
-
-    def fill(self, features: np.ndarray) -> None:
-        """Record the content logits of up to gm features (g x C, oldest
-        first) entering an empty ring, bit for bit as g `push` calls would.
-
-        One stacked matmul, (h x 1 x e0 x C) @ (1 x g x C x 1), runs the same
-        matrix-vector kernel per feature as `push`'s `eff_queries @ feature`;
-        a single (e0 x C) @ (C x g) product would run a matrix-matrix kernel
-        and round differently.
-        """
-        g = len(features)
-        cols = np.matmul(self.eff_queries[:, None], features[None, :, :, None])[..., 0].transpose(0, 2, 1)
-        self.ring[:, :, :g] = cols
-        self.ring[:, :, self.gm : self.gm + g] = cols
-        self.ring_ptr = g % self.gm
-        self.ring_count = g
-
-    def assemble_logits(self) -> np.ndarray:
-        """Full cross-attention logits (h x e0 x gm) from cached parts, as a
-        new array (a kept buffer would save no time at this size)."""
-        if self.ring_count < self.gm:
-            raise ValueError("cache ring not yet full")
-        return self.pos_logits + self.ring[:, :, self.ring_ptr : self.ring_ptr + self.gm]
-
-
-# ---------------------------------------------------------------------------
 # Online detector
 # ---------------------------------------------------------------------------
 
@@ -204,13 +142,13 @@ def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
 class OnlineDetector:
     """Strictly sequential detector for one meter stream.
 
-    A meter owns its stream windows, its cache ring, its SPOT state and, until
-    SPOT is calibrated, the calibration scores (emptied once it is). It runs on
+    A meter owns its stream windows, its SPOT state and, until SPOT is
+    calibrated, the calibration scores (emptied once it is). It runs on
     `ModelParams.shared` of the weights it is given: a read-only copy, with its
     folds, that every detector of the same weights shares and that later
     writes to the caller's weights never reach. A read-only model is kept, so
     `load` hashes the weights once and decodes a model only if no live
-    detector has it; a deep copy shares the model and folds as well.
+    detector has it; a deep copy shares the model, and so its folds, as well.
     """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):
@@ -225,10 +163,9 @@ class OnlineDetector:
         self.last_t: datetime | None = None  # the newest timestamp stepped, refused or not
         self.spot: SpotState | None = None
         self.calib_scores: list[float] = []
-        self.cache = AttentionCache(params)
 
     def __deepcopy__(self, memo):
-        memo.update((id(v), v) for v in (self.params, *vars(self.params.folds()).values()))
+        memo[id(self.params)] = self.params
         twin = memo[id(self)] = copy.copy(self)
         vars(twin).update(copy.deepcopy(vars(self), memo))
         return twin
@@ -241,21 +178,17 @@ class OnlineDetector:
             return WARMUP
         return DETECTING if self.spot is not None else CALIBRATING
 
-    def _embed_scalar(self, value_norm: float) -> np.ndarray:
-        return value_norm * self.params.embed_w.data[0] + self.params.embed_b.data
+    @property
+    def cache(self) -> "_LayerPathCache":
+        """`perfbench`'s view of enc1's cached logits; see `_LayerPathCache`."""
+        return _LayerPathCache(self)
 
     # -- the per-reading step -------------------------------------------------
 
-    def _push(self, reading: Reading) -> None:
-        spilled = self.stream.push(reading)
-        if spilled is not None:
-            self.cache.push(self._embed_scalar((spilled.power - self.stats.mean) / self.stats.std))
-
     def clear_windows(self) -> None:
-        """Empty the stream windows and the cache ring, as `run` does after a
-        hole too long to fill; the SPOT state and the calibration scores stay."""
+        """Empty the stream windows, as `run` does after a hole too long to
+        fill; the SPOT state and the calibration scores stay."""
         self.stream = StreamState(self.config.lm, self.config.gm)
-        self.cache.ring_ptr = self.cache.ring_count = 0
 
     def _rejected(self, reading: Reading, error: str) -> DetectionEvent:
         return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=self.phase, error=error)
@@ -294,7 +227,7 @@ class OnlineDetector:
             if not math.isfinite(reading.power):
                 return self._rejected(reading, f"non-finite reading power {reading.power}")
             return self._rejected(reading, f"out-of-range reading power {reading.power} (|z| > {MAX_ABS_Z:g})")
-        self._push(reading)
+        self.stream.push(reading)
 
         if not self.stream.full:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
@@ -302,7 +235,7 @@ class OnlineDetector:
         # both windows, oldest first, from one array; then `anomaly_score`, inline
         values = normalize(np.array([r.power for r in self.stream.readings]), self.stats)
         lm_norm = values[self.config.gm :]
-        d = lm_norm - mtr_forward(lm_norm, values[: self.config.gm], self.params, self.cache)
+        d = lm_norm - mtr_forward(lm_norm, values[: self.config.gm], self.params, self.params.folds())
         score = float(np.add.reduce(d * d) / d.size)
         # the reading stays in the windows; SPOT and calibration never see the score
         if not math.isfinite(score):
@@ -360,17 +293,14 @@ class OnlineDetector:
         cannot leave is refused: here, timestamps of mixed time-zone kinds,
         that do not strictly increase or that end after `last_t`; in
         `StreamState.restore`, a count other than pushes leave. So is a SPOT
-        state that `_spot_fault` finds unsound. The cache ring
-        takes the content logits of the global readings in one
-        `AttentionCache.fill`. The state equals, bit for bit, that of pushing
-        the readings one at a time: the features come from the same
-        elementwise embed, and `fill`'s stacked matmul runs the matrix-vector
-        kernel of `push` once per reading.
+        state that `_spot_fault` finds unsound. The state equals, bit for
+        bit, that of pushing the readings one at a time, since the windows are
+        all a meter's forward reads.
         """
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
         with ckpt.naming(path, ckpt.ENGINE_FORMAT):
             dims, vector, stats = ckpt.decode_model(meta, arrays)
-            # older files carry a cache switch; every detector runs its cache
+            # older files carry a cache switch; every detector runs the cached forward
             config = dict(meta["config"])
             config.pop("cache_enabled", None)
             det = cls(ModelParams.shared(dims, vector), stats, EngineConfig(**config))
@@ -394,8 +324,31 @@ class OnlineDetector:
                     raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
                 # tuple.__new__ skips the NamedTuple's Python-level constructor
                 readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers.tolist())))
-                g = det.stream.restore(readings, total_seen)
+                det.stream.restore(readings, total_seen)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"stream {exc}") from exc
-        det.cache.fill(det._embed_scalar(((powers[:g] - stats.mean) / stats.std)[:, None]))
         return det
+
+
+class _LayerPathCache:
+    """What `perfbench`'s `LayerPath` reads as `det.cache`: the model's folds,
+    a `push` that keeps nothing, and `assemble_logits`, enc1's logits over the
+    detector's global window. It holds no meter state. Benchmark only: it goes
+    with `LayerPath` when the benchmark drives the engine's own entry points
+    (ROADMAP direction 1).
+    """
+
+    def __init__(self, det: OnlineDetector):
+        vars(self).update(vars(det.params.folds()))
+        self.det = det
+
+    def push(self, feature: np.ndarray) -> None:
+        pass
+
+    def assemble_logits(self) -> np.ndarray:
+        """enc1's cross-attention logits (h x e0 x gm) over a full stream's
+        global window, as `mtr_forward`'s cached branch computes them."""
+        det = self.det
+        gm_values = normalize(np.array([r.power for r in det.stream.readings]), det.stats)[: det.config.gm]
+        scale, offset = self.enc1_logits
+        return gm_values * scale + offset

@@ -48,9 +48,9 @@ class StreamState:
         self.total_seen += 1
         return buf[-self.lm - 1] if len(buf) > self.lm else None
 
-    def restore(self, readings: list[Reading], total_seen: int) -> int:
+    def restore(self, readings: list[Reading], total_seen: int) -> None:
         """Set the buffer as pushing `total_seen` readings ending in `readings`
-        (oldest first) leaves it; returns how many are in the global window.
+        (oldest first) leaves it.
 
         A count other than min(total_seen, lm + gm), which pushes cannot leave,
         raises ValueError.
@@ -60,7 +60,6 @@ class StreamState:
             raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {span})")
         self.readings = deque(readings, maxlen=span)
         self.total_seen = total_seen
-        return max(0, n - self.lm)
 
     def snapshot(self) -> tuple[list[Reading], list[Reading]] | None:
         """(local, global) windows, each oldest-to-newest, or None while

@@ -11,8 +11,8 @@ Every block ("TRD" below) is self-attention, cross-attention and a
 feed-forward net, each followed by residual-add + layer norm (post-norm
 ordering).
 
-`mtr_forward` is the one forward, on plain arrays. Inference runs it, with an
-attention cache per stream in the engine; training runs it with a tape and
+`mtr_forward` is the one forward, on plain arrays. Inference runs it on the
+model's `ModelFolds`, one window at a time; training runs it with a tape and
 then `mtr_backward`, the hand-written reverse pass over that tape, which adds
 every gradient to the flat `ModelParams.grad`.
 """
@@ -381,8 +381,8 @@ def _folded_tail(r2: np.ndarray, p: SimpleNamespace, fold: np.ndarray, ln3_bias:
 class ModelFolds:
     """The input-independent arrays of the cached inference forward for one
     model's weights, read-only: a write raises, where it would change every
-    meter that runs the model. `ModelParams.folds` builds them;
-    `engine.AttentionCache` binds them next to its ring.
+    meter that runs the model. `ModelParams.folds` builds them; with the two
+    windows they are all that the cached branch of `mtr_forward` reads.
 
     Every attention is folded into two per-head products (`fold_attention`):
     qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
@@ -395,11 +395,12 @@ class ModelFolds:
 
     enc1 (cross-attention over the global window):
     fixed_queries: post-self-attention query block (e0 x C).
-    eff_queries:   fixed_queries @ qk, the per-head effective queries
-                   (h x e0 x C); a reading entering the global window adds
-                   eff_queries @ its feature to the cache's ring.
-    pos_logits:    positional logit part per ring slot (h x e0 x gm), slot 0
-                   holding the oldest offset lm+gm-1.
+    enc1_logits:   (scale, offset), the cross-attention logits eff @ gm_feats^T,
+                   with eff = fixed_queries @ qk the per-head effective
+                   queries, split as gm_values * scale + offset: scale =
+                   eff @ embed_w^T (h x e0 x 1) and offset =
+                   eff @ (embed_b + pos_gm)^T (h x e0 x gm), column 0 holding
+                   the oldest offset lm+gm-1.
     enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
                    split as gm_values[:, None] * scale + offset, with scale =
                    embed_w @ vo @ fold (h x 1 x 2C) and offset =
@@ -444,9 +445,8 @@ class ModelFolds:
         # both encoders' self-attention stages see only their learned queries
         queries = params.enc1_queries.data
         self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
-        self.eff_queries = self.fixed_queries @ qk[2]
-        # slot j (oldest first) pairs with relative offset lm+gm-1-j
-        self.pos_logits = self.eff_queries @ params.pos_gm.T
+        eff = self.fixed_queries @ qk[2]
+        self.enc1_logits = (eff @ params.embed_w.data.T, eff @ (params.embed_b.data + params.pos_gm).T)
         self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
         self.enc1_residual = self.fixed_queries @ folds[2]
         self.enc1_ln3 = folds[6]
@@ -500,22 +500,21 @@ def _head(out: np.ndarray, p: ModelParams) -> np.ndarray:
     return (out @ p.head_w.data + p.head_b.data)[..., 0]
 
 
-def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, cache=None, tape=None) -> np.ndarray:
+def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, folds=None, tape=None) -> np.ndarray:
     """The reconstruction of (batched) normalized windows.
 
-    Without `cache` it scores any batch of windows: training's loss and the
+    Without `folds` it scores any batch of windows: training's loss and the
     reference the cached branch is tested against. A `tape` (a list, plain
-    branch only) records what `mtr_backward` needs. With `cache` (an
-    `engine.AttentionCache` over this global window, single window only) every
-    input-independent piece comes from its `ModelFolds`, and the result equals
-    the plain branch to rounding, not bit for bit.
+    branch only) records what `mtr_backward` needs. With `folds` (`p.folds()`,
+    single window only) every input-independent piece comes from them, and
+    the result equals the plain branch to rounding, not bit for bit.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
     if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
         raise ValueError("window lengths do not match model dims")
     lm_feats = _embed(lm_values, p.pos_lm, p)
-    if cache is None:
+    if folds is None:
         gm_feats = _embed(gm_values, p.pos_gm, p)
         stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1, tape), gm_feats, p.enc1, tape)
         encoded = _trd(self_attend(p.enc2_queries.data, p.enc2, tape), stage1, p.enc2, tape)
@@ -523,14 +522,16 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, ca
         if tape is not None:
             tape.append((lm_values, gm_values, out))
         return _head(out, p)
-    # enc1's values are gm_feats @ vo @ fold, split into a per-reading and a fixed part
-    scale, offset = cache.enc1_values
-    cross = _attend(cache.assemble_logits(), gm_values[:, None] * scale + offset)
-    stage1 = _folded_tail(cache.enc1_residual + cross, p.enc1, cache.enc1_ln3, p.enc1.ln3.bias.data)
-    cross = _attend_side(cache.enc2_eff_queries, stage1, cache.enc2_vo)
-    encoded = _folded_tail(cache.enc2_residual + cross, p.enc2, cache.enc2_ln3, p.enc2.ln3.bias.data)
-    x1 = folded_ln(folded_attention(lm_feats, lm_feats, *cache.dec_self), p.dec.ln1.bias.data)
-    return _folded_tail(folded_attention(x1, encoded, *cache.dec_cross), p.dec, *cache.dec_head)[:, 0]
+    # enc1's logits and values are affine in each reading: a per-reading and a fixed part
+    scale, offset = folds.enc1_logits
+    logits = gm_values * scale + offset
+    scale, offset = folds.enc1_values
+    cross = _attend(logits, gm_values[:, None] * scale + offset)
+    stage1 = _folded_tail(folds.enc1_residual + cross, p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
+    cross = _attend_side(folds.enc2_eff_queries, stage1, folds.enc2_vo)
+    encoded = _folded_tail(folds.enc2_residual + cross, p.enc2, folds.enc2_ln3, p.enc2.ln3.bias.data)
+    x1 = folded_ln(folded_attention(lm_feats, lm_feats, *folds.dec_self), p.dec.ln1.bias.data)
+    return _folded_tail(folded_attention(x1, encoded, *folds.dec_cross), p.dec, *folds.dec_head)[:, 0]
 
 
 # ---------------------------------------------------------------------------

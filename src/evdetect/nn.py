@@ -139,8 +139,8 @@ class Hyper:
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if not math.isfinite(self.weight_decay):
-            raise ValueError(f"weight_decay must be a finite number, got {self.weight_decay}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, got {self.weight_decay}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be a finite number >= 0, got {self.epsilon}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -19,6 +19,7 @@ from .nn import AdamState, Hyper, adam_step
 
 MAX_TRAIN_MINUTES = 4 * 7 * 1440  # default cap on training history
 DIVERGENCE_LIMIT = 1e6  # a batch loss above this aborts training
+LOSS_SLICE = 2048  # windows per forward when scoring a whole window set
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,9 +61,16 @@ def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> BatchLoss:
 
 
 def reconstruction_loss(batch: WindowBatch, params: ModelParams) -> float:
-    """`reconstruction_loss_t`'s value, without a tape."""
-    d = mtr_forward(batch.lm_windows, batch.gm_windows, params) - batch.lm_windows
-    loss = float((d * d).mean())
+    """`reconstruction_loss_t`'s value, without a tape, from one forward per
+    `LOSS_SLICE` windows, so memory stays bounded on any number of windows.
+    Up to one slice it is `reconstruction_loss_t`'s arithmetic, bit for bit."""
+    lm, gm = batch.lm_windows, batch.gm_windows
+    total = 0.0
+    for lo in range(0, len(lm), LOSS_SLICE):
+        s = slice(lo, lo + LOSS_SLICE)
+        d = mtr_forward(lm[s], gm[s], params) - lm[s]
+        total += (d * d).sum()
+    loss = float(total / lm.size)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite reconstruction loss")
     return loss

@@ -243,7 +243,8 @@ class TestTrain:
             pytest.param("--stride", "0", "stride must be >= 1, got 0", id="stride-0"),
             pytest.param("--lr", "nan", "learning_rate must be a finite number > 0, got nan", id="lr-nan"),
             pytest.param("--lr", "inf", "learning_rate must be a finite number > 0, got inf", id="lr-inf"),
-            pytest.param("--weight-decay", "nan", "weight_decay must be a finite number, got nan", id="wd-nan"),
+            pytest.param("--weight-decay", "nan", "weight_decay must be a finite number >= 0, got nan", id="wd-nan"),
+            pytest.param("--weight-decay", "-1", "weight_decay must be a finite number >= 0, got -1.0", id="wd-neg"),
             pytest.param("--adam-eps", "-1", "epsilon must be a finite number >= 0, got -1.0", id="adam-eps-neg"),
             pytest.param("--adam-eps", "inf", "epsilon must be a finite number >= 0, got inf", id="adam-eps-inf"),
         ],

@@ -1,4 +1,4 @@
-"""Online-engine tests: phases, the incremental attention cache, checkpoint
+"""Online-engine tests: phases, the folded (cached) forward, checkpoint
 resume and the JSONL event contract."""
 
 import copy
@@ -22,7 +22,6 @@ from evdetect.engine import (
     CALIBRATING,
     DETECTING,
     WARMUP,
-    AttentionCache,
     DetectionEvent,
     EngineConfig,
     OnlineDetector,
@@ -281,65 +280,44 @@ class TestRun:
 
 
 class TestAttentionCache:
+    """enc1's cross-attention logits over the global window, folded per model
+    into a scale and an offset that a step applies to the window's readings."""
+
     def test_positional_logit_shape(self):
-        params = ModelParams(SMALL, seed=4)
-        cache = AttentionCache(params)
-        assert cache.pos_logits.shape == (SMALL.heads, SMALL.e0, SMALL.gm)
-        for head in cache.pos_logits:
-            # per head: one positional entry per (window slot, query token)
-            assert head.T.shape == (SMALL.gm, SMALL.e0)
+        scale, offset = ModelParams(SMALL, seed=4).folds().enc1_logits
+        assert scale.shape == (SMALL.heads, SMALL.e0, 1)
+        # per head: one positional entry per (query token, window slot)
+        assert offset.shape == (SMALL.heads, SMALL.e0, SMALL.gm)
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
-        a = AttentionCache(params)
-        b = AttentionCache(params)
-        np.testing.assert_array_equal(a.pos_logits, b.pos_logits)
+        a, b = params.folds(), params.folds()
+        assert a is not b  # a writable model folds its weights on each call
         np.testing.assert_array_equal(a.fixed_queries, b.fixed_queries)
-        np.testing.assert_array_equal(a.eff_queries, b.eff_queries)
+        for x, y in zip(a.enc1_logits, b.enc1_logits):
+            np.testing.assert_array_equal(x, y)
 
     def test_cached_logits_match_fresh_within_1e12(self):
         det = _detector(seed=6)
         rng = np.random.default_rng(7)
         for r in _readings(rng.normal(size=SMALL.lm + SMALL.gm + 5)):
             det.step(r)
-        cache = det.cache
-        got = cache.assemble_logits()
-
-        # from-scratch logits over the live global window
+        folds = det.params.folds()
         _, gm_read = det.stream.snapshot()
         gm_norm = normalize([r.power for r in gm_read], det.stats)
+        scale, offset = folds.enc1_logits
+        got = gm_norm * scale + offset
+        np.testing.assert_array_equal(det.cache.assemble_logits(), got)
+
+        # from-scratch logits over the live global window
         p = det.params
         feats = gm_norm[:, None] @ p.embed_w.data + p.embed_b.data + p.pos_gm
         d = SMALL.C // SMALL.heads
         for k, (wq, wk) in enumerate(zip(p.enc1.cross_attn.wq, p.enc1.cross_attn.wk)):
-            q = cache.fixed_queries @ wq.data
+            q = folds.fixed_queries @ wq.data
             key = feats @ wk.data
             fresh = q @ key.T / math.sqrt(d)
             np.testing.assert_allclose(got[k], fresh, atol=1e-12)
-
-    def test_update_cost_independent_of_gm(self):
-        costs = {}
-        for gm in (16, 64):
-            dims = ModelDims(C=8, hidden=8, heads=2, lm=4, gm=gm, e0=6, e1=3)
-            cache = AttentionCache(ModelParams(dims, seed=8))
-            cache.push(np.ones(8))
-            # a push writes one ring column: (h x e0 x C) @ C
-            costs[gm] = cache.eff_queries.size
-        assert costs[16] == costs[64] == 2 * 6 * 8  # heads * e0 * C
-
-    def test_ring_oldest_entry_age(self):
-        # after gm spills, the oldest ring slot belongs to the reading whose
-        # relative offset is lm+gm-1
-        det = _detector(seed=9)
-        rng = np.random.default_rng(10)
-        values = rng.normal(size=SMALL.lm + SMALL.gm)
-        for r in _readings(values):
-            det.step(r)
-        cache = det.cache
-        assert cache.ring_count == SMALL.gm
-        oldest = cache.ring[:, :, cache.ring_ptr]
-        feat = det._embed_scalar(float(normalize(values[0], det.stats)))
-        np.testing.assert_array_equal(oldest, cache.eff_queries @ feat)
 
 
 def _windows(det):
@@ -348,7 +326,7 @@ def _windows(det):
 
 
 class TestFoldedForward:
-    """The cached forward runs every attention on the cache's folded per-head
+    """The cached forward runs every attention on the model's folded per-head
     products; it equals the plain forward to rounding."""
 
     @pytest.mark.parametrize(
@@ -370,8 +348,8 @@ class TestFoldedForward:
             if k >= dims.lm + dims.gm - 1:
                 lm, gm = _windows(det)
                 want = mtr_forward(lm, gm, det.params)
-                np.testing.assert_allclose(mtr_forward(lm, gm, det.params, det.cache), want, rtol=0, atol=1e-12)
-        # the last comparisons ran after the ring had wrapped twice
+                np.testing.assert_allclose(mtr_forward(lm, gm, det.params, det.params.folds()), want, rtol=0, atol=1e-12)
+        # the last comparisons ran after the global window had turned over twice
         assert len(readings) - dims.lm > 2 * dims.gm
 
     def test_rebuilt_after_adam_step_matches_new_plain_forward(self):
@@ -380,10 +358,7 @@ class TestFoldedForward:
         lm, gm = rng.normal(size=8), rng.normal(size=32)
 
         def cached():
-            cache = AttentionCache(params)
-            for v in gm:
-                cache.push(v * params.embed_w.data[0] + params.embed_b.data)
-            return mtr_forward(lm, gm, params, cache)
+            return mtr_forward(lm, gm, params, params.folds())
 
         before = cached()
         adam_step(
@@ -453,7 +428,7 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("switch", [True, False])
     def test_files_with_the_old_cache_switch_load_and_continue(self, tmp_path, switch):
         # older engine files carry `cache_enabled` in their config; every
-        # detector now runs its cache, so the switch is read and ignored
+        # detector now runs the cached forward, so the switch is read and ignored
         readings = _readings(np.random.default_rng(19).normal(size=600))
         det = _detector(seed=16, calibration_len=300)
         full = [format_event(det.step(r)) for r in readings]
@@ -574,15 +549,14 @@ def _restore_model(heads, e0):
 
 
 class TestLoadRestoresReplayState:
-    """`OnlineDetector.load` restores the saved windows and fills the cache
-    ring in one broadcast; its state equals, bit for bit, pushing the saved
-    readings one at a time (the oracle below)."""
+    """`OnlineDetector.load` restores the saved windows; its state equals, bit
+    for bit, pushing the saved readings one at a time (the oracle below)."""
 
     @staticmethod
     def _replayed(det):
         oracle = OnlineDetector(det.params, det.stats, det.config)
         for r in det.stream.readings:
-            oracle._push(r)
+            oracle.stream.push(r)
         oracle.stream.total_seen = det.stream.total_seen
         return oracle
 
@@ -616,11 +590,6 @@ class TestLoadRestoresReplayState:
         assert loaded.phase == det.phase
         assert loaded.spot == det.spot
         assert loaded.calib_scores == det.calib_scores
-        assert loaded.cache.ring.tobytes() == oracle.cache.ring.tobytes()
-        np.testing.assert_array_equal(loaded.cache.ring, oracle.cache.ring)
-        assert (loaded.cache.ring_ptr, loaded.cache.ring_count) == (oracle.cache.ring_ptr, oracle.cache.ring_count)
-        if loaded.cache.ring_count == SMALL.gm:
-            np.testing.assert_array_equal(loaded.cache.assemble_logits(), det.cache.assemble_logits())
 
 
 def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 30, calibration_len=RESUME_CALIB):
@@ -637,8 +606,8 @@ def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 3
 
 
 class TestSharedModel:
-    """Detectors of one model share its weights and the cache's folds, read-only;
-    each owns only its ring, stream windows and SPOT state."""
+    """Detectors of one model share its weights and folds, read-only; each
+    owns only its stream windows and SPOT state."""
 
     @staticmethod
     def _loads(tmp_path, det, k=3):
@@ -651,9 +620,8 @@ class TestSharedModel:
         first = dets[0]
         for det in dets[1:]:
             assert det.params is first.params
-            for name in ("fixed_queries", "eff_queries", "pos_logits", "enc1_residual", "enc2_vo", "dec_head"):
-                assert getattr(det.cache, name) is getattr(first.cache, name)
-            assert det.cache.ring is not first.cache.ring
+            for name in ("fixed_queries", "enc1_logits", "enc1_residual", "enc2_vo", "dec_head"):
+                assert getattr(det.params.folds(), name) is getattr(first.params.folds(), name)
             assert det.stream is not first.stream and det.spot is not first.spot
             assert det.spot == first.spot and det.spot.peaks is not first.spot.peaks
 
@@ -663,8 +631,8 @@ class TestSharedModel:
         # a deep copy shares the model and folds, and owns its meter state
         solos = [copy.deepcopy(source) for _ in dets]
         assert solos[0].params is dets[0].params
-        assert solos[0].cache.eff_queries is dets[0].cache.eff_queries
-        assert solos[0].cache.ring is not source.cache.ring and solos[0].stream is not source.stream
+        assert solos[0].params.folds().enc1_logits is dets[0].params.folds().enc1_logits
+        assert solos[0].stream is not source.stream
         t = source.stream.readings[-1].t
         streams = np.random.default_rng(31).normal(size=(len(dets), 150))
         streams[1, 60:64] += 8.0
@@ -688,8 +656,8 @@ class TestSharedModel:
         other = OnlineDetector.load(path)
         assert other.params is not base.params
         assert other.params.vector[7] != base.params.vector[7]
-        assert other.cache.dec_self[0] is not base.cache.dec_self[0]
-        assert other.cache.dec_self[0] is det.cache.dec_self[0]
+        assert other.params.folds().dec_self[0] is not base.params.folds().dec_self[0]
+        assert other.params.folds().dec_self[0] is det.params.folds().dec_self[0]
 
     def test_writes_to_the_callers_weights_never_reach_the_detector(self):
         # an in-place Adam step on the weights a detector was built from, mid-stream
@@ -719,9 +687,9 @@ class TestSharedModel:
         with pytest.raises(ValueError, match="read-only"):
             det.params.enc1.cross_attn.wq_all[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            det.cache.eff_queries[0, 0, 0] = 1.0
+            det.params.folds().enc1_logits[1][0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            det.cache.dec_cross[1][...] = 0.0
+            det.params.folds().dec_cross[1][...] = 0.0
 
     def test_deep_copy_of_a_detector_keeps_the_read_only_model(self):
         det = _calibrated_detector()
@@ -754,15 +722,15 @@ class TestSharedModel:
         import weakref
 
         dets = self._loads(tmp_path, _calibrated_detector(seed=32), k=2)
-        model, folds = weakref.ref(dets[0].params), weakref.ref(dets[0].cache.eff_queries)
+        model, folds = weakref.ref(dets[0].params), weakref.ref(dets[0].params.folds())
         del dets
         gc.collect()
         assert model() is None and folds() is None
 
     def test_loads_retain_only_meter_state(self, tmp_path):
         """Memory gate: each further load of one checkpoint (reference dims,
-        1440 calibration scores) adds its ring, stream and SPOT state and
-        little else; a per-meter copy of the model (about 30 KiB), of the folds
+        1440 calibration scores) adds its stream and SPOT state and little
+        else; a per-meter copy of the model (about 30 KiB), of the folds
         (55 KiB) or of the calibration scores (46 KiB) breaks the bound."""
         import gc
         import tracemalloc
@@ -782,8 +750,8 @@ class TestSharedModel:
             per_meter = (tracemalloc.get_traced_memory()[0] - before) / 9
         finally:
             tracemalloc.stop()
-        # 28 KiB measured: 16 KiB of ring, the rest stream, SPOT and objects
-        bound = keep[0].cache.ring.nbytes + 24 * 1024
+        # 8 KiB measured: the stream, SPOT and objects
+        bound = 24 * 1024
         assert per_meter <= bound, f"{per_meter:.0f} B retained per loaded meter, bound {bound} B"
 
 
@@ -827,49 +795,21 @@ def line_is_json(line: str) -> bool:
 
 @pytest.mark.slow
 class TestLogitTimeSublinear:
-    @staticmethod
-    def _cache_at(gm, seed=21):
-        dims = ModelDims(C=8, hidden=8, heads=2, lm=8, gm=gm, e0=16, e1=8)
-        params = ModelParams(dims, seed=seed)
-        cache = AttentionCache(params)
-        rng = np.random.default_rng(gm)
-        for _ in range(gm):
-            cache.push(rng.normal(size=8))
-        return params, cache
-
-    def test_per_step_update_time_independent_of_gm(self):
-        # the per-reading logit update is O(e0*C) regardless of the window size
-        import time
-
-        caches = [self._cache_at(gm)[1] for gm in (64, 256)]
-        feat = np.random.default_rng(0).normal(size=8)
-        best = [float("inf")] * len(caches)
-        # the two sizes take turns inside each trial, so a slow stretch of a
-        # shared host slows both alike; each keeps its best time
-        for _ in range(7):
-            for i, cache in enumerate(caches):
-                start = time.perf_counter()
-                for _ in range(2000):
-                    cache.push(feat)
-                best[i] = min(best[i], time.perf_counter() - start)
-
-        t64, t256 = best
-        assert t256 <= 1.5 * t64, f"per-step update grew {t256 / t64:.2f}x from gm=64 to 256"
-
     def test_cached_logits_beat_from_scratch(self):
-        # assembling logits from the cache must beat recomputing them from the
+        # assembling logits from the folds must beat recomputing them from the
         # window features (which additionally pays the key projections)
         import time
 
-        params, cache = self._cache_at(256)
-        rng = np.random.default_rng(1)
-        gm_norm = rng.normal(size=256)
+        params = ModelParams(ModelDims(C=8, hidden=8, heads=2, lm=8, gm=256, e0=16, e1=8), seed=21)
+        folds = params.folds()
+        scale, offset = folds.enc1_logits
+        gm_norm = np.random.default_rng(1).normal(size=256)
 
         def from_scratch():
             feats = gm_norm[:, None] @ params.embed_w.data + params.embed_b.data + params.pos_gm
             ap = params.enc1.cross_attn
             return [
-                (cache.fixed_queries @ wq.data) @ (feats @ wk.data).T / 2.0
+                (folds.fixed_queries @ wq.data) @ (feats @ wk.data).T / 2.0
                 for wq, wk in zip(ap.wq, ap.wk)
             ]
 
@@ -882,6 +822,6 @@ class TestLogitTimeSublinear:
                 best = min(best, time.perf_counter() - start)
             return best
 
-        t_cache = best_of(cache.assemble_logits)
+        t_cache = best_of(lambda: gm_norm * scale + offset)
         t_fresh = best_of(from_scratch)
         assert t_cache < t_fresh, f"cache {t_cache:.5f}s not faster than fresh {t_fresh:.5f}s"

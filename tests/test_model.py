@@ -77,7 +77,7 @@ class TestPositionalEncoding:
                 table[0, 0] = 0.0
         np.testing.assert_array_equal(a.pos_lm, positional_table(range(dims.lm - 1, -1, -1), dims.C))
         np.testing.assert_array_equal(a.pos_gm, positional_table(range(dims.lm + dims.gm - 1, dims.lm - 1, -1), dims.C))
-        # the oldest global reading, the cache ring's oldest slot, is lm+gm-1 steps back
+        # the oldest global reading, column 0 of enc1's folded logits, is lm+gm-1 steps back
         np.testing.assert_array_equal(a.pos_gm[0], positional_encoding(dims.lm + dims.gm - 1, dims.C))
 
     def test_odd_width_rejected(self):

@@ -51,6 +51,27 @@ class TestReconstructionLoss:
         batch = _tiny_batch(seed=5, n=3)
         assert float(reconstruction_loss_t(batch, params).data) == reconstruction_loss(batch, params)
 
+    def test_slices_sum_to_the_one_forward_mean(self):
+        params = ModelParams(TINY, seed=6)
+        batch = _tiny_batch(seed=7, n=2 * evdetect.training.LOSS_SLICE + 5)
+        d = mtr_forward(batch.lm_windows, batch.gm_windows, params) - batch.lm_windows
+        assert reconstruction_loss(batch, params) == pytest.approx(float((d * d).mean()), rel=1e-14)
+
+    def test_memory_does_not_grow_with_the_window_count(self):
+        import tracemalloc
+
+        params = ModelParams(TINY, seed=8)
+        peaks = []
+        for slices in (1, 4):
+            batch = _tiny_batch(seed=9, n=slices * evdetect.training.LOSS_SLICE)
+            tracemalloc.start()
+            try:
+                reconstruction_loss(batch, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], f"peak {peaks[1]} B for 4 slices against {peaks[0]} B for one"
+
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
