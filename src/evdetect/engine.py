@@ -5,17 +5,18 @@ Every reading is scored by the one array forward, `model.mtr_forward`, on its
 cached branch, which reads every input-independent piece from the model's
 folds (`model.ModelFolds`). The folds exploit four facts about the model at
 inference time. Both encoder blocks' queries are learned constants, so their
-post-self-attention query blocks are frozen. A global-window feature is its
-scalar reading times the embedding plus a fixed bias and positional row, so
-each of enc1's cross-attention logits and values is affine in that one reading:
-a per-model scale and offset, and assembling the logit matrix costs O(gm*e0)
-multiply-adds per step instead of O(gm*e0*C). The weights are constants, so
-every attention's query-key and value-output products fold into two per-head
-(C x C) matrices once, at build, and a cached step skips the per-head
-projections. And a layer norm's centring and gain are linear, so each one
-folds into the matrices that produce its input (the decoder's last one
-together with the output head); a cached step computes only each norm's row
-variance, the division by its square root and the bias.
+post-self-attention query blocks are frozen (`model.self_attend` runs once).
+A global-window feature is its scalar reading times the embedding plus a
+fixed bias and positional row, so each of enc1's cross-attention logits and
+values is affine in that one reading: a per-model scale and offset, and
+assembling the logit matrix costs O(gm*e0) multiply-adds per step instead of
+O(gm*e0*C). The weights are constants, so every attention a step runs folds
+into two per-head (C x C) products once, at build, and runs as one matmul
+with the heads side by side (`model._attend`). And a layer norm's centring
+and gain are linear, so each one folds into the matrices that produce its
+input (the decoder's last one together with the output head); a cached step
+computes only each norm's row variance, the division by its square root and
+the bias.
 
 State splits in two. Per model: the weights and every fold above, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
@@ -29,6 +30,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime
 from itertools import repeat
@@ -64,6 +66,10 @@ class EngineConfig:
     max_peaks: int | None = None
 
     def __post_init__(self):
+        for name in ("lm", "gm", "calibration_len", "refit_stride", "max_peaks"):
+            count = getattr(self, name)
+            if not (isinstance(count, int) or (name == "max_peaks" and count is None)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if self.calibration_len < 100:
             raise ValueError("calibration_len must be >= 100")
         if not (self.lm < self.gm):
@@ -120,12 +126,26 @@ def anomaly_score(lm_values, lm_hat) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _row_fault(name: str, a: np.ndarray, low: float) -> str | None:
+    """Why `a` is not a 1-D float64 array of finite values above `low`; None
+    if it is. A NaN makes the minimum NaN, so the first test refuses it too."""
+    if not (a.ndim == 1 and a.dtype == np.float64):
+        return f"{name} must be a 1-D float64 array, got {a.dtype} of shape {a.shape}"
+    if a.size and not (low < np.minimum.reduce(a) and np.maximum.reduce(a) < math.inf):
+        rule = "finite" if low == -math.inf else f"finite and above {low:g}"
+        return f"{name} must be {rule}, got {a[~((a > low) & (a < math.inf))][0]}"
+    return None
+
+
 def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
     """Why `spot_step` could not step a resumed SPOT state, or why it is not
     the state its engine's settings calibrate; None for a sound state."""
     for name in ("q", "refit_stride", "max_peaks"):
         if getattr(spot, name) != getattr(config, name):
             return f"{name} {getattr(spot, name)!r} differs from the config's {getattr(config, name)!r}"
+    # excesses over h, each above 0
+    if fault := _row_fault("peaks", spot.peaks, 0.0):
+        return fault
     fit = spot.fit
     for name, x in {"h": spot.h, "z_q": spot.z_q, "gamma_hat": fit.gamma_hat, "sigma_hat": fit.sigma_hat}.items():
         if not (isinstance(x, (int, float)) and math.isfinite(x)):
@@ -291,9 +311,10 @@ class OnlineDetector:
 
         The saved readings are restored, not replayed. A stream that steps
         cannot leave is refused: here, timestamps of mixed time-zone kinds,
-        that do not strictly increase or that end after `last_t`; in
-        `StreamState.restore`, a count other than pushes leave. So is a SPOT
-        state that `_spot_fault` finds unsound. The state equals, bit for
+        that do not strictly increase or that end after `last_t`, and a power
+        that `step` refuses; in `StreamState.restore`, a count other than
+        pushes leave. So are calibration scores that are not finite, and a
+        SPOT state that `_spot_fault` finds unsound. The state equals, bit for
         bit, that of pushing the readings one at a time, since the windows are
         all a meter's forward reads.
         """
@@ -305,25 +326,33 @@ class OnlineDetector:
             config.pop("cache_enabled", None)
             det = cls(ModelParams.shared(dims, vector), stats, EngineConfig(**config))
             stream, spot = meta["stream"], meta["spot"]
-            times = [datetime.fromisoformat(t) for t in stream["t"]]
+            times = list(map(datetime.fromisoformat, stream["t"]))
             det.last_t = datetime.fromisoformat(stream["last_t"]) if stream.get("last_t") else max(times, default=None)
             powers, total_seen = arrays["power"], stream["total_seen"]
             if not (powers.shape == (len(times),) and powers.dtype == np.float64):
                 raise ValueError(f"stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
+            powers = powers.tolist()
+            # `step`'s own compare, on every saved reading
+            limit = MAX_ABS_Z * stats.std
+            if refused := [p for p in powers if not abs(p - stats.mean) <= limit]:
+                raise ValueError(f"stream power {refused[0]} is not finite or has |z| > {MAX_ABS_Z:g}")
             if spot is None:
-                det.calib_scores = arrays["calib_scores"].tolist()
+                scores = arrays["calib_scores"]
+                if fault := _row_fault("calib_scores", scores, -math.inf):
+                    raise ValueError(fault)
+                det.calib_scores = scores.tolist()
             else:
                 # a copy: a view would keep the whole file's bytes alive
                 det.spot = SpotState(**{**spot, "fit": GpdFit(**spot["fit"]), "peaks": arrays["peaks"].copy()})
                 if fault := _spot_fault(det.spot, det.config):
                     raise ValueError(f"spot {fault}")
             try:
-                if any(a >= b for a, b in zip(times, times[1:])):
+                if any(map(operator.ge, times, times[1:])):
                     raise ValueError("timestamps are not strictly increasing")
                 if times and not det.last_t >= times[-1]:
                     raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
                 # tuple.__new__ skips the NamedTuple's Python-level constructor
-                readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers.tolist())))
+                readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers)))
                 det.stream.restore(readings, total_seen)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"stream {exc}") from exc
@@ -346,9 +375,9 @@ class _LayerPathCache:
         pass
 
     def assemble_logits(self) -> np.ndarray:
-        """enc1's cross-attention logits (h x e0 x gm) over a full stream's
-        global window, as `mtr_forward`'s cached branch computes them."""
+        """enc1's cross-attention logits over a full stream's global window,
+        as `mtr_forward`'s cached branch computes them, heads first (h x e0 x gm)."""
         det = self.det
         gm_values = normalize(np.array([r.power for r in det.stream.readings]), det.stats)[: det.config.gm]
         scale, offset = self.enc1_logits
-        return gm_values * scale + offset
+        return (gm_values * scale + offset).swapaxes(0, 1)

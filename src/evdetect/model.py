@@ -180,6 +180,9 @@ class ModelParams:
             size = sum(math.prod(shape) for shape in shapes)
             if vector.dtype != np.float64 or vector.shape != (size,):
                 raise ValueError(f"parameter array is {vector.dtype} {vector.shape}, expected float64 ({size},)")
+            finite = np.isfinite(vector)
+            if not finite.all():
+                raise ValueError(f"weight {np.argmin(finite)} of the parameter array is not finite")
             self.vector = vector.copy()
         # before any view is taken, as a view keeps the flag it was made with
         self.vector.flags.writeable = not read_only
@@ -284,42 +287,36 @@ def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """The per-head products of k attentions, each (k, h, C, C):
     `qk` = wq_h wk_h^T / sqrt(d) and `vo` = wv_h wo_h, with wo_h the rows of
     `wo` that head h's output meets. Then the attention of queries x over
-    memory m is sum_h softmax(x qk_h m^T) m vo_h (see `_attend`)."""
+    memory m is sum_h softmax(x qk_h m^T) m vo_h (see `_attend`). Only the
+    attentions a step runs are folded; `self_attend` gives the frozen query blocks."""
     wq, wk, wv = (np.array([getattr(a, name) for a in attns]) for name in ("wq_all", "wk_all", "wv_all"))
     k, h, C, d = wq.shape
     qk = wq @ wk.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
     return qk, wv @ np.array([a.wo.data for a in attns]).reshape(k, h, d, C)
 
 
-def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A folded attention: sum over the head axis (-3) of softmax(logits_h) @ values_h."""
-    return np.add.reduce(softmax_rows(logits) @ values, axis=-3)
-
-
-# The cached branch runs one window at a time, on 2-D arrays. It multiplies
+# The folded branch runs one window at a time, on 2-D arrays. It multiplies
 # them with `ndarray.dot`, which for 2-D operands is `@` at about half the
 # per-call cost on matrices this small.
 
 
-def _attend_side(queries: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
-    """A folded attention with the heads side by side.
-
-    `queries` holds each query's h per-head rows x qk_h in turn (n*h x C), and
-    `vo` is the (h, C, w) stack. The softmax weights, (n*h, m), are read as
-    (n, h*m), so one matmul against the stacked values (h*m, w) also sums
-    the heads.
-    """
-    weights = softmax_rows(queries.dot(memory.T))
-    return weights.reshape(len(queries) // len(vo), -1).dot((memory @ vo).reshape(-1, vo.shape[-1]))
+def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A folded attention, sum_h softmax(logits_h) @ values_h, with the heads
+    side by side: `logits` holds each query's h per-head rows in turn, and
+    `values` the per-head blocks stacked (h*m, w). The softmax weights are
+    read as (n, h*m), so one matmul also sums the heads."""
+    return softmax_rows(logits).reshape(-1, len(values)).dot(values)
 
 
 def folded_attention(x: np.ndarray, memory: np.ndarray, rows: np.ndarray, vo: np.ndarray) -> np.ndarray:
     """x @ fold plus the folded attention of x over `memory`, with rows =
-    [qk_1 | ... | qk_h | fold] (C, h*C + w): one matmul gives the per-head
-    queries and the residual through the next layer norm's fold."""
+    [qk_1 | ... | qk_h | fold] (C, h*C + w) and `vo` the (h, C, w) stack: one
+    matmul gives the per-head queries and the residual through the next
+    layer norm's fold."""
     hc = rows.shape[1] - vo.shape[-1]
     a = x.dot(rows)
-    return a[:, hc:] + _attend_side(a[:, :hc].reshape(-1, x.shape[-1]), memory, vo)
+    logits = a[:, :hc].reshape(-1, x.shape[-1]).dot(memory.T)
+    return a[:, hc:] + _attend(logits, (memory @ vo).reshape(-1, vo.shape[-1]))
 
 
 def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
@@ -384,10 +381,11 @@ class ModelFolds:
     meter that runs the model. `ModelParams.folds` builds them; with the two
     windows they are all that the cached branch of `mtr_forward` reads.
 
-    Every attention is folded into two per-head products (`fold_attention`):
-    qk = wq_h wk_h^T / sqrt(d) and vo = wv_h wo_h, so a cached step runs it
-    without the per-head projections, the head concatenation and `wo`. Every
-    layer norm is folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
+    Both encoders' queries are learned constants, so `self_attend` runs their
+    self-attention stages once, here. The four attentions a step runs are
+    folded into two per-head products (`fold_attention`), qk and vo, which
+    `_attend` contracts with the heads side by side. The seven norms they
+    meet are folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
     P = I - 1/C, the norm of x is `folded_ln`(x @ fold, bias). Each fold is
     multiplied into whatever produces the norm's input: the residual and the
     attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
@@ -398,17 +396,17 @@ class ModelFolds:
     enc1_logits:   (scale, offset), the cross-attention logits eff @ gm_feats^T,
                    with eff = fixed_queries @ qk the per-head effective
                    queries, split as gm_values * scale + offset: scale =
-                   eff @ embed_w^T (h x e0 x 1) and offset =
-                   eff @ (embed_b + pos_gm)^T (h x e0 x gm), column 0 holding
+                   eff @ embed_w^T (e0 x h x 1) and offset =
+                   eff @ (embed_b + pos_gm)^T (e0 x h x gm), column 0 holding
                    the oldest offset lm+gm-1.
     enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
                    split as gm_values[:, None] * scale + offset, with scale =
                    embed_w @ vo @ fold (h x 1 x 2C) and offset =
-                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C).
+                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C); a step reads
+                   them as (h*gm x 2C).
     enc1_residual: fixed_queries @ fold of ln2 (e0 x 2C).
 
-    enc2 (its queries are learned constants too, so its whole self-attention
-    stage is frozen):
+    enc2:
     enc2_eff_queries: its post-self-attention queries times each head's qk,
                       the h rows of each query in turn (e1*h x C).
     enc2_vo:          vo @ fold of ln2 (h x C x 2C).
@@ -427,39 +425,37 @@ class ModelFolds:
     """
 
     def __init__(self, params: ModelParams):
-        dims = params.dims
-        C = dims.C
+        C = params.dims.C
+        hc = params.dims.heads * C
         enc1, enc2, dec = params.enc1, params.enc2, params.dec
-        attns = (enc1.self_attn, enc2.self_attn, enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
+        attns = (enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
         qk, vo = fold_attention(*attns)
         # the norm each attention's output meets sits at the same place here
-        norms = (enc1.ln1, enc2.ln1, enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
+        norms = (enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
         folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
-        vo = vo @ folds[:6, None]
+        vo = vo @ folds[:4, None]
         # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `folded_attention` takes it
-        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:6]], axis=-1)
-        hc = dims.heads * C
+        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:4]], axis=-1)
         # the decoder's last norm meets the output head: [P | P diag(g) head_w]
-        head = np.concatenate([folds[8, :, :C], folds[8, :, C:] @ params.head_w.data], axis=1)
+        head = np.concatenate([folds[6, :, :C], folds[6, :, C:] @ params.head_w.data], axis=1)
 
-        # both encoders' self-attention stages see only their learned queries
-        queries = params.enc1_queries.data
-        self.fixed_queries = folded_ln(folded_attention(queries, queries, rows[0], vo[0]), enc1.ln1.bias.data)
-        eff = self.fixed_queries @ qk[2]
-        self.enc1_logits = (eff @ params.embed_w.data.T, eff @ (params.embed_b.data + params.pos_gm).T)
-        self.enc1_values = (params.embed_w.data @ vo[2], (params.embed_b.data + params.pos_gm) @ vo[2])
-        self.enc1_residual = self.fixed_queries @ folds[2]
-        self.enc1_ln3 = folds[6]
+        self.fixed_queries = self_attend(params.enc1_queries.data, enc1)
+        queries = self.fixed_queries.dot(rows[0])
+        eff = queries[:, :hc].reshape(len(queries), -1, C)
+        gm_fixed = params.embed_b.data + params.pos_gm  # each global-window feature but its reading's part
+        self.enc1_logits = (eff @ params.embed_w.data.T, eff @ gm_fixed.T)
+        self.enc1_values = (params.embed_w.data @ vo[0], gm_fixed @ vo[0])
+        self.enc1_residual = queries[:, hc:]
+        self.enc1_ln3 = folds[4]
 
-        queries = params.enc2_queries.data
-        queries = folded_ln(folded_attention(queries, queries, rows[1], vo[1]), enc2.ln1.bias.data).dot(rows[3])
+        queries = self_attend(params.enc2_queries.data, enc2).dot(rows[1])
         self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
-        self.enc2_vo = vo[3]
+        self.enc2_vo = vo[1]
         self.enc2_residual = queries[:, hc:]
-        self.enc2_ln3 = folds[7]
+        self.enc2_ln3 = folds[5]
 
-        self.dec_self = (rows[4], vo[4])
-        self.dec_cross = (rows[5], vo[5])
+        self.dec_self = (rows[2], vo[2])
+        self.dec_cross = (rows[3], vo[3])
         self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
 
         for value in vars(self).values():
@@ -526,9 +522,10 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
     scale, offset = folds.enc1_logits
     logits = gm_values * scale + offset
     scale, offset = folds.enc1_values
-    cross = _attend(logits, gm_values[:, None] * scale + offset)
+    cross = _attend(logits, (gm_values[:, None] * scale + offset).reshape(-1, offset.shape[-1]))
     stage1 = _folded_tail(folds.enc1_residual + cross, p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
-    cross = _attend_side(folds.enc2_eff_queries, stage1, folds.enc2_vo)
+    values = (stage1 @ folds.enc2_vo).reshape(-1, folds.enc2_vo.shape[-1])
+    cross = _attend(folds.enc2_eff_queries.dot(stage1.T), values)
     encoded = _folded_tail(folds.enc2_residual + cross, p.enc2, folds.enc2_ln3, p.enc2.ln3.bias.data)
     x1 = folded_ln(folded_attention(lm_feats, lm_feats, *folds.dec_self), p.dec.ln1.bias.data)
     return _folded_tail(folded_attention(x1, encoded, *folds.dec_cross), p.dec, *folds.dec_head)[:, 0]

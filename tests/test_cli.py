@@ -40,6 +40,12 @@ def _model_without_dims(path, params):
     write_container(path, MODEL_FORMAT, {"stats": {}}, {PARAMS_KEY: params})
 
 
+def _with_nan_weight(vector):
+    vector = vector.copy()
+    vector[5] = np.nan
+    return vector
+
+
 def _engine_without_config(path, _):
     # valid dims, stats and weights, but none of the engine's own fields
     meta, arrays = encode_model(ModelParams(ModelDims(), seed=0), SeriesStats(mean=0.0, std=1.0, count=1))
@@ -709,6 +715,8 @@ class TestDetect:
             "total-seen-above-short-stream",
             "last-t-before-newest-reading",
             "last-t-timezone-aware",
+            "nan-power",
+            "out-of-range-power",
         ],
     )
     def test_corrupt_engine_stream_exits_one(self, workdir, tiny_setup, capsys, fault):
@@ -736,6 +744,10 @@ class TestDetect:
             stream["last_t"] = stream["t"][-2]
         elif fault == "last-t-timezone-aware":
             stream["last_t"] = stream["t"][-1] + "+00:00"
+        elif fault in ("nan-power", "out-of-range-power"):
+            # a reading `step` refuses would score the next lm + gm minutes as errors
+            arrays["power"] = arrays["power"].copy()
+            arrays["power"][5] = np.nan if fault == "nan-power" else 1e300
         else:
             arrays["power"] = arrays["power"][:-1]
         write_container(engine_ckpt, ENGINE_FORMAT, meta, arrays)
@@ -797,6 +809,10 @@ class TestDetect:
             pytest.param("no_total_seen.npz", "--resume-engine",
                          "{}: malformed evdetect-engine metadata: KeyError('total_seen')", id="engine-no-total-seen"),
             pytest.param("heads3.npz", "--resume-engine", "{}: head count must divide C", id="engine-heads-3"),
+            pytest.param("nan_weight.npz", "--checkpoint", "{}: weight 5 of the parameter array is not finite",
+                         id="model-nan-weight"),
+            pytest.param("nan_weight.npz", "--resume-engine", "{}: weight 5 of the parameter array is not finite",
+                         id="engine-nan-weight"),
         ],
     )
     def test_load_error_names_the_file(self, workdir, tiny_setup, capsys, name, flag, message):
@@ -805,6 +821,8 @@ class TestDetect:
             meta, arrays = read_container(tiny_setup["ckpt"], MODEL_FORMAT)
             if name == "std0.npz":
                 meta["stats"]["std"] = 0
+            elif name == "nan_weight.npz":
+                arrays[PARAMS_KEY] = _with_nan_weight(arrays[PARAMS_KEY])
             else:
                 meta["version"] = 1
             write_container(bad, MODEL_FORMAT, meta, arrays)
@@ -813,6 +831,8 @@ class TestDetect:
             meta, arrays = read_container(bad, ENGINE_FORMAT)
             if name == "heads3.npz":
                 meta["dims"]["heads"] = 3
+            elif name == "nan_weight.npz":
+                arrays[PARAMS_KEY] = _with_nan_weight(arrays[PARAMS_KEY])
             else:
                 del meta["stream"]["total_seen"]
             write_container(bad, ENGINE_FORMAT, meta, arrays)
@@ -822,18 +842,28 @@ class TestDetect:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "edit, message",
         [
-            ("h", "x", "h must be a finite number, got 'x'"),
-            ("z_q", None, "z_q must be a finite number, got None"),
-            ("k", "5", "k must be a count, got '5'"),
-            ("refit_stride", 0, "refit_stride 0 differs from the config's 1"),
-            ("q", 0.5, "q 0.5 differs from the config's 0.0001"),
-            ("max_peaks", 50, "max_peaks 50 differs from the config's None"),
+            (lambda meta, arrays: meta["spot"].update(h="x"), "spot h must be a finite number, got 'x'"),
+            (lambda meta, arrays: meta["spot"].update(z_q=None), "spot z_q must be a finite number, got None"),
+            (lambda meta, arrays: meta["spot"].update(k="5"), "spot k must be a count, got '5'"),
+            (lambda meta, arrays: meta["spot"].update(refit_stride=0), "spot refit_stride 0 differs from the config's 1"),
+            (lambda meta, arrays: meta["spot"].update(q=0.5), "spot q 0.5 differs from the config's 0.0001"),
+            (lambda meta, arrays: meta["spot"].update(max_peaks=50), "spot max_peaks 50 differs from the config's None"),
+            (lambda meta, arrays: (meta["config"].update(max_peaks=2.5), meta["spot"].update(max_peaks=2.5)),
+             "max_peaks must be an integer, got 2.5"),
+            (lambda meta, arrays: arrays.update(peaks=np.append(-1.0, arrays["peaks"][1:])),
+             "spot peaks must be finite and above 0, got -1.0"),
+            # a detector still calibrating: no SPOT state, and its calibration scores
+            (lambda meta, arrays: (meta.update(spot=None), arrays.update(calib_scores=np.array([0.5, np.nan]))),
+             "calib_scores must be finite, got nan"),
+            (lambda meta, arrays: (meta.update(spot=None), arrays.update(calib_scores=np.ones((2, 3)))),
+             "calib_scores must be a 1-D float64 array, got float64 of shape (2, 3)"),
         ],
-        ids=["h-string", "z_q-null", "k-string", "refit-stride-0", "q-other", "max-peaks-other"],
+        ids=["h-string", "z_q-null", "k-string", "refit-stride-0", "q-other", "max-peaks-other",
+             "max-peaks-2.5", "negative-peak", "nan-calib-score", "calib-scores-2d"],
     )
-    def test_bad_engine_spot_exits_one(self, workdir, tiny_setup, capsys, key, value, message):
+    def test_bad_engine_spot_exits_one(self, workdir, tiny_setup, capsys, edit, message):
         # a detector past calibration, so its engine file holds a SPOT state
         det = OnlineDetector(*load_model(tiny_setup["ckpt"]), EngineConfig(calibration_len=600))
         for reading in list(read_meter_csv(str(tiny_setup["detect_csv"])).iter_readings())[:660]:
@@ -841,11 +871,11 @@ class TestDetect:
         bad, out = workdir / "bad_spot.npz", workdir / "bad_spot.jsonl"
         det.save(bad)
         meta, arrays = read_container(bad, ENGINE_FORMAT)
-        meta["spot"][key] = value
+        edit(meta, arrays)
         write_container(bad, ENGINE_FORMAT, meta, arrays)
         capsys.readouterr()
         assert main(["detect", "--resume-engine", str(bad), str(tiny_setup["detect_csv"]), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {bad}: spot {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("existing", [None, b"earlier events\n"], ids=["no-out-file", "existing-out-file"])

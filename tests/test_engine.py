@@ -66,7 +66,20 @@ class TestAnomalyScore:
             anomaly_score([1.0], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("kwargs", [{"refit_stride": 0}, {"refit_stride": -2}, {"max_peaks": 0}, {"max_peaks": 1}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"refit_stride": 0},
+        {"refit_stride": -2},
+        {"max_peaks": 0},
+        {"max_peaks": 1},
+        # a count that is not an integer
+        {"max_peaks": 2.5},
+        {"refit_stride": 1.5},
+        {"calibration_len": 600.0},
+        {"lm": 8.0},
+    ],
+)
 def test_config_rejects_invalid_refit_settings(kwargs):
     with pytest.raises(ValueError):
         EngineConfig(**kwargs)
@@ -279,15 +292,15 @@ class TestRun:
         assert head + [format_event(e) for e in resumed.run(readings[at:])] == whole
 
 
-class TestAttentionCache:
+class TestEnc1LogitFolds:
     """enc1's cross-attention logits over the global window, folded per model
     into a scale and an offset that a step applies to the window's readings."""
 
     def test_positional_logit_shape(self):
         scale, offset = ModelParams(SMALL, seed=4).folds().enc1_logits
-        assert scale.shape == (SMALL.heads, SMALL.e0, 1)
-        # per head: one positional entry per (query token, window slot)
-        assert offset.shape == (SMALL.heads, SMALL.e0, SMALL.gm)
+        assert scale.shape == (SMALL.e0, SMALL.heads, 1)
+        # per query token, its heads side by side: one positional entry per window slot
+        assert offset.shape == (SMALL.e0, SMALL.heads, SMALL.gm)
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
@@ -307,7 +320,8 @@ class TestAttentionCache:
         gm_norm = normalize([r.power for r in gm_read], det.stats)
         scale, offset = folds.enc1_logits
         got = gm_norm * scale + offset
-        np.testing.assert_array_equal(det.cache.assemble_logits(), got)
+        # the benchmark's view indexes the heads first
+        np.testing.assert_array_equal(det.cache.assemble_logits(), got.swapaxes(0, 1))
 
         # from-scratch logits over the live global window
         p = det.params
@@ -317,7 +331,7 @@ class TestAttentionCache:
             q = folds.fixed_queries @ wq.data
             key = feats @ wk.data
             fresh = q @ key.T / math.sqrt(d)
-            np.testing.assert_allclose(got[k], fresh, atol=1e-12)
+            np.testing.assert_allclose(got[:, k], fresh, atol=1e-12)
 
 
 def _windows(det):
@@ -794,7 +808,7 @@ def line_is_json(line: str) -> bool:
 
 
 @pytest.mark.slow
-class TestLogitTimeSublinear:
+class TestLogitFoldSpeed:
     def test_cached_logits_beat_from_scratch(self):
         # assembling logits from the folds must beat recomputing them from the
         # window features (which additionally pays the key projections)
