@@ -353,7 +353,7 @@ class TestFoldedForward:
             pytest.param(ModelDims(C=6, hidden=12, heads=3, e0=12, e1=4), id="C6-hidden12-heads3"),
         ],
     )
-    def test_cached_matches_plain_after_the_ring_wraps(self, dims):
+    def test_cached_matches_plain_after_the_window_slides(self, dims):
         det = _detector(dims, seed=40 + dims.heads)
         rng = np.random.default_rng(41)
         readings = _readings(rng.normal(size=dims.lm + 3 * dims.gm))

@@ -119,6 +119,21 @@ class TestLogLikelihood:
         with pytest.raises(SpotDomainError):
             gpd_log_likelihood(0.5, 1.0, [])
 
+    @pytest.mark.parametrize(
+        "gamma, sigma, y, message",
+        [
+            (math.nan, 1.0, [1.0, 2.0], "gamma must not be NaN"),
+            (0.5, math.inf, [1.0, 2.0], "sigma must be finite and positive"),
+            (0.5, math.nan, [1.0, 2.0], "sigma must be finite and positive"),
+            (0.5, 1.0, [1.0, math.nan], "excesses must be positive"),
+            (0.0, 1.0, [1.0, math.inf], "excesses must be finite"),
+        ],
+        ids=["nan-gamma", "inf-sigma", "nan-sigma", "nan-excess", "inf-excess"],
+    )
+    def test_non_finite_arguments_raise(self, gamma, sigma, y, message):
+        with pytest.raises(SpotDomainError, match=message):
+            gpd_log_likelihood(gamma, sigma, y)
+
     def test_optimum_beats_random_feasible_points(self):
         rng = np.random.default_rng(100)
         y = gpd_inverse_cdf(rng.uniform(size=800), 0.2, 1.5)
@@ -518,3 +533,72 @@ class TestBroadcastScanEquivalence:
         assert z_q == want_z_q
         assert labels == want_labels
         assert labels.count(ANOMALY) > 0 and state.n_peaks_total > 1000
+
+
+def _bracket_grid(y: np.ndarray) -> tuple[list[float], float]:
+    """The bracket edges and dead zone `grimshaw_fit` builds for y, so a test can
+    check that its input reaches the corner it is named after."""
+    lo = -1.0 / y.max() + 1e-8
+    if lo >= 0.0:
+        lo = -0.5 / y.max()
+    return np.linspace(lo, 10.0 / y.mean(), spot.BRACKETS + 1).tolist(), 1e-7 / y.mean()
+
+
+class TestSpanAssemblyCorners:
+    """Corners of the span assembly, each held to the scalar scan bit for bit."""
+
+    @staticmethod
+    def _assert_matches_oracle(y):
+        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
+
+    def test_grid_edge_exactly_at_zero(self):
+        # hi = 19 * |lo|, so the second edge is 0.0: the bracket around 0 is not
+        # split, and 0.0 is the lower end of a span where u*v - 1 is exactly 0
+        y = np.array([3.0, 0.1578948315789503])
+        edges, _ = _bracket_grid(y)
+        assert edges[1] == 0.0
+        self._assert_matches_oracle(y)
+
+    def test_lower_end_when_y_max_reaches_1e8(self):
+        rng = np.random.default_rng(22)
+        y = gpd_inverse_cdf(rng.uniform(size=200), 0.4, 1e7)
+        y[0] = 2e8
+        assert -1.0 / y.max() + 1e-8 >= 0.0
+        self._assert_matches_oracle(y)
+
+    def test_negative_half_span_dropped(self):
+        # -1/y_max + 1e-8 is about -1e-15 while the dead zone is 3e-15, so the
+        # first bracket keeps only its half above the dead zone
+        y = np.array([99_999_990.0, 1.0, 2.0])
+        edges, dead_zone = _bracket_grid(y)
+        assert edges[0] < 0.0 < edges[1] and edges[0] >= -dead_zone
+        self._assert_matches_oracle(y)
+
+    @pytest.mark.parametrize("y", [[1.0, 3.0], [0.25, 1e4], [5.0, 5.0 + 1e-12]], ids=["1-3", "wide", "near-tie"])
+    def test_exactly_two_excesses(self, y):
+        self._assert_matches_oracle(np.array(y))
+
+    @pytest.mark.parametrize("y", [[2.5] * 20, [0.1] * 3, [7.0, 7.0]], ids=["2.5x20", "0.1x3", "7x2"])
+    def test_all_equal_excesses(self, y):
+        self._assert_matches_oracle(np.array(y))
+
+    def test_root_on_a_grid_point(self):
+        # u*v - 1 rounds to exactly 0.0 at the dead zone's upper end, which is the
+        # lower end of a span, so that point is taken as a root without brentq
+        y = gpd_inverse_cdf(np.random.default_rng(1).uniform(size=100), 0.2, 1.0)
+        _, dead_zone = _bracket_grid(y)
+        assert spot._grimshaw_w(dead_zone, y) == 0.0
+        self._assert_matches_oracle(y)
+        assert grimshaw_fit(y).gamma_hat != 0.0  # that root, not the exponential fit, wins (a known quirk)
+
+
+@pytest.mark.parametrize("n", [2, 97, 8192, 20_000])
+def test_grid_row_equals_scalar_call(n):
+    """`_grimshaw_w`'s docstring: a grid row and a scalar call give the same bits."""
+    rng = np.random.default_rng(n)
+    y = gpd_inverse_cdf(rng.uniform(size=n), 0.3, 2.0)
+    edges, _ = _bracket_grid(y)
+    thetas = np.array(edges[1:] + [1e-9, -1e-9])
+    rows = spot._grimshaw_w(thetas[:, None], y)
+    assert rows.tolist() == [float(spot._grimshaw_w(t, y)) for t in thetas.tolist()]
