@@ -263,8 +263,15 @@ class SynthConfig:
     start: datetime = datetime(2018, 1, 1)
 
     def __post_init__(self):
+        for name in ("days", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(isinstance(bound, int) for bound in self.duration_minutes):
+            raise ValueError(f"duration_minutes must be integers, got {self.duration_minutes!r}")
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.ev_power <= 0:
             raise ValueError("ev_power must be positive")
         if self.duration_minutes[0] < 15 or self.duration_minutes[0] > self.duration_minutes[1]:

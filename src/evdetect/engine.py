@@ -3,20 +3,19 @@ dynamic thresholding, on the cached branch of the forward for fast inference.
 
 Every reading is scored by the one array forward, `model.mtr_forward`, on its
 cached branch, which reads every input-independent piece from the model's
-folds (`model.ModelFolds`). The folds exploit four facts about the model at
+folds (`model.ModelFolds`). The folds exploit three facts about the model at
 inference time. Both encoder blocks' queries are learned constants, so their
-post-self-attention query blocks are frozen (`model.self_attend` runs once).
-A global-window feature is its scalar reading times the embedding plus a
-fixed bias and positional row, so each of enc1's cross-attention logits and
-values is affine in that one reading: a per-model scale and offset, and
-assembling the logit matrix costs O(gm*e0) multiply-adds per step instead of
-O(gm*e0*C). The weights are constants, so every attention a step runs folds
-into two per-head (C x C) products once, at build, and runs as one matmul
-with the heads side by side (`model._attend`). And a layer norm's centring
-and gain are linear, so each one folds into the matrices that produce its
-input (the decoder's last one together with the output head); a cached step
-computes only each norm's row variance, the division by its square root and
-the bias.
+post-self-attention query blocks are frozen (`model.self_attend` runs once),
+and so are their per-head queries. The weights are constants, so every
+attention a step runs folds into two per-head (C x C) products once, at
+build, and all four run through the one `model.folded_attention`, with the
+heads side by side. And a layer norm's centring and gain are linear, so each
+one folds into the matrices that produce its input (the decoder's last one
+together with the output head); a cached step computes only each norm's row
+variance, the division by its square root and the bias. enc1 attends over the
+embedded global window like the others: folding its logits and values per
+reading into a scale and an offset saved nothing at the reference dims (see
+`model.ModelFolds`).
 
 State splits in two. Per model: the weights and every fold above, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
@@ -40,7 +39,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, normalize
 from .memory import Reading, StreamState
-from .model import ModelParams, mtr_forward
+from .model import ModelParams, _embed, mtr_forward
 from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
@@ -377,7 +376,7 @@ class _LayerPathCache:
     def assemble_logits(self) -> np.ndarray:
         """enc1's cross-attention logits over a full stream's global window,
         as `mtr_forward`'s cached branch computes them, heads first (h x e0 x gm)."""
-        det = self.det
+        det, p = self.det, self.det.params
         gm_values = normalize(np.array([r.power for r in det.stream.readings]), det.stats)[: det.config.gm]
-        scale, offset = self.enc1_logits
-        return (gm_values * scale + offset).swapaxes(0, 1)
+        logits = self.enc1[0].dot(_embed(gm_values, p.pos_gm, p).T)
+        return logits.reshape(p.dims.e0, p.dims.heads, -1).swapaxes(0, 1)

@@ -308,15 +308,26 @@ def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
     return softmax_rows(logits).reshape(-1, len(values)).dot(values)
 
 
-def folded_attention(x: np.ndarray, memory: np.ndarray, rows: np.ndarray, vo: np.ndarray) -> np.ndarray:
-    """x @ fold plus the folded attention of x over `memory`, with rows =
-    [qk_1 | ... | qk_h | fold] (C, h*C + w) and `vo` the (h, C, w) stack: one
-    matmul gives the per-head queries and the residual through the next
-    layer norm's fold."""
-    hc = rows.shape[1] - vo.shape[-1]
+def _queries(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x @ rows, with rows = [qk_1 | ... | qk_h | fold] (C, h*C + 2C), split
+    into the per-head query rows, each query's h rows in turn (n*h, C), and the
+    residual through the next layer norm's fold (n, 2C): one matmul gives both."""
+    C = x.shape[-1]
     a = x.dot(rows)
-    logits = a[:, :hc].reshape(-1, x.shape[-1]).dot(memory.T)
-    return a[:, hc:] + _attend(logits, (memory @ vo).reshape(-1, vo.shape[-1]))
+    return a[:, : -2 * C].reshape(-1, C), a[:, -2 * C :]
+
+
+def folded_attention(queries: np.ndarray, residual: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """`residual` plus the folded attention of `queries` over `memory`, with
+    (queries, residual) from `_queries` and `vo` the (h, C, w) stack of
+    per-head value-output products.
+
+    It is the one way the cached branch runs an attention: enc1 over the
+    embedded global window, enc2 over enc1's output, and the decoder's self-
+    and cross-attention. enc1 takes no per-reading fold of its own, since one
+    measured no faster (see `ModelFolds`).
+    """
+    return residual + _attend(queries.dot(memory.T), (memory @ vo).reshape(-1, vo.shape[-1]))
 
 
 def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
@@ -383,50 +394,41 @@ class ModelFolds:
 
     Both encoders' queries are learned constants, so `self_attend` runs their
     self-attention stages once, here. The four attentions a step runs are
-    folded into two per-head products (`fold_attention`), qk and vo, which
-    `_attend` contracts with the heads side by side. The seven norms they
-    meet are folded too (`fold_layer_norms`): with fold = [P | P diag(g)],
-    P = I - 1/C, the norm of x is `folded_ln`(x @ fold, bias). Each fold is
-    multiplied into whatever produces the norm's input: the residual and the
-    attention values (vo @ fold, h x C x 2C); ln3's fold takes the FFN's
-    output plus its input.
+    folded into two per-head products (`fold_attention`), qk and vo, and each
+    runs through `folded_attention`. The seven norms they meet are folded too
+    (`fold_layer_norms`): with fold = [P | P diag(g)], P = I - 1/C, the norm of
+    x is `folded_ln`(x @ fold, bias). Each fold is multiplied into whatever
+    produces the norm's input: the residual and the attention values (vo @
+    fold, h x C x 2C); ln3's fold takes the FFN's output plus its input.
 
-    enc1 (cross-attention over the global window):
-    fixed_queries: post-self-attention query block (e0 x C).
-    enc1_logits:   (scale, offset), the cross-attention logits eff @ gm_feats^T,
-                   with eff = fixed_queries @ qk the per-head effective
-                   queries, split as gm_values * scale + offset: scale =
-                   eff @ embed_w^T (e0 x h x 1) and offset =
-                   eff @ (embed_b + pos_gm)^T (e0 x h x gm), column 0 holding
-                   the oldest offset lm+gm-1.
-    enc1_values:   (scale, offset), the values gm_feats @ vo @ fold of ln2
-                   split as gm_values[:, None] * scale + offset, with scale =
-                   embed_w @ vo @ fold (h x 1 x 2C) and offset =
-                   (embed_b + pos_gm) @ vo @ fold (h x gm x 2C); a step reads
-                   them as (h*gm x 2C).
-    enc1_residual: fixed_queries @ fold of ln2 (e0 x 2C).
-
-    enc2:
-    enc2_eff_queries: its post-self-attention queries times each head's qk,
-                      the h rows of each query in turn (e1*h x C).
-    enc2_vo:          vo @ fold of ln2 (h x C x 2C).
-    enc2_residual:    post-self-attention queries @ fold of ln2 (e1 x 2C).
-
-    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs
-    for `folded_attention`, with rows = [qk_1 | ... | qk_h | fold]
-    (C x h*C + 2C), so one matmul gives the per-head queries and the residual;
-    fold is that of ln1 and ln2.
-
+    fixed_queries: enc1's post-self-attention query block (e0 x C); a step
+                   reads `enc1`, and only `perfbench`'s `LayerPath` reads this.
+    enc1, enc2:    the encoders' cross-attentions as (queries, residual, vo)
+                   triples for `folded_attention`: `_queries` of the
+                   post-self-attention query block, so queries = each query
+                   times each head's qk (e*h x C) and residual = the block @
+                   fold of ln2 (e x 2C), and vo = vo @ fold of ln2.
+    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs,
+                   rows = [qk_1 | ... | qk_h | fold] (C x h*C + 2C), from which
+                   `_queries` gives a step's queries and residual; fold is that
+                   of ln1 and ln2.
     enc1_ln3, enc2_ln3: the folds of the encoder blocks' ln3, which take the
-                      FFN's output plus its input (C x 2C).
-    dec_head:         (fold, bias) of the decoder's ln3 with the output head:
-                      [P | P diag(g) head_w] (C x C+1) and the constant
-                      ln3.bias @ head_w + head_b.
+                   FFN's output plus its input (C x 2C).
+    dec_head:      (fold, bias) of the decoder's ln3 with the output head:
+                   [P | P diag(g) head_w] (C x C+1) and the constant
+                   ln3.bias @ head_w + head_b.
+
+    enc1 runs over the embedded global window like every other attention. A
+    global-window feature is affine in its one reading, so enc1's logits and
+    values could fold per model into a scale and an offset each, applied with
+    one multiply-add per entry. That fold saved nothing and was deleted: on a
+    2-core Xeon, enc1's cross-attention took 45.2 µs with it against 44.1 µs
+    through `folded_attention`, the window's embedding included (reference
+    dims, medians of 30 interleaved trials; 117 against 110 µs at gm=256).
     """
 
     def __init__(self, params: ModelParams):
         C = params.dims.C
-        hc = params.dims.heads * C
         enc1, enc2, dec = params.enc1, params.enc2, params.dec
         attns = (enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
         qk, vo = fold_attention(*attns)
@@ -434,26 +436,16 @@ class ModelFolds:
         norms = (enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
         folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
         vo = vo @ folds[:4, None]
-        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `folded_attention` takes it
+        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `_queries` takes it
         rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:4]], axis=-1)
         # the decoder's last norm meets the output head: [P | P diag(g) head_w]
         head = np.concatenate([folds[6, :, :C], folds[6, :, C:] @ params.head_w.data], axis=1)
 
         self.fixed_queries = self_attend(params.enc1_queries.data, enc1)
-        queries = self.fixed_queries.dot(rows[0])
-        eff = queries[:, :hc].reshape(len(queries), -1, C)
-        gm_fixed = params.embed_b.data + params.pos_gm  # each global-window feature but its reading's part
-        self.enc1_logits = (eff @ params.embed_w.data.T, eff @ gm_fixed.T)
-        self.enc1_values = (params.embed_w.data @ vo[0], gm_fixed @ vo[0])
-        self.enc1_residual = queries[:, hc:]
+        self.enc1 = (*_queries(self.fixed_queries, rows[0]), vo[0])
         self.enc1_ln3 = folds[4]
-
-        queries = self_attend(params.enc2_queries.data, enc2).dot(rows[1])
-        self.enc2_eff_queries = queries[:, :hc].reshape(-1, C)
-        self.enc2_vo = vo[1]
-        self.enc2_residual = queries[:, hc:]
+        self.enc2 = (*_queries(self_attend(params.enc2_queries.data, enc2), rows[1]), vo[1])
         self.enc2_ln3 = folds[5]
-
         self.dec_self = (rows[2], vo[2])
         self.dec_cross = (rows[3], vo[3])
         self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
@@ -488,7 +480,7 @@ def _trd(x1: np.ndarray, memory: np.ndarray, p: SimpleNamespace, tape: list | No
 def _embed(values: np.ndarray, pos: np.ndarray, p: ModelParams) -> np.ndarray:
     """Window values [.., n] as features [.., n, C]: the scalar embedding plus
     each position's row of `pos` (n x C)."""
-    return values[..., None] @ p.embed_w.data + p.embed_b.data + pos
+    return values[..., None] * p.embed_w.data + p.embed_b.data + pos
 
 
 def _head(out: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -510,25 +502,22 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
     if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
         raise ValueError("window lengths do not match model dims")
     lm_feats = _embed(lm_values, p.pos_lm, p)
+    gm_feats = _embed(gm_values, p.pos_gm, p)
     if folds is None:
-        gm_feats = _embed(gm_values, p.pos_gm, p)
         stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1, tape), gm_feats, p.enc1, tape)
         encoded = _trd(self_attend(p.enc2_queries.data, p.enc2, tape), stage1, p.enc2, tape)
         out = _trd(self_attend(lm_feats, p.dec, tape), encoded, p.dec, tape)
         if tape is not None:
             tape.append((lm_values, gm_values, out))
         return _head(out, p)
-    # enc1's logits and values are affine in each reading: a per-reading and a fixed part
-    scale, offset = folds.enc1_logits
-    logits = gm_values * scale + offset
-    scale, offset = folds.enc1_values
-    cross = _attend(logits, (gm_values[:, None] * scale + offset).reshape(-1, offset.shape[-1]))
-    stage1 = _folded_tail(folds.enc1_residual + cross, p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
-    values = (stage1 @ folds.enc2_vo).reshape(-1, folds.enc2_vo.shape[-1])
-    cross = _attend(folds.enc2_eff_queries.dot(stage1.T), values)
-    encoded = _folded_tail(folds.enc2_residual + cross, p.enc2, folds.enc2_ln3, p.enc2.ln3.bias.data)
-    x1 = folded_ln(folded_attention(lm_feats, lm_feats, *folds.dec_self), p.dec.ln1.bias.data)
-    return _folded_tail(folded_attention(x1, encoded, *folds.dec_cross), p.dec, *folds.dec_head)[:, 0]
+    queries, residual, vo = folds.enc1
+    stage1 = _folded_tail(folded_attention(queries, residual, gm_feats, vo), p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
+    queries, residual, vo = folds.enc2
+    encoded = _folded_tail(folded_attention(queries, residual, stage1, vo), p.enc2, folds.enc2_ln3, p.enc2.ln3.bias.data)
+    rows, vo = folds.dec_self
+    x1 = folded_ln(folded_attention(*_queries(lm_feats, rows), lm_feats, vo), p.dec.ln1.bias.data)
+    rows, vo = folds.dec_cross
+    return _folded_tail(folded_attention(*_queries(x1, rows), encoded, vo), p.dec, *folds.dec_head)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,9 @@ def grimshaw_fit(excesses) -> GpdFit:
     [-1/max(y), 10/mean(y)], the one around 0 split to skip the trivial double
     root there. u*v - 1 is evaluated once at every distinct span endpoint, in
     one broadcast over a (points, n) array (row blocks once n is large), and
-    brentq runs only inside spans where it changes sign.
+    brentq runs only inside spans where it changes sign. Excesses so small
+    (below about 1e-308) that either end of that range overflows get the
+    exponential fit, with no grid built.
 
     The excesses are checked once; the exponential candidate and every root
     are then scored with `_log_likelihood`, which skips those checks, and the
@@ -160,6 +162,9 @@ def grimshaw_fit(excesses) -> GpdFit:
     if lo >= 0.0:
         lo = -0.5 / y_max
     hi = 10.0 / y_mean
+    if math.isinf(lo) or math.isinf(hi):
+        # excesses below about 1e-308: the range overflows, so there is no grid
+        return GpdFit(best_gamma, best_sigma, n)
     dead_zone = 1e-7 / y_mean  # skip the trivial double root at theta = 0
     edges = np.linspace(lo, hi, BRACKETS + 1).tolist()
 

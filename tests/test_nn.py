@@ -161,6 +161,10 @@ class TestAdam:
         with pytest.raises(ValueError, match="epochs must be >= 0"):
             Hyper(epochs=-1)
         assert Hyper(batch_size=1, epochs=0).epochs == 0
+        for field in ("batch_size", "epochs"):
+            for value in (2.5, 3.0):
+                with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+                    Hyper(**{field: value})
 
 
 def _model_gradient(batch, params):

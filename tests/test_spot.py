@@ -583,6 +583,18 @@ class TestSpanAssemblyCorners:
     def test_all_equal_excesses(self, y):
         self._assert_matches_oracle(np.array(y))
 
+    @pytest.mark.parametrize(
+        "y, lower_end_overflows", [([1e-310, 2e-310], True), ([1e-308, 2e-308], False)], ids=["both-ends", "upper-end"]
+    )
+    def test_bracket_range_overflow_gives_the_exponential_fit(self, y, lower_end_overflows):
+        # the range [-1/max(y), 10/mean(y)] overflows: there is no grid to search
+        y = np.array(y)
+        assert math.isinf(10.0 / float(y.mean()))
+        assert math.isinf(-1.0 / float(y.max())) == lower_end_overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grimshaw_fit(y) == GpdFit(0.0, float(np.mean(y)), 2)
+
     def test_root_on_a_grid_point(self):
         # u*v - 1 rounds to exactly 0.0 at the dead zone's upper end, which is the
         # lower end of a span, so that point is taken as a root without brentq
