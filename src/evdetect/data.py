@@ -266,6 +266,8 @@ class SynthConfig:
         for name in ("days", "seed"):
             if not isinstance(getattr(self, name), int):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (isinstance(self.duration_minutes, (tuple, list)) and len(self.duration_minutes) == 2):
+            raise ValueError(f"duration_minutes must hold two integers (shortest, longest), got {self.duration_minutes!r}")
         if not all(isinstance(bound, int) for bound in self.duration_minutes):
             raise ValueError(f"duration_minutes must be integers, got {self.duration_minutes!r}")
         if self.days < 1:

@@ -9,7 +9,10 @@ post-self-attention query blocks are frozen (`model.self_attend` runs once),
 and so are their per-head queries. The weights are constants, so every
 attention a step runs folds into two per-head (C x C) products once, at
 build, and all four run through the one `model.folded_attention`, with the
-heads side by side. And a layer norm's centring and gain are linear, so each
+heads side by side: the softmax weights meet the memory first, and one matmul
+against the stacked value-output products then sums the heads. The embedding
+bias and positions are constants too, so a window embeds from pre-added
+tables. And a layer norm's centring and gain are linear, so each
 one folds into the matrices that produce its input (the decoder's last one
 together with the output head); a cached step computes only each norm's row
 variance, the division by its square root and the bias. enc1 attends over the
@@ -255,7 +258,7 @@ class OnlineDetector:
         values = normalize(np.array([r.power for r in self.stream.readings]), self.stats)
         lm_norm = values[self.config.gm :]
         d = lm_norm - mtr_forward(lm_norm, values[: self.config.gm], self.params, self.params.folds())
-        score = float(np.add.reduce(d * d) / d.size)
+        score = float(d.dot(d) / d.size)
         # the reading stays in the windows; SPOT and calibration never see the score
         if not math.isfinite(score):
             return self._rejected(reading, "non-finite anomaly score")
@@ -375,7 +378,9 @@ class _LayerPathCache:
 
     def assemble_logits(self) -> np.ndarray:
         """enc1's cross-attention logits over a full stream's global window,
-        as `mtr_forward`'s cached branch computes them, heads first (h x e0 x gm)."""
+        from the cached branch's per-head queries, heads first (h x e0 x gm).
+        The window is embedded with `_embed`, so they equal the step's to
+        rounding, not bit for bit."""
         det, p = self.det, self.det.params
         gm_values = normalize(np.array([r.power for r in det.stream.readings]), det.stats)[: det.config.gm]
         logits = self.enc1[0].dot(_embed(gm_values, p.pos_gm, p).T)

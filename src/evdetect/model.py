@@ -300,12 +300,20 @@ def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
 # per-call cost on matrices this small.
 
 
-def _attend(logits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """A folded attention, sum_h softmax(logits_h) @ values_h, with the heads
-    side by side: `logits` holds each query's h per-head rows in turn, and
-    `values` the per-head blocks stacked (h*m, w). The softmax weights are
-    read as (n, h*m), so one matmul also sums the heads."""
-    return softmax_rows(logits).reshape(-1, len(values)).dot(values)
+def _attend(logits: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
+    """A folded attention, sum_h softmax(logits_h) @ memory @ vo_h, with the
+    heads side by side: `logits` holds each query's h per-head rows in turn
+    (n*h, m), and `vo` the per-head blocks stacked (h*C, w).
+
+    The softmax numerators meet `memory` first, and dividing by their row
+    sums gives each query's h contexts in turn (n*h, C); a row sum is a `.dot`
+    with a ones column, at a fraction of `np.add.reduce`'s per-call cost on
+    rows this short. Read as (n, h*C), the contexts go through one matmul
+    against the stacked `vo`, which applies every head's value-output
+    product and sums the heads.
+    """
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    return (e.dot(memory) / e.dot(_column(len(memory), 1.0))).reshape(-1, len(vo)).dot(vo)
 
 
 def _queries(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,15 +327,15 @@ def _queries(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def folded_attention(queries: np.ndarray, residual: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
     """`residual` plus the folded attention of `queries` over `memory`, with
-    (queries, residual) from `_queries` and `vo` the (h, C, w) stack of
-    per-head value-output products.
+    (queries, residual) from `_queries` and `vo` the per-head value-output
+    products stacked (h*C, w), as `_attend` takes them.
 
     It is the one way the cached branch runs an attention: enc1 over the
     embedded global window, enc2 over enc1's output, and the decoder's self-
     and cross-attention. enc1 takes no per-reading fold of its own, since one
     measured no faster (see `ModelFolds`).
     """
-    return residual + _attend(queries.dot(memory.T), (memory @ vo).reshape(-1, vo.shape[-1]))
+    return residual + _attend(queries.dot(memory.T), memory, vo)
 
 
 def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
@@ -355,7 +363,7 @@ def folded_ln(r: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """
     C = r.shape[-1] - bias.shape[-1]
     centred = r[..., :C]
-    return r[..., C:] / np.sqrt((centred * centred).dot(_row_mean(C)) + LN_EPS) + bias
+    return r[..., C:] / np.sqrt((centred * centred).dot(_column(C, 1.0 / C)) + LN_EPS) + bias
 
 
 @functools.lru_cache(maxsize=64)
@@ -368,10 +376,11 @@ def _centring(C: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_mean(C: int) -> np.ndarray:
-    """A read-only (C, 1) column of 1/C: `.dot` with it takes each row's
-    mean, at a fraction of `np.add.reduce`'s per-call cost on rows this short."""
-    column = np.full((C, 1), 1.0 / C)
+def _column(n: int, fill: float) -> np.ndarray:
+    """A read-only (n, 1) column of `fill`: `.dot` with it takes each row's
+    sum (1) or mean (1/n), at a fraction of `np.add.reduce`'s per-call cost on
+    rows this short."""
+    column = np.full((n, 1), fill)
     column.flags.writeable = False
     return column
 
@@ -395,19 +404,24 @@ class ModelFolds:
     Both encoders' queries are learned constants, so `self_attend` runs their
     self-attention stages once, here. The four attentions a step runs are
     folded into two per-head products (`fold_attention`), qk and vo, and each
-    runs through `folded_attention`. The seven norms they meet are folded too
-    (`fold_layer_norms`): with fold = [P | P diag(g)], P = I - 1/C, the norm of
-    x is `folded_ln`(x @ fold, bias). Each fold is multiplied into whatever
+    runs through `folded_attention`, which contracts the softmax weights with
+    the memory first and then the heads' contexts, side by side, with vo
+    stacked. The seven norms they meet are folded too (`fold_layer_norms`):
+    with fold = [P | P diag(g)], P = I - 1/C, the norm of x is
+    `folded_ln`(x @ fold, bias). Each fold is multiplied into whatever
     produces the norm's input: the residual and the attention values (vo @
-    fold, h x C x 2C); ln3's fold takes the FFN's output plus its input.
+    fold, stacked h*C x 2C); ln3's fold takes the FFN's output plus its input.
 
+    lm_embed, gm_embed: the embedding bias plus each position's row (lm x C,
+                   gm x C), so a step embeds a window with one product and
+                   one add.
     fixed_queries: enc1's post-self-attention query block (e0 x C); a step
                    reads `enc1`, and only `perfbench`'s `LayerPath` reads this.
     enc1, enc2:    the encoders' cross-attentions as (queries, residual, vo)
                    triples for `folded_attention`: `_queries` of the
                    post-self-attention query block, so queries = each query
                    times each head's qk (e*h x C) and residual = the block @
-                   fold of ln2 (e x 2C), and vo = vo @ fold of ln2.
+                   fold of ln2 (e x 2C), and vo = vo @ fold of ln2, stacked.
     dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs,
                    rows = [qk_1 | ... | qk_h | fold] (C x h*C + 2C), from which
                    `_queries` gives a step's queries and residual; fold is that
@@ -435,12 +449,15 @@ class ModelFolds:
         # the norm each attention's output meets sits at the same place here
         norms = (enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
         folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
-        vo = vo @ folds[:4, None]
+        # stacked (h*C, 2C) per attention, as `_attend` takes them
+        vo = (vo @ folds[:4, None]).reshape(len(attns), -1, 2 * C)
         # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `_queries` takes it
         rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:4]], axis=-1)
         # the decoder's last norm meets the output head: [P | P diag(g) head_w]
         head = np.concatenate([folds[6, :, :C], folds[6, :, C:] @ params.head_w.data], axis=1)
 
+        self.lm_embed = params.embed_b.data + params.pos_lm
+        self.gm_embed = params.embed_b.data + params.pos_gm
         self.fixed_queries = self_attend(params.enc1_queries.data, enc1)
         self.enc1 = (*_queries(self.fixed_queries, rows[0]), vo[0])
         self.enc1_ln3 = folds[4]
@@ -493,23 +510,33 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
 
     Without `folds` it scores any batch of windows: training's loss and the
     reference the cached branch is tested against. A `tape` (a list, plain
-    branch only) records what `mtr_backward` needs. With `folds` (`p.folds()`,
-    single window only) every input-independent piece comes from them, and
-    the result equals the plain branch to rounding, not bit for bit.
+    branch only) records what `mtr_backward` needs. With `folds` (`p.folds()`)
+    it scores one window, 1-D arrays (a batch raises ValueError), and every
+    input-independent piece comes from them; the result equals the plain
+    branch to rounding, not bit for bit.
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
     if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
         raise ValueError("window lengths do not match model dims")
-    lm_feats = _embed(lm_values, p.pos_lm, p)
-    gm_feats = _embed(gm_values, p.pos_gm, p)
     if folds is None:
+        lm_feats = _embed(lm_values, p.pos_lm, p)
+        gm_feats = _embed(gm_values, p.pos_gm, p)
         stage1 = _trd(self_attend(p.enc1_queries.data, p.enc1, tape), gm_feats, p.enc1, tape)
         encoded = _trd(self_attend(p.enc2_queries.data, p.enc2, tape), stage1, p.enc2, tape)
         out = _trd(self_attend(lm_feats, p.dec, tape), encoded, p.dec, tape)
         if tape is not None:
             tape.append((lm_values, gm_values, out))
         return _head(out, p)
+    if lm_values.ndim != 1 or gm_values.ndim != 1:
+        raise ValueError(
+            f"the folded forward takes one window at a time (1-D), got local {lm_values.shape} and global {gm_values.shape}"
+        )
+    # `_embed`, with the bias and positions pre-added; a (n, 1) by (1, C)
+    # `.dot` is the same one product per entry as the broadcast multiply
+    w = p.embed_w.data
+    lm_feats = lm_values[:, None].dot(w) + folds.lm_embed
+    gm_feats = gm_values[:, None].dot(w) + folds.gm_embed
     queries, residual, vo = folds.enc1
     stage1 = _folded_tail(folded_attention(queries, residual, gm_feats, vo), p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
     queries, residual, vo = folds.enc2

@@ -274,6 +274,9 @@ class TestSynth:
                 SynthConfig(**{field: value})
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             SynthConfig(seed=-1)
+        for value in ((60,), (60, 120, 240), (), 60):
+            with pytest.raises(ValueError, match=r"^duration_minutes must hold two integers \(shortest, longest\), got "):
+                SynthConfig(duration_minutes=value)
 
 
 def _non_ev_segments_oracle(series: MeterSeries, min_len: int = 1) -> list[tuple[int, int]]:

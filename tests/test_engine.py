@@ -29,7 +29,7 @@ from evdetect.engine import (
     format_event,
 )
 from evdetect.memory import Reading
-from evdetect.model import ModelDims, ModelParams, _embed, mtr_forward
+from evdetect.model import ModelDims, ModelParams, _embed, folded_attention, mtr_forward
 from evdetect.nn import AdamState, Hyper, adam_step
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 
@@ -301,7 +301,8 @@ class TestEnc1LogitFolds:
         # per query token, its heads' rows in turn
         assert queries.shape == (SMALL.e0 * SMALL.heads, SMALL.C)
         assert residual.shape == (SMALL.e0, 2 * SMALL.C)
-        assert vo.shape == (SMALL.heads, SMALL.C, 2 * SMALL.C)
+        # the heads' value-output products stacked, as `_attend` takes them
+        assert vo.shape == (SMALL.heads * SMALL.C, 2 * SMALL.C)
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
@@ -333,6 +334,41 @@ class TestEnc1LogitFolds:
             key = feats @ wk.data
             fresh = q @ key.T / math.sqrt(d)
             np.testing.assert_allclose(got[:, k], fresh, atol=1e-12)
+
+
+class TestFoldedAttention:
+    """`folded_attention` against the explicit sum over heads,
+    sum_h softmax(x qk_h m^T) m vo_h."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            pytest.param(ModelDims(heads=2), id="2"),
+            pytest.param(ModelDims(heads=1), id="1"),
+            pytest.param(ModelDims(heads=4), id="4"),
+            pytest.param(ModelDims(C=6, hidden=12, heads=3, e0=12, e1=4), id="C6-hidden12-heads3"),
+        ],
+    )
+    @pytest.mark.parametrize("scale", [1.0, engine.MAX_ABS_Z], ids=["unit", "max-abs-z"])
+    def test_matches_the_sum_over_heads_within_1e12(self, dims, scale):
+        C, h, w = dims.C, dims.heads, 2 * dims.C
+        rng = np.random.default_rng(50 + h)
+        x = rng.normal(size=(dims.e0, C))
+        qk, vo = rng.normal(size=(h, C, C)), rng.normal(size=(h, C, w))
+        memory = scale * rng.uniform(-1.0, 1.0, size=(dims.gm, C))
+        residual = rng.normal(size=(dims.e0, w))
+
+        want = residual.copy()
+        for qk_h, vo_h in zip(qk, vo):
+            logits = x @ qk_h @ memory.T
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            want += (e / e.sum(axis=1, keepdims=True)) @ memory @ vo_h
+
+        # each query's h rows in turn, and the heads' vo stacked
+        queries = (x @ qk).swapaxes(0, 1).reshape(-1, C)
+        got = folded_attention(queries, residual, memory, vo.reshape(h * C, w))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def _windows(det):
@@ -385,6 +421,17 @@ class TestFoldedForward:
         after = cached()
         assert np.all(np.abs(after - before) > 1e-6)
         np.testing.assert_allclose(after, mtr_forward(lm, gm, params), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_folded_forward_refuses_a_batch_naming_the_shapes(n):
+    params = ModelParams(SMALL, seed=44)
+    lm, gm = np.zeros((n, SMALL.lm)), np.zeros((n, SMALL.gm))
+    with pytest.raises(ValueError, match=rf"one window.*local \({n}, {SMALL.lm}\).*global \({n}, {SMALL.gm}\)"):
+        mtr_forward(lm, gm, params, params.folds())
+    # one 1-D window alongside a batched one is refused as well
+    with pytest.raises(ValueError, match=rf"local \({SMALL.lm},\)"):
+        mtr_forward(lm[0], gm, params, params.folds())
 
 
 class TestDualRunEquivalence:
