@@ -35,7 +35,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from datetime import datetime
-from itertools import repeat
 
 import numpy as np
 
@@ -232,9 +231,9 @@ class OnlineDetector:
                 missing = (reading.t - self.last_t) // MINUTE - 1
                 if missing > MAX_FILL_MINUTES:
                     self.clear_windows()
-                elif self.stream.readings:
+                elif self.stream.times:
                     for _ in range(missing):
-                        yield self.step(Reading(self.last_t + MINUTE, self.stream.readings[-1].power))
+                        yield self.step(Reading(self.last_t + MINUTE, float(self.stream.power[-1])))
             yield self.step(reading)
 
     def step(self, reading: Reading) -> DetectionEvent:
@@ -254,8 +253,8 @@ class OnlineDetector:
         if not self.stream.full:
             return DetectionEvent(t=reading.t, score=None, threshold=None, label=0, phase=WARMUP)
 
-        # both windows, oldest first, from one array; then `anomaly_score`, inline
-        values = normalize(np.array([r.power for r in self.stream.readings]), self.stats)
+        # both windows, oldest first, are the stream's one array; then `anomaly_score`, inline
+        values = normalize(self.stream.power, self.stats)
         lm_norm = values[self.config.gm :]
         d = lm_norm - mtr_forward(lm_norm, values[: self.config.gm], self.params, self.params.folds())
         score = float(d.dot(d) / d.size)
@@ -290,7 +289,6 @@ class OnlineDetector:
 
     def save(self, path) -> None:
         meta, arrays = ckpt.encode_model(self.params, self.stats)
-        readings = self.stream.readings
         spot = None
         if self.spot is not None:
             spot = {**vars(self.spot), "fit": asdict(self.spot.fit)}
@@ -299,10 +297,10 @@ class OnlineDetector:
         meta["stream"] = {
             "total_seen": self.stream.total_seen,
             "last_t": None if self.last_t is None else self.last_t.isoformat(),
-            "t": [r.t.isoformat() for r in readings],
+            "t": [t.isoformat() for t in self.stream.times],
         }
         meta["spot"] = spot
-        arrays["power"] = np.array([r.power for r in readings], dtype=np.float64)
+        arrays["power"] = self.stream.power[self.stream.power.size - len(self.stream.times) :]
         arrays["calib_scores"] = np.asarray(self.calib_scores, dtype=np.float64)
         ckpt.write_container(path, ckpt.ENGINE_FORMAT, meta, arrays)
 
@@ -311,14 +309,16 @@ class OnlineDetector:
         """Resume a detector saved by `save`; a malformed file raises a
         ValueError that names it.
 
-        The saved readings are restored, not replayed. A stream that steps
-        cannot leave is refused: here, timestamps of mixed time-zone kinds,
-        that do not strictly increase or that end after `last_t`, and a power
-        that `step` refuses; in `StreamState.restore`, a count other than
-        pushes leave. So are calibration scores that are not finite, and a
-        SPOT state that `_spot_fault` finds unsound. The state equals, bit for
-        bit, that of pushing the readings one at a time, since the windows are
-        all a meter's forward reads.
+        The saved readings are restored, not replayed: `StreamState.restore`
+        copies the file's powers into the stream's array, so no part of the
+        stream is a view of the file's bytes. A stream that steps cannot leave
+        is refused: here, timestamps of mixed time-zone kinds, that do not
+        strictly increase or that end after `last_t`, and a power that `step`
+        refuses; in `StreamState.restore`, a count other than pushes leave. So
+        are calibration scores that are not finite, and a SPOT state that
+        `_spot_fault` finds unsound. The state equals, bit for bit, that of
+        pushing the readings one at a time, since the windows are all a
+        meter's forward reads.
         """
         meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
         with ckpt.naming(path, ckpt.ENGINE_FORMAT):
@@ -333,11 +333,9 @@ class OnlineDetector:
             powers, total_seen = arrays["power"], stream["total_seen"]
             if not (powers.shape == (len(times),) and powers.dtype == np.float64):
                 raise ValueError(f"stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
-            powers = powers.tolist()
             # `step`'s own compare, on every saved reading
-            limit = MAX_ABS_Z * stats.std
-            if refused := [p for p in powers if not abs(p - stats.mean) <= limit]:
-                raise ValueError(f"stream power {refused[0]} is not finite or has |z| > {MAX_ABS_Z:g}")
+            if not (kept := abs(powers - stats.mean) <= MAX_ABS_Z * stats.std).all():
+                raise ValueError(f"stream power {powers[~kept].item(0)} is not finite or has |z| > {MAX_ABS_Z:g}")
             if spot is None:
                 scores = arrays["calib_scores"]
                 if fault := _row_fault("calib_scores", scores, -math.inf):
@@ -353,9 +351,7 @@ class OnlineDetector:
                     raise ValueError("timestamps are not strictly increasing")
                 if times and not det.last_t >= times[-1]:
                     raise ValueError(f"last_t {det.last_t} is before its newest reading {times[-1]}")
-                # tuple.__new__ skips the NamedTuple's Python-level constructor
-                readings = list(map(tuple.__new__, repeat(Reading), zip(times, powers)))
-                det.stream.restore(readings, total_seen)
+                det.stream.restore(times, powers, total_seen)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"stream {exc}") from exc
         return det
@@ -382,6 +378,6 @@ class _LayerPathCache:
         The window is embedded with `_embed`, so they equal the step's to
         rounding, not bit for bit."""
         det, p = self.det, self.det.params
-        gm_values = normalize(np.array([r.power for r in det.stream.readings]), det.stats)[: det.config.gm]
+        gm_values = normalize(det.stream.power[: det.config.gm], det.stats)
         logits = self.enc1[0].dot(_embed(gm_values, p.pos_gm, p).T)
         return logits.reshape(p.dims.e0, p.dims.heads, -1).swapaxes(0, 1)

@@ -17,10 +17,6 @@ class Confusion:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def as_binary(x, name: str) -> np.ndarray:
     """`x` as int64 0/1 values; any other value raises ValueError."""

