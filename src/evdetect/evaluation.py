@@ -4,10 +4,10 @@ rank-based ROC-AUC. Warmup and calibration timestamps are excluded upstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 @dataclass
@@ -47,8 +47,25 @@ def precision_recall_f1(c: Confusion) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, each tie group sharing the mean of its ranks.
+
+    scipy.stats.rankdata(x, method="average"), bit for bit, on input without
+    NaN: a stable sort, then (start + end + 1)/2 for the group filling sorted
+    positions start to end - 1.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(labels, scores) -> float:
-    """Rank-based AUC (Mann-Whitney statistic) with midranks for ties."""
+    """Rank-based AUC (Mann-Whitney statistic) with midranks for ties; NaN
+    when a score is NaN."""
     y = as_binary(labels, "labels")
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape:
@@ -57,6 +74,8 @@ def roc_auc(labels, scores) -> float:
     n_neg = int(y.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(s, method="average")
+    if np.isnan(s).any():
+        return math.nan
+    ranks = _midranks(s)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -8,31 +8,36 @@ z_q are anomalies and never touch the fit; scores in (h, z_q] are peaks that
 extend the excess set and refresh the fit and threshold; everything else only
 advances the observation counter.
 
-A refit is exact, not warm-started: every fit scans Grimshaw's whole bracket
-grid in one broadcast (see grimshaw_fit), so a new higher-likelihood root in
-another bracket is never missed.
+A refit scans Grimshaw's whole bracket grid in one broadcast (see
+grimshaw_fit), so a new higher-likelihood root in another bracket is never
+missed. Only the root search inside a span is warm-started: Newton's method
+starts from the previous fit's theta = gamma_hat/sigma_hat when that lies in
+the span. The previous fit is read from the state alone, so a detector
+resumed from a file refits as an uninterrupted one does.
 
 Peak readings refit, so they set the p99 of a streamed reading's latency,
-and a refit spends its time on Grimshaw's arithmetic alone. On the excess sets
-of the benchmark's seed-1 replay streams (28 to 153 excesses) a fit takes
-about 80 µs, against 118 µs when it re-checked the excesses in every
-likelihood and located its span ends with np.unique and searchsorted (2-core
-Xeon, numpy 2.4, scipy 1.17); grimshaw_fit gives the split.
+and a refit spends its time on Grimshaw's arithmetic alone; grimshaw_fit
+gives the split of a fit's time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 GAMMA_ZERO = 1e-8
-# Grimshaw's root search: equal brackets over the theta range, and brentq's tolerance
+# Grimshaw's root search: equal brackets over the theta range, and a root's
+# tolerance THETA_TOL + _THETA_RTOL*|theta| (scipy's brentq's, at its default rtol)
 BRACKETS = 20
 THETA_TOL = 1e-10
+_THETA_RTOL = 4.0 * sys.float_info.epsilon
+# the most values one root search takes; bisection alone narrows any span of
+# the grid to the root tolerance in at most about 75
+_ROOT_STEPS = 200
 # the fewest excesses over the initial threshold a calibration fits a GPD to
 MIN_PEAKS = 10
 # Largest (points, n) block of the bracket grid evaluated in one broadcast. With
@@ -122,7 +127,65 @@ def _grimshaw_w(theta, y: np.ndarray):
     return u * v - 1.0
 
 
-def grimshaw_fit(excesses) -> GpdFit:
+def _bracket_edges(lo: float, hi: float) -> list[float]:
+    """np.linspace(lo, hi, BRACKETS + 1).tolist(), bit for bit: lo + i*step, then hi itself."""
+    step = (hi - lo) / BRACKETS
+    return [lo + i * step for i in range(BRACKETS)] + [hi]
+
+
+def _grimshaw_root(y: np.ndarray, lo: float, hi: float, w_lo: float, start: float | None) -> float:
+    """A root of u*v - 1 in the span (lo, hi), where it changes sign; w_lo is its value at lo.
+
+    Newton's method, with u' = -mean(y/z^2) and v' = mean(y/z) for
+    z = 1 + theta*y, from `start` when that lies inside the span and from the
+    midpoint otherwise. Each value narrows the span to the part where the sign
+    still changes, and a step that would leave it (or a zero derivative)
+    bisects it instead. Once a Newton step is within the root tolerance
+    tol = THETA_TOL + 4 eps |theta| (brentq's), theta is returned only if
+    u*v - 1 changes sign between it and a probe at theta +- tol, toward the
+    span's other end, or if that end is nearer than the probe; a probe that
+    finds no change (rounding noise misled Newton) bisects. At most
+    `_ROOT_STEPS` values are taken, so the search cannot raise. Values are
+    `_grimshaw_w`'s arithmetic, bit for bit.
+    """
+    n = y.size
+    lo_negative = w_lo < 0.0
+    theta = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    probed = None  # the converged iterate that a probe at theta checks
+    for _ in range(_ROOT_STEPS):
+        z = 1.0 + theta * y
+        r = 1.0 / z
+        u = float(np.add.reduce(r)) / n
+        v = 1.0 + float(np.add.reduce(np.log(z))) / n
+        w = u * v - 1.0
+        if w == 0.0:
+            return theta
+        if (w < 0.0) == lo_negative:
+            lo = theta
+        else:
+            hi = theta
+        if probed is not None:
+            if probed in (lo, hi):
+                return probed  # the sign changes between it and the probe
+            probed, theta = None, 0.5 * (lo + hi)
+            continue
+        yr = y * r
+        slope = u * float(np.add.reduce(yr)) / n - v * float(np.add.reduce(yr * r)) / n
+        dx = w / slope if slope else math.nan  # NaN bisects
+        tol = THETA_TOL + _THETA_RTOL * abs(theta)
+        if abs(dx) <= tol:
+            probe = theta + tol if theta == lo else theta - tol
+            if not lo < probe < hi:
+                return theta  # the span's other end, within tol, has the other sign
+            probed, theta = theta, probe
+            continue
+        theta -= dx
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    return theta
+
+
+def grimshaw_fit(excesses, start: float | None = None) -> GpdFit:
     """Maximum-likelihood GPD fit via the one-dimensional reduction.
 
     The two-parameter problem is reduced to finding roots of u(theta)*v(theta)=1
@@ -133,19 +196,25 @@ def grimshaw_fit(excesses) -> GpdFit:
 
     Roots are searched over `BRACKETS` equal brackets spanning
     [-1/max(y), 10/mean(y)], the one around 0 split to skip the trivial double
-    root there. u*v - 1 is evaluated once at every distinct span endpoint, in
-    one broadcast over a (points, n) array (row blocks once n is large), and
-    brentq runs only inside spans where it changes sign. Excesses so small
-    (below about 1e-308) that either end of that range overflows get the
-    exponential fit, with no grid built.
+    root there. The edges are np.linspace's arithmetic, bit for bit. u*v - 1
+    is evaluated once at every distinct span endpoint, in one broadcast over a
+    (points, n) array (row blocks once n is large), and `_grimshaw_root` runs
+    only inside spans where it changes sign, from `start` (a previous fit's
+    theta) in the span that holds it. Excesses so small (below about 6e-308)
+    that the range's width overflows get the exponential fit, with no grid
+    built.
 
     The excesses are checked once; the exponential candidate and every root
     are then scored with `_log_likelihood`, which skips those checks, and the
-    span ends are indexed while the spans are built. Of the ~80 µs a fit takes
-    on 28 to 153 excesses (118 µs before that), brentq takes about 48 µs
-    (13.7 evaluations of u*v - 1 per root, 0.83 roots per fit), the grid
-    broadcast 12 µs, np.linspace 3 µs, and the checks, the span loop and the
-    likelihoods the remaining ~18 µs.
+    span ends are indexed while the spans are built. On the excess sets of
+    the benchmark's seed-1 replay streams (385 refits of 28 to 153 excesses,
+    0.83 roots per fit), a fit from the previous fit's theta takes about
+    83 µs, against 103 µs from the spans' midpoints and 126 µs with scipy's
+    brentq in each span (medians of 21 interleaved rounds, 2-core Xeon,
+    numpy 2.4). Of those 83 µs the root search takes 37 (5.6 values of
+    u*v - 1 per root, the last a probe, against brentq's 13.7), the grid
+    broadcast 19, and the checks, the edges, the span loop and the
+    likelihoods the remaining 27.
     """
     y = np.asarray(excesses, dtype=np.float64)
     n = y.size
@@ -162,11 +231,11 @@ def grimshaw_fit(excesses) -> GpdFit:
     if lo >= 0.0:
         lo = -0.5 / y_max
     hi = 10.0 / y_mean
-    if math.isinf(lo) or math.isinf(hi):
-        # excesses below about 1e-308: the range overflows, so there is no grid
+    if math.isinf(hi - lo):
+        # excesses below about 6e-308: the range overflows, so there is no grid
         return GpdFit(best_gamma, best_sigma, n)
     dead_zone = 1e-7 / y_mean  # skip the trivial double root at theta = 0
-    edges = np.linspace(lo, hi, BRACKETS + 1).tolist()
+    edges = _bracket_edges(lo, hi)
 
     # each span, with the indexes of its two ends among the distinct endpoints
     index: dict[float, int] = {}
@@ -185,7 +254,7 @@ def grimshaw_fit(excesses) -> GpdFit:
         if w[i_lo] == 0.0:
             theta = s_lo
         elif w[i_lo] * w[i_hi] < 0.0:
-            theta = float(brentq(_grimshaw_w, s_lo, s_hi, args=(y,), xtol=THETA_TOL))
+            theta = _grimshaw_root(y, s_lo, s_hi, w[i_lo], start)
         else:
             continue
         if abs(theta) < dead_zone:
@@ -307,8 +376,9 @@ def spot_step(state: SpotState, x: float) -> str:
     """Classify one score and update the state per the streaming PoT rules.
 
     Anomalies (x > z_q) leave the state untouched; peaks (h < x <= z_q) extend
-    the excess set, refresh the fit (every `refit_stride` peaks) and recompute
-    z_q; normal points only advance k.
+    the excess set, refresh the fit (every `refit_stride` peaks, its root
+    search starting from the previous fit's theta) and recompute z_q; normal
+    points only advance k.
     """
     if x > state.z_q:
         return ANOMALY
@@ -324,7 +394,9 @@ def spot_step(state: SpotState, x: float) -> str:
     if state._since_refit >= state.refit_stride or state.degenerate:
         state._since_refit = 0
         if state.peaks.size >= 2:
-            state.fit = grimshaw_fit(state.peaks)
+            # the previous fit's theta; a loaded state's sigma_hat is only known to be finite
+            fit = state.fit
+            state.fit = grimshaw_fit(state.peaks, fit.gamma_hat / fit.sigma_hat if fit.sigma_hat > 0.0 else None)
             state.degenerate = False
     if not state.degenerate:
         state.fit = replace(state.fit, n_excesses=state.n_peaks_total)

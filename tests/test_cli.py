@@ -52,11 +52,21 @@ def _engine_without_config(path, _):
     write_container(path, ENGINE_FORMAT, meta, arrays)
 
 
-def run_cli(args, **kwargs):
+def child_env() -> dict:
     # the child imports evdetect from this checkout's src/, installed or not
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env, **kwargs)
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+
+
+def run_cli(args, **kwargs):
+    return subprocess.run(RUN + args, capture_output=True, text=True, env=child_env(), **kwargs)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a test dependency only; a fresh process must not load it
+    probe = "import sys, evdetect, evdetect.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,14 @@
 """Metric tests against brute-force tallies and a pairwise AUC oracle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from evdetect.evaluation import Confusion, confusion, precision_recall_f1, roc_auc
+from evdetect.evaluation import Confusion, _midranks, confusion, precision_recall_f1, roc_auc
 
 
 def pairwise_auc_oracle(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -98,6 +103,22 @@ class TestRocAuc:
                 continue
             scores = rng.integers(0, 6, size=n).astype(float)  # heavy ties
             assert roc_auc(labels, scores) == pytest.approx(pairwise_auc_oracle(labels, scores), abs=1e-12)
+
+    @settings(max_examples=500)
+    @given(
+        scores=st.lists(
+            st.sampled_from([-math.inf, -0.0, 0.0, 0.5, 2.0, math.inf]) | st.floats(allow_nan=False), min_size=1, max_size=80
+        )
+    )
+    def test_midranks_equal_scipy_rankdata(self, scores):
+        # ties come from the few sampled values, which include both infinities and both zeros
+        s = np.array(scores)
+        want = rankdata(s, method="average")
+        got = _midranks(s)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_nan_score_gives_a_nan_auc(self):
+        assert math.isnan(roc_auc([0, 1, 0, 1], [0.1, math.nan, 0.3, 0.9]))
 
 
 def test_confusion_matches_bruteforce_oracle():

@@ -3,10 +3,14 @@
 Recovery tests draw from known distributions via explicit inverse-CDF
 samplers (the oracle), then check the fitted parameters against the truth.
 Equivalence tests hold `grimshaw_fit`'s one-broadcast bracket scan to the
-per-bracket scalar scan kept here as the reference, bit for bit.
+per-bracket scalar scan kept here as the reference, bit for bit, both running
+the production root step. The reference root step is scipy's brentq; the
+production Newton step is held to it by root tolerance and likelihood.
 """
 
+import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -47,8 +51,14 @@ def _oracle_w(theta: float, y: np.ndarray) -> float:
     return u * v - 1.0
 
 
-def oracle_grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) -> GpdFit:
-    """Reference fit: evaluates u*v - 1 at both ends of every span, one scalar call each."""
+def brentq_root(y: np.ndarray, s_lo: float, s_hi: float, w_lo: float, start: float | None) -> float:
+    """Reference root step: scipy's brentq over the whole span, at spot.THETA_TOL; w_lo and start are unused."""
+    return float(brentq(_oracle_w, s_lo, s_hi, args=(y,), xtol=spot.THETA_TOL))
+
+
+def oracle_grimshaw_fit(excesses, start: float | None = None, root=brentq_root, brackets: int = 20) -> GpdFit:
+    """Reference fit: evaluates u*v - 1 at both ends of every span, one scalar call each,
+    and finds each root with `root(y, s_lo, s_hi, w_lo, start)`."""
     y = np.asarray(excesses, dtype=np.float64)
     if y.size < 2:
         raise SpotDomainError("need at least two excesses to fit")
@@ -81,7 +91,7 @@ def oracle_grimshaw_fit(excesses, brackets: int = 20, theta_tol: float = 1e-10) 
             if w_lo == 0.0:
                 roots.append(s_lo)
             elif w_lo * w_hi < 0.0:
-                roots.append(float(brentq(_oracle_w, s_lo, s_hi, args=(y,), xtol=theta_tol)))
+                roots.append(root(y, s_lo, s_hi, w_lo, start))
 
     for theta in roots:
         if abs(theta) < dead_zone:
@@ -473,20 +483,24 @@ def excess_sets(draw):
     return np.maximum(y, 1e-12)
 
 
+# the scalar scan with the production root step and start rule
+scalar_scan = functools.partial(oracle_grimshaw_fit, root=spot._grimshaw_root)
+
+
 class TestBroadcastScanEquivalence:
     """The one-broadcast bracket scan reproduces the per-bracket scalar scan bit for bit."""
 
     @settings(max_examples=800)
     @given(y=excess_sets())
     def test_fit_bit_identical_to_scalar_scan(self, y):
-        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        got, want = grimshaw_fit(y), scalar_scan(y)
         assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
 
     def test_block_boundaries_bit_identical(self, monkeypatch):
         # one row per block, a ragged last block, and one block for the whole grid
         rng = np.random.default_rng(20)
         y = gpd_inverse_cdf(rng.uniform(size=3000), 0.25, 1.0)
-        want = oracle_grimshaw_fit(y)
+        want = scalar_scan(y)
         for block in (1, 3000 * 5, 1 << 30):
             monkeypatch.setattr(spot, "_GRID_BLOCK", block)
             got = grimshaw_fit(y)
@@ -501,7 +515,7 @@ class TestBroadcastScanEquivalence:
         if step:
             y = (np.floor(y / step) + 1.0) * step
         assert spot._GRID_BLOCK // n in (3, 0)
-        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        got, want = grimshaw_fit(y), scalar_scan(y)
         assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
 
     @staticmethod
@@ -528,7 +542,7 @@ class TestBroadcastScanEquivalence:
     def test_long_stream_thresholds_and_labels_identical(self, monkeypatch, refit_stride, max_peaks):
         x = self._stream()
         z_q, labels, state = self._run(x, refit_stride, max_peaks)
-        monkeypatch.setattr(spot, "grimshaw_fit", oracle_grimshaw_fit)
+        monkeypatch.setattr(spot, "grimshaw_fit", scalar_scan)
         want_z_q, want_labels, _ = self._run(x, refit_stride, max_peaks)
         assert z_q == want_z_q
         assert labels == want_labels
@@ -549,7 +563,7 @@ class TestSpanAssemblyCorners:
 
     @staticmethod
     def _assert_matches_oracle(y):
-        got, want = grimshaw_fit(y), oracle_grimshaw_fit(y)
+        got, want = grimshaw_fit(y), scalar_scan(y)
         assert (got.gamma_hat, got.sigma_hat, got.n_excesses) == (want.gamma_hat, want.sigma_hat, want.n_excesses)
 
     def test_grid_edge_exactly_at_zero(self):
@@ -595,14 +609,122 @@ class TestSpanAssemblyCorners:
             warnings.simplefilter("error")
             assert grimshaw_fit(y) == GpdFit(0.0, float(np.mean(y)), 2)
 
+    def test_bracket_width_overflow_gives_the_exponential_fit(self):
+        # both ends of the range are finite, but its width is not
+        y = np.array([5.8e-308, 5.81e-308])
+        lo, hi = -1.0 / float(y.max()) + 1e-8, 10.0 / float(y.mean())
+        assert math.isfinite(lo) and math.isfinite(hi) and math.isinf(hi - lo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert grimshaw_fit(y) == GpdFit(0.0, float(np.mean(y)), 2)
+
     def test_root_on_a_grid_point(self):
         # u*v - 1 rounds to exactly 0.0 at the dead zone's upper end, which is the
-        # lower end of a span, so that point is taken as a root without brentq
+        # lower end of a span, so that point is taken as a root without a root search
         y = gpd_inverse_cdf(np.random.default_rng(1).uniform(size=100), 0.2, 1.0)
         _, dead_zone = _bracket_grid(y)
         assert spot._grimshaw_w(dead_zone, y) == 0.0
         self._assert_matches_oracle(y)
         assert grimshaw_fit(y).gamma_hat != 0.0  # that root, not the exponential fit, wins (a known quirk)
+
+
+def _sign_change_spans(y: np.ndarray) -> list[tuple[float, float, float]]:
+    """(s_lo, s_hi, w at s_lo) for every span of y's bracket grid over which u*v - 1 changes sign."""
+    edges, dead_zone = _bracket_grid(y)
+    spans = []
+    for a, b in zip(edges, edges[1:]):
+        for s_lo, s_hi in ((a, -dead_zone), (dead_zone, b)) if a < 0.0 < b else ((a, b),):
+            if s_lo < s_hi and _oracle_w(s_lo, y) * _oracle_w(s_hi, y) < 0.0:
+                spans.append((s_lo, s_hi, _oracle_w(s_lo, y)))
+    return spans
+
+
+def _is_root(y: np.ndarray, theta: float, s_lo: float, s_hi: float) -> bool:
+    """theta is a root of u*v - 1 in the span to brentq's tolerance: u*v - 1 is 0
+    there, or changes sign within +-(THETA_TOL + 4 eps |theta|) inside the span."""
+    if not s_lo < theta < s_hi:
+        return False
+    tol = spot.THETA_TOL + 4.0 * sys.float_info.epsilon * abs(theta)
+    w_a, w, w_b = (_oracle_w(t, y) for t in (max(s_lo, theta - tol), theta, min(s_hi, theta + tol)))
+    return w == 0.0 or w_a * w <= 0.0 or w * w_b <= 0.0
+
+
+def _log_likelihood(fit: GpdFit, y: np.ndarray) -> float:
+    return gpd_log_likelihood(fit.gamma_hat, fit.sigma_hat, y)
+
+
+def _no_worse(ll: float, reference: float) -> bool:
+    return ll >= reference - 1e-9 * abs(reference)
+
+
+# where a start lies: none, or a fraction of the way along the bracket grid
+starts = st.none() | st.floats(0.0, 1.0)
+
+
+class TestNewtonAgainstBrentq:
+    """The Newton root step against the brentq reference: same roots to brentq's
+    tolerance, and fits and streamed labels no worse."""
+
+    @settings(max_examples=800)
+    @given(y=excess_sets(), where=starts)
+    def test_every_root_within_tolerance(self, y, where):
+        for s_lo, s_hi, w_lo in _sign_change_spans(y):
+            start = None if where is None else s_lo + where * (s_hi - s_lo)
+            assert _is_root(y, spot._grimshaw_root(y, s_lo, s_hi, w_lo, start), s_lo, s_hi)
+
+    @settings(max_examples=3000)
+    @given(y=excess_sets(), where=starts)
+    def test_fit_likelihood_no_lower_than_brentq(self, y, where):
+        edges, _ = _bracket_grid(y)
+        start = None if where is None else edges[0] + where * (edges[-1] - edges[0])
+        assert _no_worse(_log_likelihood(grimshaw_fit(y, start), y), _log_likelihood(oracle_grimshaw_fit(y), y))
+
+    @pytest.mark.parametrize("max_peaks", [None, 50])
+    @pytest.mark.parametrize("refit_stride", [1, 3])
+    def test_long_stream_labels_as_brentq_and_refits_no_worse(self, monkeypatch, refit_stride, max_peaks):
+        x = TestBroadcastScanEquivalence._stream()
+
+        def run(fit):
+            lls = []
+
+            def recorded(peaks, start=None):
+                got = fit(peaks, start)
+                lls.append(_log_likelihood(got, peaks))
+                return got
+
+            monkeypatch.setattr(spot, "grimshaw_fit", recorded)
+            return TestBroadcastScanEquivalence._run(x, refit_stride, max_peaks)[1], lls
+
+        labels, lls = run(grimshaw_fit)
+        want_labels, want_lls = run(oracle_grimshaw_fit)
+        assert labels == want_labels
+        assert len(lls) == len(want_lls) and all(map(_no_worse, lls, want_lls))
+
+    def test_crossing_next_to_the_dead_zone_is_not_taken(self):
+        # one refit's excesses on _stream() with refit_stride=3 and max_peaks=50,
+        # rounded to 3 decimals. brentq's iterates fall into the rounding noise of
+        # u*v - 1 next to the dead zone and it returns a crossing there, for a fit
+        # of gamma ~ 1e-7; the genuine root, gamma ~ 0.041, is more likely
+        y = np.array([
+            2.405, 0.18, 1.505, 0.117, 2.592, 5.994, 2.613, 0.894, 4.19, 0.113, 0.145, 0.942, 0.856, 2.559, 0.172,
+            0.169, 0.814, 3.13, 3.415, 1.017, 0.043, 0.055, 0.865, 0.72, 3.738, 2.058, 0.22, 0.55, 0.232, 0.334,
+            0.612, 1.099, 0.063, 3.166, 1.005, 0.065, 2.302, 0.971, 2.469, 1.896, 0.644, 0.137, 0.102, 0.539, 4.847,
+            1.473, 0.438, 1.63, 0.125, 1.505,
+        ])  # fmt: skip
+        reference = oracle_grimshaw_fit(y)
+        assert 0.0 < reference.gamma_hat < 1e-6
+        [(s_lo, s_hi, w_lo)] = [span for span in _sign_change_spans(y) if span[0] > 0.0]
+        for start in (None, 0.041 / 1.3):
+            got = grimshaw_fit(y, start)
+            assert got.gamma_hat == pytest.approx(0.0413, abs=1e-4)
+            assert _is_root(y, got.gamma_hat / got.sigma_hat, s_lo, s_hi)
+            assert _log_likelihood(got, y) > _log_likelihood(reference, y) + 0.02
+
+
+@settings(max_examples=2000)
+@given(lo=st.floats(-1e300, -1e-300), hi=st.floats(1e-300, 1e300))
+def test_bracket_edges_equal_linspace(lo, hi):
+    assert spot._bracket_edges(lo, hi) == np.linspace(lo, hi, spot.BRACKETS + 1).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 97, 8192, 20_000])
