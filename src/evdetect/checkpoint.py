@@ -194,8 +194,10 @@ def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelDims, 
     """Inverse of `encode_model`: dims, weight vector and stats. A missing key
     raises KeyError, a field of the wrong kind TypeError or ValueError; the
     loaders decode under `naming`. `load_model` builds a writable model from
-    them, without a random init; `OnlineDetector.load` takes
-    `ModelParams.shared`'s, decoded only if no live holder has it already.
+    them, without a random init and without its per-weight tree, which the
+    model builds when something first reads a weight; `OnlineDetector.load`
+    takes `ModelParams.shared`'s, decoded only if no live holder has it
+    already.
     """
     return ModelDims(**meta["dims"]), arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
 
@@ -218,6 +220,11 @@ def save_model(path, params: ModelParams, stats: SeriesStats) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, SeriesStats]:
+    """The writable model and stats saved by `save_model`; a malformed file
+    raises a ValueError that names it, as does a weight vector that
+    `ModelParams` refuses (not finite, or of the wrong dtype or length). The
+    model's per-weight tree is built only if something reads a weight, so an
+    `OnlineDetector` built on it, which reads only its vector, builds none."""
     meta, arrays = read_container(path, MODEL_FORMAT)
     with naming(path, MODEL_FORMAT):
         dims, vector, stats = decode_model(meta, arrays)

@@ -167,9 +167,11 @@ class OnlineDetector:
     calibrated, the calibration scores (emptied once it is). It runs on
     `ModelParams.shared` of the weights it is given: a read-only copy, with its
     folds, that every detector of the same weights shares and that later
-    writes to the caller's weights never reach. A read-only model is kept, so
-    `load` hashes the weights once and decodes a model only if no live
-    detector has it; a deep copy shares the model, and so its folds, as well.
+    writes to the caller's weights never reach. Of the caller's model it reads
+    only the dims and the vector, so one that `load_model` gave never builds
+    its per-weight tree. A read-only model is kept, so `load` hashes the
+    weights once and decodes a model only if no live detector has it; a deep
+    copy shares the model, and so its folds, as well.
     """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):

@@ -25,6 +25,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,16 +132,46 @@ def _layout(dims: ModelDims) -> list[tuple[str, tuple[int, ...], tuple[int, int]
     ]
 
 
-def _tile(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of `flat`, one reshaped to each shape in turn."""
-    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+class _Weight(NamedTuple):
+    """One weight of `_layout`, ready to place: its path split into the groups
+    above it and its name, `heads` the name of its per-head list if it is a
+    stack ("wq" for "wq_all", else None), its shape and init, and its span
+    [lo, hi) of the flat vector."""
+
+    groups: tuple[str, ...]
+    name: str
+    heads: str | None
+    shape: tuple[int, ...]
+    init: tuple[int, int] | float
+    lo: int
+    hi: int
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """This weight's view of `flat` (the vector or the gradient)."""
+        return flat[self.lo : self.hi].reshape(self.shape)
 
 
-def _place(root, path: str, value) -> None:
-    """Set `root`.path to `value`: "enc1.self_attn.wo" sets
-    root.enc1.self_attn.wo, making the groups on first use."""
-    *groups, name = path.split(".")
+@functools.lru_cache(maxsize=64)
+def _weights(dims: ModelDims) -> tuple[_Weight, ...]:
+    """`_layout(dims)` as `_Weight`s, built once per dims, since a model's
+    construction, its tree and its gradient tree all walk it."""
+    layout = _layout(dims)
+    bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape, _ in layout)]
+    weights = []
+    for (path, shape, init), lo, hi in zip(layout, bounds, bounds[1:]):
+        *groups, name = path.split(".")
+        heads = name.removesuffix("_all") if name.endswith("_all") else None
+        weights.append(_Weight(tuple(groups), name, heads, shape, init, lo, hi))
+    return tuple(weights)
+
+
+# The names a model's tree sets on it (`_layout`'s paths do not depend on the dims)
+_TREE_NAMES = frozenset(path.split(".")[0] for path, _, _ in _layout(ModelDims())) | {"_parameters"}
+
+
+def _place(root, groups: tuple[str, ...], name: str, value) -> None:
+    """Set root.<groups...>.name to `value`: groups ("enc1", "self_attn") and
+    name "wo" set root.enc1.self_attn.wo, making the groups on first use."""
     for group in groups:
         root = root.__dict__.setdefault(group, SimpleNamespace())
     setattr(root, name, value)
@@ -150,34 +181,38 @@ class ModelParams:
     """All learned weights: scalar embedding, two encoder blocks with learned
     query tokens, one decoder block, scalar output head.
 
-    `vector`, one 1-D float64 array, stores every weight. Each weight is a
-    `Tensor` over a reshaped view of it, at the attribute path `_layout` gives
-    (`enc1.ln1.gain`, ...). A stack `wq_all` is a (heads, C, d) view, and `wq`
-    holds a `Tensor` per head over views of it, so an in-place update of the
-    vector (Adam, checkpoint loading) is seen everywhere.
+    `vector`, one 1-D float64 array, stores every weight. The model's tree
+    names each weight: a `Tensor` over a reshaped view of the vector, at the
+    attribute path `_layout` gives (`enc1.ln1.gain`, ...). A stack `wq_all` is
+    a (heads, C, d) view, and `wq` holds a `Tensor` per head over views of it,
+    so an in-place update of the vector (Adam, checkpoint loading) is seen
+    everywhere. The tree is built on the first read of any of its names (a
+    weight, `parameters()`, `zero_grad()`, `ModelFolds`), once, and later
+    reads are plain attribute hits. A model that only passes its vector on
+    (`load_model`'s, handed to `OnlineDetector`) never builds it.
 
     Without `vector` the weights are drawn from `seed`. With it they are a copy
-    of it, and no random generator is touched. `grad` is the matching flat
-    gradient, allocated by the first `zero_grad()`. A copy or an unpickled
-    model is rebuilt from `vector` (without `grad`), so it keeps this sharing
-    and is writable. With `read_only` the vector, and so every view of it,
-    refuses writes (`ModelParams.shared`), and `folds()` builds the inference
-    folds once and keeps them.
+    of it, and no random generator is touched; a vector of the wrong dtype or
+    length, or with a weight that is not finite, raises ValueError here. `grad`
+    is the matching flat gradient, allocated by the first `zero_grad()`. A
+    copy or an unpickled model is rebuilt from `vector` (without `grad` or a
+    tree), so it keeps this sharing and is writable. With `read_only` the
+    vector, and so every view of it, refuses writes (`ModelParams.shared`),
+    and `folds()` builds the inference folds once and keeps them.
     """
 
     def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None, *, read_only: bool = False):
         self.dims = dims
-        layout = _layout(dims)
-        shapes = [shape for _, shape, _ in layout]
+        weights = _weights(dims)
         if vector is None:
             rng = np.random.default_rng(seed)
             draws = [
-                uniform_init(rng, shape, *init) if isinstance(init, tuple) else np.full(shape, init)
-                for _, shape, init in layout
+                uniform_init(rng, w.shape, *w.init) if isinstance(w.init, tuple) else np.full(w.shape, w.init)
+                for w in weights
             ]
             self.vector = np.concatenate([a.ravel() for a in draws])
         else:
-            size = sum(math.prod(shape) for shape in shapes)
+            size = weights[-1].hi
             if vector.dtype != np.float64 or vector.shape != (size,):
                 raise ValueError(f"parameter array is {vector.dtype} {vector.shape}, expected float64 ({size},)")
             finite = np.isfinite(vector)
@@ -188,19 +223,29 @@ class ModelParams:
         self.vector.flags.writeable = not read_only
         self.grad: np.ndarray | None = None
         self._folds: ModelFolds | None = None
-        self._parameters: list[Tensor] = []
-        for (path, _, _), view in zip(layout, _tile(self.vector, shapes)):
-            if path.endswith("_all"):
-                _place(self, path, view)
-                leaves = [Tensor(head) for head in view]
-                _place(self, path.removesuffix("_all"), leaves)
-            else:
-                leaves = [Tensor(view)]
-                _place(self, path, leaves[0])
-            self._parameters += leaves
         # relative-position rows for the local and global windows (shared, read-only)
         self.pos_lm = _shared_table(dims.lm - 1, 0, dims.C)
         self.pos_gm = _shared_table(dims.lm + dims.gm - 1, dims.lm, dims.C)
+
+    def __getattr__(self, name: str):
+        # Python calls this only for a name the model does not hold: one of
+        # the tree's before it is built, which builds it, or no attribute
+        if name not in _TREE_NAMES or "_parameters" in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tree = SimpleNamespace(_parameters=[])
+        for w in _weights(self.dims):
+            view = w.view(self.vector)
+            if w.heads:
+                _place(tree, w.groups, w.name, view)
+                leaves = [Tensor(head) for head in view]
+                _place(tree, w.groups, w.heads, leaves)
+            else:
+                leaves = [Tensor(view)]
+                _place(tree, w.groups, w.name, leaves[0])
+            tree._parameters += leaves
+        # set in one update, so the model never holds half a tree
+        vars(self).update(vars(tree))
+        return vars(self)[name]
 
     @classmethod
     def shared(cls, dims: ModelDims, vector: np.ndarray) -> "ModelParams":
@@ -244,12 +289,14 @@ class ModelParams:
             self.grad.fill(0.0)
             return
         self.grad = np.zeros_like(self.vector)
-        for t, view in zip(self._parameters, _tile(self.grad, [t.shape for t in self._parameters])):
-            t.grad = view
-        layout = _layout(self.dims)
         self._grads = SimpleNamespace()
-        for (path, _, _), view in zip(layout, _tile(self.grad, [shape for _, shape, _ in layout])):
-            _place(self._grads, path, view)
+        views = []  # each parameter's, in `_parameters` order
+        for w in _weights(self.dims):
+            view = w.view(self.grad)
+            _place(self._grads, w.groups, w.name, view)
+            views += list(view) if w.heads else [view]
+        for t, view in zip(self._parameters, views):
+            t.grad = view
 
 
 _SHARED_MODELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()

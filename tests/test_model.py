@@ -10,12 +10,16 @@ import time
 import numpy as np
 import pytest
 
+import evdetect.model
 from evdetect.checkpoint import load_model, save_model
 from evdetect.data import SeriesStats, WindowBatch
+from evdetect.engine import EngineConfig, OnlineDetector
 from evdetect.model import (
+    _TREE_NAMES,
     LN_EPS,
     ModelDims,
     ModelParams,
+    _layout,
     _mha,
     _trd,
     fold_layer_norms,
@@ -24,7 +28,7 @@ from evdetect.model import (
     positional_table,
     self_attend,
 )
-from evdetect.nn import AdamState, Hyper, adam_step, grad_check, layer_norm
+from evdetect.nn import AdamState, Hyper, Tensor, adam_step, grad_check, layer_norm
 from evdetect.training import reconstruction_loss, reconstruction_loss_t
 
 TINY = ModelDims(C=4, hidden=4, heads=2, lm=2, gm=4, e0=3, e1=2)
@@ -350,6 +354,144 @@ class TestFlatLayout:
         np.testing.assert_array_equal(params.vector, original)
         np.testing.assert_array_equal(params.embed_w.data.ravel(), original[: params.embed_w.data.size])
         np.testing.assert_array_equal(mtr_forward(lm, gm, params), want)
+
+
+def _at(root, path: str):
+    """root.<path>: `_at(p, "enc1.ln1.gain")` is p.enc1.ln1.gain."""
+    for name in path.split("."):
+        root = getattr(root, name)
+    return root
+
+
+def _has_tree(params: ModelParams) -> bool:
+    return bool(_TREE_NAMES & vars(params).keys())
+
+
+class TestLazyTree:
+    """A model builds its per-weight tree on the first read of a weight, and
+    that tree is the one an eager build would give."""
+
+    def test_load_and_shared_detector_build_no_tree(self, tmp_path, monkeypatch):
+        params = ModelParams(TINY, seed=40)
+        path = tmp_path / "model.npz"
+        save_model(path, params, SeriesStats(mean=0.0, std=1.0, count=1))
+        live = ModelParams.shared(TINY, params.vector)
+        live.folds()
+        built = []
+        monkeypatch.setattr(evdetect.model, "Tensor", lambda data: built.append(data) or Tensor(data))
+        loaded, stats = load_model(path)
+        det = OnlineDetector(loaded, stats, EngineConfig(lm=TINY.lm, gm=TINY.gm))
+        assert det.params is live
+        assert built == [] and not _has_tree(loaded)
+        # the tree, once read, is the eager one: a Tensor per weight, one per head of a stack
+        loaded.parameters()
+        assert len(built) == len(params.parameters()) and _has_tree(loaded)
+
+    @pytest.mark.parametrize(
+        "first_read",
+        [
+            lambda p: p.parameters(),
+            lambda p: p.zero_grad(),
+            lambda p: p.dec.ln3.bias,
+            lambda p: p.head_b,
+            lambda p: mtr_forward(np.zeros(TINY.lm), np.zeros(TINY.gm), p, folds=p.folds()),
+        ],
+        ids=["parameters", "zero_grad", "nested", "top", "folds"],
+    )
+    def test_lazy_tree_matches_the_eager_layout(self, first_read):
+        params = ModelParams(TINY, seed=41)
+        # distinct values make any gap, overlap or reordering visible
+        params.vector[:] = np.arange(params.vector.size)
+        assert not _has_tree(params)
+        first_read(params)
+        tensors = params.parameters()
+        assert tensors[0] is params.embed_w and params.parameters()[0] is tensors[0]  # built once
+        assert all(np.shares_memory(t.data, params.vector) for t in tensors)
+        np.testing.assert_array_equal(np.concatenate([t.data.ravel() for t in tensors]), params.vector)
+        lo = 0
+        for path, shape, _ in _layout(TINY):
+            want = params.vector[lo : lo + math.prod(shape)].reshape(shape)
+            lo += math.prod(shape)
+            got = _at(params, path)
+            if path.endswith("_all"):
+                heads = _at(params, path.removesuffix("_all"))
+                assert len(heads) == shape[0] and all(np.shares_memory(h.data, got) for h in heads)
+                np.testing.assert_array_equal(np.stack([h.data for h in heads]), want)
+            else:
+                got = got.data
+            assert got.shape == shape and np.shares_memory(got, want)
+            np.testing.assert_array_equal(got, want)
+        assert lo == params.vector.size
+
+        # writes go through the tree to the vector
+        params.enc1.ln1.gain.data[1] = -7.0
+        params.dec.cross_attn.wv[1].data[0, 0] = -8.0
+        assert params.enc1.ln1.gain.data[1] == -7.0 and np.count_nonzero(params.vector == -7.0) == 1
+        assert params.dec.cross_attn.wv_all[1, 0, 0] == -8.0 and np.count_nonzero(params.vector == -8.0) == 1
+
+        # each leaf's gradient and the gradient tree are views of `grad` at the weight's span
+        params.zero_grad()
+        params.grad[:] = np.arange(params.grad.size)
+        assert all(np.shares_memory(t.grad, params.grad) for t in tensors)
+        np.testing.assert_array_equal(np.concatenate([t.grad.ravel() for t in tensors]), params.grad)
+        for path, shape, _ in _layout(TINY):
+            g = _at(params._grads, path)
+            assert g.shape == shape and np.shares_memory(g, params.grad)
+        np.testing.assert_array_equal(
+            np.concatenate([_at(params._grads, path).ravel() for path, _, _ in _layout(TINY)]), params.grad
+        )
+
+    def test_a_shared_models_tree_refuses_writes(self):
+        params = ModelParams.shared(TINY, ModelParams(TINY, seed=42).vector)
+        assert not _has_tree(params)
+        with pytest.raises(ValueError, match="read-only"):
+            params.enc2.w1.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.enc1.self_attn.wk[0].data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.parameters()[-1].data[0] = 1.0
+
+    def test_other_names_are_no_attribute_and_build_nothing(self):
+        params = ModelParams(TINY, seed=43)
+        for name in ("nope", "_grads", "__deepcopy__", "wq", "self_attn"):
+            assert not hasattr(params, name)
+        assert not _has_tree(params)
+        # a tree name on a model whose __init__ never ran raises, without recursing
+        bare = ModelParams.__new__(ModelParams)
+        assert not hasattr(bare, "enc1") and not hasattr(bare, "_parameters")
+        assert vars(bare) == {}
+
+    @pytest.mark.parametrize(
+        "copy_of", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))], ids=["deepcopy", "pickle"]
+    )
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writable", "shared"])
+    def test_copy_of_a_model_never_read_round_trips(self, copy_of, read_only):
+        vector = ModelParams(ModelDims(), seed=44).vector
+        params = ModelParams.shared(ModelDims(), vector) if read_only else ModelParams(ModelDims(), vector=vector)
+        q = copy_of(params)
+        assert not _has_tree(params) and not _has_tree(q)
+        assert q.vector.flags.writeable and not np.shares_memory(q.vector, params.vector)
+        np.testing.assert_array_equal(q.vector, vector)
+        rng = np.random.default_rng(45)
+        lm, gm = rng.normal(size=(3, 8)), rng.normal(size=(3, 32))
+        np.testing.assert_array_equal(mtr_forward(lm, gm, q), mtr_forward(lm, gm, params))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (lambda v: np.where(np.arange(v.size) == 5, np.nan, v), "weight 5 of the parameter array is not finite"),
+            (lambda v: np.where(np.arange(v.size) == 0, -np.inf, v), "weight 0 of the parameter array is not finite"),
+            (lambda v: v[:-1], "expected float64"),
+            (lambda v: np.append(v, 0.0), "expected float64"),
+            (lambda v: v.astype(np.float32), "expected float64"),
+        ],
+        ids=["nan", "inf", "short", "long", "float32"],
+    )
+    @pytest.mark.parametrize("make", [ModelParams, ModelParams.shared], ids=["writable", "shared"])
+    def test_bad_vector_raises_at_construction(self, bad, match, make):
+        vector = bad(ModelParams(TINY, seed=46).vector)
+        with pytest.raises(ValueError, match=match):
+            make(TINY, vector=vector)
 
 
 def _analytic_gradient(batch, params):
