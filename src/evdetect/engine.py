@@ -20,6 +20,15 @@ embedded global window like the others: folding its logits and values per
 reading into a scale and an offset saved nothing at the reference dims (see
 `model.ModelFolds`).
 
+The folds are also laid out for numpy's per-call cost, which at these sizes
+outweighs the arithmetic. Each elementwise call of a cached step takes
+operands of one shape, all contiguous, or a 0-d scalar, which numpy runs on
+its same-shape fast path at about 0.4 µs a call. A bias row broadcast over a
+block costs about 0.95 µs, and a strided half 1.1 µs (2-core Xeon, numpy
+2.4, `timeit`). So each bias a step adds is a table of its site's shape, and
+the one broadcast left is the softmax's max shift (see the note above
+`model._attend`).
+
 State splits in two. Per model: the weights and every fold above, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
 `OnlineDetector`). Per meter: the stream windows and `last_t`, and the SPOT
@@ -155,6 +164,12 @@ def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
                     "n_excesses": fit.n_excesses}.items():
         if not (isinstance(x, int) and x >= 0):
             return f"{name} must be a count, got {x!r}"
+    # what calibration and every step keep; the first peak past either fails
+    # in `gpd_quantile`, which needs no more excesses than scores seen
+    if spot.n_peaks_total > spot.k:
+        return f"n_peaks_total {spot.n_peaks_total} exceeds k {spot.k}, the scores seen"
+    if spot.peaks.size > spot.n_peaks_total:
+        return f"peaks holds {spot.peaks.size} excesses, more than n_peaks_total {spot.n_peaks_total}"
     if not isinstance(spot.degenerate, bool):
         return f"degenerate must be true or false, got {spot.degenerate!r}"
     return None
@@ -377,9 +392,10 @@ class _LayerPathCache:
     def assemble_logits(self) -> np.ndarray:
         """enc1's cross-attention logits over a full stream's global window,
         from the cached branch's per-head queries, heads first (h x e0 x gm).
-        The window is embedded with `_embed`, so they equal the step's to
-        rounding, not bit for bit."""
+        They are the step's (gm x e0*h) block, transposed; the window is
+        embedded with `_embed`, so they equal the step's to rounding, not bit
+        for bit."""
         det, p = self.det, self.det.params
         gm_values = normalize(det.stream.power[: det.config.gm], det.stats)
-        logits = self.enc1[0].dot(_embed(gm_values, p.pos_gm, p).T)
-        return logits.reshape(p.dims.e0, p.dims.heads, -1).swapaxes(0, 1)
+        logits = _embed(gm_values, p.pos_gm, p).dot(self.enc1[0].T)
+        return logits.T.reshape(p.dims.e0, p.dims.heads, -1).swapaxes(0, 1)

@@ -15,6 +15,12 @@ ordering).
 model's `ModelFolds`, one window at a time; training runs it with a tape and
 then `mtr_backward`, the hand-written reverse pass over that tape, which adds
 every gradient to the flat `ModelParams.grad`.
+
+On the folds' branch numpy's per-call cost outweighs the arithmetic, so the
+folds are laid out so that each elementwise call takes operands of one shape,
+all contiguous, or a 0-d scalar: numpy's same-shape fast path, about 0.4 µs
+a call, against 0.95-1.1 µs for a broadcast row or a strided half (see the
+note above `_attend`).
 """
 
 from __future__ import annotations
@@ -344,55 +350,78 @@ def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
 
 # The folded branch runs one window at a time, on 2-D arrays. It multiplies
 # them with `ndarray.dot`, which for 2-D operands is `@` at about half the
-# per-call cost on matrices this small.
+# per-call cost on matrices this small. Each of its elementwise calls takes
+# operands of one shape, all contiguous, or a 0-d scalar. numpy runs those on
+# its same-shape fast path, at about 0.4 µs a call on these sizes. A bias row
+# broadcast over a block takes about 0.95 µs, a strided half 1.1 µs, and a
+# Python float operand 0.6 µs, since numpy converts it on every call (2-core
+# Xeon, numpy 2.4, `timeit`). So each bias is a table of its site's shape, the
+# softmax sums and each norm's variance come out of a `.dot` already tiled,
+# and a norm's output keeps the half it is centred with (`folded_ln`). One
+# broadcast is left, the softmax shift: a row of per-query maxima under the
+# logits, since a same-shape block of them costs a further `.dot`.
 
 
-def _attend(logits: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# 0-d scalars, which numpy reads without converting a Python float
+_EPS = _read_only(np.array(LN_EPS))
+_ZERO = _read_only(np.array(0.0))
+
+
+def _attend(logits: np.ndarray, memory: np.ndarray, vo: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """A folded attention, sum_h softmax(logits_h) @ memory @ vo_h, with the
-    heads side by side: `logits` holds each query's h per-head rows in turn
-    (n*h, m), and `vo` the per-head blocks stacked (h*C, w).
+    heads side by side: `logits` (m, n*h) holds a column per query and head,
+    each query's h columns in turn, `vo` the per-head blocks stacked (h*w, 2C)
+    and `ones` a block of ones of the memory's shape (m, w).
 
-    The softmax numerators meet `memory` first, and dividing by their row
-    sums gives each query's h contexts in turn (n*h, C); a row sum is a `.dot`
-    with a ones column, at a fraction of `np.add.reduce`'s per-call cost on
-    rows this short. Read as (n, h*C), the contexts go through one matmul
-    against the stacked `vo`, which applies every head's value-output
+    With the memory down the rows, each softmax's max is a reduction along
+    axis 0, at about half the cost of a last-axis `keepdims` one on these
+    sizes. The numerators meet the memory first, and the same `.dot` with
+    `ones` gives their sums already tiled to the contexts' shape (n*h, w), so
+    the division is same-shape. Read as (n, h*w), the contexts go through one
+    matmul against the stacked `vo`, which applies every head's value-output
     product and sums the heads.
     """
-    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
-    return (e.dot(memory) / e.dot(_column(len(memory), 1.0))).reshape(-1, len(vo)).dot(vo)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=0)).T
+    return (e.dot(memory) / e.dot(ones)).reshape(-1, len(vo)).dot(vo)
 
 
-def _queries(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x @ rows, with rows = [qk_1 | ... | qk_h | fold] (C, h*C + 2C), split
-    into the per-head query rows, each query's h rows in turn (n*h, C), and the
-    residual through the next layer norm's fold (n, 2C): one matmul gives both."""
-    C = x.shape[-1]
-    a = x.dot(rows)
-    return a[:, : -2 * C].reshape(-1, C), a[:, -2 * C :]
-
-
-def folded_attention(queries: np.ndarray, residual: np.ndarray, memory: np.ndarray, vo: np.ndarray) -> np.ndarray:
-    """`residual` plus the folded attention of `queries` over `memory`, with
-    (queries, residual) from `_queries` and `vo` the per-head value-output
-    products stacked (h*C, w), as `_attend` takes them.
+def folded_attention(
+    memory: np.ndarray, queries: np.ndarray, residual: np.ndarray, vo: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """`residual` plus the folded attention of `queries` (n*h, w), each
+    query's h per-head rows in turn, over `memory` (m, w), with `vo` and
+    `ones` as `_attend` takes them.
 
     It is the one way the cached branch runs an attention: enc1 over the
     embedded global window, enc2 over enc1's output, and the decoder's self-
     and cross-attention. enc1 takes no per-reading fold of its own, since one
     measured no faster (see `ModelFolds`).
     """
-    return residual + _attend(queries.dot(memory.T), memory, vo)
+    return residual + _attend(memory.dot(queries.T), memory, vo, ones)
+
+
+def _decoder_attention(x: np.ndarray, memory: np.ndarray, attention: tuple) -> np.ndarray:
+    """`folded_attention` of the decoder's `x` over `memory`, with
+    `attention` (q_rows, r_rows, vo, ones) as `ModelFolds` holds it. The
+    queries and the residual are each one `.dot` against a contiguous block
+    of rows, so neither is a strided slice of a wider product."""
+    q_rows, r_rows, vo, ones = attention
+    return folded_attention(memory, x.dot(q_rows).reshape(-1, memory.shape[1]), x.dot(r_rows), vo, ones)
 
 
 def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
     """The (.., C, 2C) folds [P | P diag(g)] of layer norms with gains g
     (.., C), where P = I - 1/C centres a row.
 
-    With r = x @ fold, `folded_ln(r, bias)` is the layer norm of x, so the
+    With r = x @ fold, `folded_ln(r, ...)` is the layer norm of x, so the
     matrix that produces x can absorb the norm's centring and gain. A matrix
     after the fold's second half (the output head) passes through the norm,
-    which scales each row.
+    which scales each row (`folded_head`).
     """
     C = gains.shape[-1]
     folds = np.empty((*gains.shape[:-1], C, 2 * C))
@@ -401,45 +430,55 @@ def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
     return folds
 
 
-def folded_ln(r: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """The layer norm of x, given r = x @ `fold_layer_norms`(gain) (or that
-    fold with a matrix after its second half) and the norm's bias.
+def folded_ln(r: np.ndarray, variance: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The layer norm of x laid out wide, [x_hat | norm(x)] (n, 2C), given
+    r = x @ `fold_layer_norms`(gain) = [centred | centred diag(g)], the
+    variance weights `variance` (2C, 2C: 1/C in the first C rows, else 0) and
+    the norm's bias as a table [0 | bias] of r's shape.
 
-    The first C columns of r are the centred row, so the mean of their
-    squares is the row variance; the rest are divided by the row's std.
+    (r * r) @ variance is each row's variance in every column, so every
+    operand has r's shape. The first half of the result is the centred row
+    over its std; each matrix that meets the output skips it with C zero rows
+    (`_wide`).
     """
-    C = r.shape[-1] - bias.shape[-1]
-    centred = r[..., :C]
-    return r[..., C:] / np.sqrt((centred * centred).dot(_column(C, 1.0 / C)) + LN_EPS) + bias
+    return r / np.sqrt((r * r).dot(variance) + _EPS) + bias
+
+
+def folded_head(u: np.ndarray, fold_t: np.ndarray, variance: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The reconstruction (n,): the decoder's ln3 and the output head applied
+    to u, the FFN's output plus its input. `fold_t` is the norm's fold with
+    the head, transposed, [P | P diag(g) head_w]^T (C+1, w); `variance` its
+    weights (C+1,), 1/C but for the last; `bias` the head's constant
+    ln3.bias @ head_w + head_b, tiled (n,).
+
+    Transposed, the one output column is the last row of r, so each operand
+    is a contiguous row where a column of r would be strided.
+    """
+    r = fold_t.dot(u.T)
+    return r[-1] / np.sqrt(variance.dot(r * r) + _EPS) + bias
 
 
 @functools.lru_cache(maxsize=64)
 def _centring(C: int) -> np.ndarray:
     """[P | P], P = I - 1/C, read-only."""
     centre = np.eye(C) - 1.0 / C
-    both = np.concatenate([centre, centre], axis=1)
-    both.flags.writeable = False
-    return both
+    return _read_only(np.concatenate([centre, centre], axis=1))
 
 
-@functools.lru_cache(maxsize=64)
-def _column(n: int, fill: float) -> np.ndarray:
-    """A read-only (n, 1) column of `fill`: `.dot` with it takes each row's
-    sum (1) or mean (1/n), at a fraction of `np.add.reduce`'s per-call cost on
-    rows this short."""
-    column = np.full((n, 1), fill)
-    column.flags.writeable = False
-    return column
+def _wide(a: np.ndarray, axis: int) -> np.ndarray:
+    """`a` after as many zeros along `axis` as it has there: a matrix that
+    meets a norm's wide output gets zero rows for its first half (axis 0 or
+    -2), and what a step adds to that output a zero first half (axis -1)."""
+    return np.concatenate([np.zeros_like(a), a], axis=axis)
 
 
-def _folded_tail(r2: np.ndarray, p: SimpleNamespace, fold: np.ndarray, ln3_bias: np.ndarray) -> np.ndarray:
-    """The tail of TRD block `p` on the cached branch: ln2 of the folded `r2`,
-    the FFN, and ln3 through its `fold`. For the decoder that fold carries the
-    output head and `ln3_bias` is the head's constant, so this gives the
-    reconstruction (n x 1)."""
-    x2 = folded_ln(r2, p.ln2.bias.data)
-    ffn = relu(x2.dot(p.w1.data) + p.b1.data).dot(p.w2.data) + p.b2.data
-    return folded_ln((x2 + ffn).dot(fold), ln3_bias)
+def _folded_ffn(r2: np.ndarray, ffn: tuple, variance: np.ndarray) -> np.ndarray:
+    """ln2 of a TRD block's folded `r2`, then the FFN plus its input,
+    x2 + FFN(x2), wide (n, 2C), with `ffn` (ln2's bias, w1, b1, w2, b2) as
+    `ModelFolds` holds it."""
+    ln2_bias, w1, b1, w2, b2 = ffn
+    x2 = folded_ln(r2, variance, ln2_bias)
+    return x2 + (np.maximum(x2.dot(w1) + b1, _ZERO).dot(w2) + b2)
 
 
 class ModelFolds:
@@ -455,29 +494,45 @@ class ModelFolds:
     the memory first and then the heads' contexts, side by side, with vo
     stacked. The seven norms they meet are folded too (`fold_layer_norms`):
     with fold = [P | P diag(g)], P = I - 1/C, the norm of x is
-    `folded_ln`(x @ fold, bias). Each fold is multiplied into whatever
+    `folded_ln`(x @ fold, ...). Each fold is multiplied into whatever
     produces the norm's input: the residual and the attention values (vo @
-    fold, stacked h*C x 2C); ln3's fold takes the FFN's output plus its input.
+    fold); ln3's fold takes the FFN's output plus its input.
+
+    Every array is contiguous, and they are laid out so that each elementwise
+    call of a step has operands of one shape or a 0-d scalar, numpy's
+    same-shape fast path (see the note above `_attend`):
+    - each bias a step adds is a table of its site's (rows, width);
+    - a norm's output is wide, [x_hat | y] (n x 2C), and every matrix that
+      meets it has C zero rows on top (`_wide`). Below, w is C where an
+      attention's memory is an embedded window and 2C where it is a norm's
+      output;
+    - the decoder's queries and residual come from two `.dot`s against
+      contiguous blocks of rows, and its head is read as a row.
 
     lm_embed, gm_embed: the embedding bias plus each position's row (lm x C,
                    gm x C), so a step embeds a window with one product and
                    one add.
     fixed_queries: enc1's post-self-attention query block (e0 x C); a step
                    reads `enc1`, and only `perfbench`'s `LayerPath` reads this.
-    enc1, enc2:    the encoders' cross-attentions as (queries, residual, vo)
-                   triples for `folded_attention`: `_queries` of the
-                   post-self-attention query block, so queries = each query
-                   times each head's qk (e*h x C) and residual = the block @
-                   fold of ln2 (e x 2C), and vo = vo @ fold of ln2, stacked.
-    dec_self, dec_cross: the decoder's attentions as (rows, vo @ fold) pairs,
-                   rows = [qk_1 | ... | qk_h | fold] (C x h*C + 2C), from which
-                   `_queries` gives a step's queries and residual; fold is that
-                   of ln1 and ln2.
-    enc1_ln3, enc2_ln3: the folds of the encoder blocks' ln3, which take the
-                   FFN's output plus its input (C x 2C).
-    dec_head:      (fold, bias) of the decoder's ln3 with the output head:
-                   [P | P diag(g) head_w] (C x C+1) and the constant
-                   ln3.bias @ head_w + head_b.
+    enc1, enc2:    the encoders' cross-attentions as (queries, residual, vo,
+                   ones), `folded_attention`'s arguments after the memory:
+                   queries = the post-self-attention query block times each
+                   head's qk, each query's h rows in turn (e*h x w), residual
+                   = the block @ fold of ln2 (e x 2C), vo = vo @ fold of ln2
+                   stacked (h*w x 2C), and ones of the memory's shape.
+    dec_self, dec_cross: the decoder's attentions as (q_rows, r_rows, vo,
+                   ones) for `_decoder_attention`: q_rows = [qk_1 | ... |
+                   qk_h] and r_rows = the fold of ln1 or ln2, each C rows
+                   for the embedded local window and 2C for the wide x1.
+    enc1_ffn, enc2_ffn, dec_ffn: (ln2's bias table, w1, b1, w2, b2) as
+                   `_folded_ffn` takes them, w1 and w2 wide.
+    enc1_ln3, enc2_ln3: (fold, bias table) of the encoder blocks' ln3, which
+                   take the FFN's output plus its input (2C x 2C, e x 2C).
+    dec_ln1:       the decoder's ln1 bias table (lm x 2C).
+    dec_head:      (fold^T, variance, bias) of the decoder's ln3 with the
+                   output head, as `folded_head` takes them.
+    variance:      the wide norms' variance weights (2C x 2C), as `folded_ln`
+                   takes them.
 
     enc1 runs over the embedded global window like every other attention. A
     global-window feature is affine in its one reading, so enc1's logits and
@@ -489,34 +544,57 @@ class ModelFolds:
     """
 
     def __init__(self, params: ModelParams):
-        C = params.dims.C
+        dims, C = params.dims, params.dims.C
         enc1, enc2, dec = params.enc1, params.enc2, params.dec
         attns = (enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
         qk, vo = fold_attention(*attns)
         # the norm each attention's output meets sits at the same place here
         norms = (enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
         folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
-        # stacked (h*C, 2C) per attention, as `_attend` takes them
-        vo = (vo @ folds[:4, None]).reshape(len(attns), -1, 2 * C)
-        # [qk_1 | ... | qk_h | fold] (C, h*C + 2C), as `_queries` takes it
-        rows = np.concatenate([qk.transpose(0, 2, 1, 3).reshape(len(attns), C, -1), folds[:4]], axis=-1)
-        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
-        head = np.concatenate([folds[6, :, :C], folds[6, :, C:] @ params.head_w.data], axis=1)
+        vo = vo @ folds[:4, None]
+        # enc2 and the decoder's cross-attention attend over a norm's wide output
+        qk_enc2, qk_cross = _wide(qk[1], -1), _wide(qk[3], -1)
+        vo_enc2, vo_cross = _wide(vo[1], -2), _wide(vo[3], -2)
+
+        def per_query(block, qk):  # each query's h rows in turn
+            return (block @ qk).swapaxes(0, 1).reshape(-1, qk.shape[-1])
+
+        def side_by_side(qk):  # [qk_1 | ... | qk_h]
+            return qk.swapaxes(0, 1).reshape(len(qk[0]), -1)
+
+        def tiled(bias, n):
+            return np.tile(bias, (n, 1))
+
+        def ffn(p, n):
+            return (tiled(_wide(p.ln2.bias.data, -1), n), _wide(p.w1.data, 0), tiled(p.b1.data, n),
+                    _wide(p.w2.data, -1), tiled(_wide(p.b2.data, -1), n))
 
         self.lm_embed = params.embed_b.data + params.pos_lm
         self.gm_embed = params.embed_b.data + params.pos_gm
         self.fixed_queries = self_attend(params.enc1_queries.data, enc1)
-        self.enc1 = (*_queries(self.fixed_queries, rows[0]), vo[0])
-        self.enc1_ln3 = folds[4]
-        self.enc2 = (*_queries(self_attend(params.enc2_queries.data, enc2), rows[1]), vo[1])
-        self.enc2_ln3 = folds[5]
-        self.dec_self = (rows[2], vo[2])
-        self.dec_cross = (rows[3], vo[3])
-        self.dec_head = (head, dec.ln3.bias.data @ params.head_w.data + params.head_b.data)
+        enc2_queries = self_attend(params.enc2_queries.data, enc2)
+        self.enc1 = (per_query(self.fixed_queries, qk[0]), self.fixed_queries.dot(folds[0]), vo[0].reshape(-1, 2 * C),
+                     np.ones((dims.gm, C)))
+        self.enc2 = (per_query(enc2_queries, qk_enc2), enc2_queries.dot(folds[1]), vo_enc2.reshape(-1, 2 * C),
+                     np.ones((dims.e0, 2 * C)))
+        self.dec_self = (side_by_side(qk[2]), folds[2], vo[2].reshape(-1, 2 * C), np.ones((dims.lm, C)))
+        self.dec_cross = (_wide(side_by_side(qk_cross), 0), _wide(folds[3], 0), vo_cross.reshape(-1, 2 * C),
+                          np.ones((dims.e1, 2 * C)))
+        self.enc1_ffn, self.enc2_ffn, self.dec_ffn = ffn(enc1, dims.e0), ffn(enc2, dims.e1), ffn(dec, dims.lm)
+        self.enc1_ln3 = (_wide(folds[4], 0), tiled(_wide(enc1.ln3.bias.data, -1), dims.e0))
+        self.enc2_ln3 = (_wide(folds[5], 0), tiled(_wide(enc2.ln3.bias.data, -1), dims.e1))
+        self.dec_ln1 = tiled(_wide(dec.ln1.bias.data, -1), dims.lm)
+        # the decoder's last norm meets the output head: [P | P diag(g) head_w]
+        head = np.concatenate([folds[6, :, :C], folds[6, :, C:] @ params.head_w.data], axis=1)
+        constant = dec.ln3.bias.data @ params.head_w.data + params.head_b.data
+        self.dec_head = (np.ascontiguousarray(_wide(head, 0).T), np.append(np.full(C, 1.0 / C), 0.0),
+                         np.repeat(constant, dims.lm))
+        self.variance = np.zeros((2 * C, 2 * C))
+        self.variance[:C] = 1.0 / C
 
         for value in vars(self).values():
             for a in value if isinstance(value, tuple) else (value,):
-                a.flags.writeable = False
+                _read_only(a)
 
 
 def _ln(x: np.ndarray, p: SimpleNamespace, tape: list | None = None) -> np.ndarray:
@@ -581,17 +659,18 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
         )
     # `_embed`, with the bias and positions pre-added; a (n, 1) by (1, C)
     # `.dot` is the same one product per entry as the broadcast multiply
-    w = p.embed_w.data
+    w, variance = p.embed_w.data, folds.variance
     lm_feats = lm_values[:, None].dot(w) + folds.lm_embed
     gm_feats = gm_values[:, None].dot(w) + folds.gm_embed
-    queries, residual, vo = folds.enc1
-    stage1 = _folded_tail(folded_attention(queries, residual, gm_feats, vo), p.enc1, folds.enc1_ln3, p.enc1.ln3.bias.data)
-    queries, residual, vo = folds.enc2
-    encoded = _folded_tail(folded_attention(queries, residual, stage1, vo), p.enc2, folds.enc2_ln3, p.enc2.ln3.bias.data)
-    rows, vo = folds.dec_self
-    x1 = folded_ln(folded_attention(*_queries(lm_feats, rows), lm_feats, vo), p.dec.ln1.bias.data)
-    rows, vo = folds.dec_cross
-    return _folded_tail(folded_attention(*_queries(x1, rows), encoded, vo), p.dec, *folds.dec_head)[:, 0]
+    fold, bias = folds.enc1_ln3
+    u = _folded_ffn(folded_attention(gm_feats, *folds.enc1), folds.enc1_ffn, variance)
+    stage1 = folded_ln(u.dot(fold), variance, bias)
+    fold, bias = folds.enc2_ln3
+    u = _folded_ffn(folded_attention(stage1, *folds.enc2), folds.enc2_ffn, variance)
+    encoded = folded_ln(u.dot(fold), variance, bias)
+    x1 = folded_ln(_decoder_attention(lm_feats, lm_feats, folds.dec_self), variance, folds.dec_ln1)
+    u = _folded_ffn(_decoder_attention(x1, encoded, folds.dec_cross), folds.dec_ffn, variance)
+    return folded_head(u, *folds.dec_head)
 
 
 # ---------------------------------------------------------------------------

@@ -303,12 +303,14 @@ class TestEnc1LogitFolds:
     and residual, folded per model, against the embedded window."""
 
     def test_positional_logit_shape(self):
-        queries, residual, vo = ModelParams(SMALL, seed=4).folds().enc1
+        queries, residual, vo, ones = ModelParams(SMALL, seed=4).folds().enc1
         # per query token, its heads' rows in turn
         assert queries.shape == (SMALL.e0 * SMALL.heads, SMALL.C)
         assert residual.shape == (SMALL.e0, 2 * SMALL.C)
         # the heads' value-output products stacked, as `_attend` takes them
         assert vo.shape == (SMALL.heads * SMALL.C, 2 * SMALL.C)
+        # ones of the memory's shape, the embedded global window's
+        np.testing.assert_array_equal(ones, np.ones((SMALL.gm, SMALL.C)))
 
     def test_rebuild_bit_identical(self):
         params = ModelParams(SMALL, seed=5)
@@ -327,8 +329,11 @@ class TestEnc1LogitFolds:
         _, gm_read = det.stream.snapshot()
         gm_norm = normalize([r.power for r in gm_read], det.stats)
         p = det.params
-        # the step's logits, each query's heads in turn
-        got = folds.enc1[0].dot(_embed(gm_norm, p.pos_gm, p).T).reshape(SMALL.e0, SMALL.heads, SMALL.gm)
+        # the step's logits, a row per memory entry and a column per query
+        # and head, each query's heads in turn
+        step = _embed(gm_norm, p.pos_gm, p).dot(folds.enc1[0].T)
+        assert step.shape == (SMALL.gm, SMALL.e0 * SMALL.heads)
+        got = step.T.reshape(SMALL.e0, SMALL.heads, SMALL.gm)
         # the benchmark's view indexes the heads first
         np.testing.assert_array_equal(det.cache.assemble_logits(), got.swapaxes(0, 1))
 
@@ -370,9 +375,9 @@ class TestFoldedAttention:
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             want += (e / e.sum(axis=1, keepdims=True)) @ memory @ vo_h
 
-        # each query's h rows in turn, and the heads' vo stacked
+        # each query's h rows in turn, the heads' vo stacked, and ones of the memory's shape
         queries = (x @ qk).swapaxes(0, 1).reshape(-1, C)
-        got = folded_attention(queries, residual, memory, vo.reshape(h * C, w))
+        got = folded_attention(memory, queries, residual, vo.reshape(h * C, w), np.ones_like(memory))
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
@@ -427,6 +432,76 @@ class TestFoldedForward:
         after = cached()
         assert np.all(np.abs(after - before) > 1e-6)
         np.testing.assert_allclose(after, mtr_forward(lm, gm, params), rtol=0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_model(heads):
+    dims = ModelDims(heads=heads)
+    return ModelParams.shared(dims, ModelParams(dims, seed=46 + heads).vector)
+
+
+# both windows of the reference dims, global first
+SPAN = ModelDims().gm + ModelDims().lm
+
+
+# window values: a few repeated ones, so windows hold ties and runs, and any
+# others up to |z| = 1e6
+_window_values = st.sampled_from([0.0, 1.0, -1.0, 2.5]) | st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestFastPathLayout:
+    """The cached branch reads tables laid out for numpy's same-shape fast
+    path; they must still give the plain forward's reconstruction."""
+
+    # 1e99 sits just inside the engine's |z| bound: a logit that large makes
+    # every softmax's max shift decide which weights survive
+    @given(
+        heads=st.sampled_from([1, 2, 4]),
+        window=st.lists(_window_values, min_size=SPAN, max_size=SPAN),
+        huge=st.none() | st.tuples(st.integers(0, SPAN - 1), st.sampled_from([1e99, -1e99])),
+    )
+    def test_cached_matches_plain_within_1e12(self, heads, window, huge):
+        params = _shared_model(heads)
+        values = np.array(window)
+        if huge is not None:
+            values[huge[0]] = huge[1]
+        gm, lm = values[: params.dims.gm], values[params.dims.gm :]
+        want = mtr_forward(lm, gm, params)
+        assert np.all(np.isfinite(want))
+        np.testing.assert_allclose(mtr_forward(lm, gm, params, params.folds()), want, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _arrays(folds):
+        for name, value in vars(folds).items():
+            for k, a in enumerate(value if isinstance(value, tuple) else (value,)):
+                yield f"{name}[{k}]", a
+
+    @pytest.mark.parametrize("writable", [False, True], ids=["shared", "writable-model"])
+    def test_every_table_is_contiguous_and_refuses_writes(self, writable):
+        params = ModelParams(ModelDims(), seed=47) if writable else _shared_model(2)
+        for name, a in self._arrays(params.folds()):
+            assert a.flags.c_contiguous, name
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+    def test_bias_tables_are_their_biases_tiled(self):
+        params = _shared_model(2)
+        dims, folds = params.dims, params.folds()
+        C = dims.C
+
+        def wide(bias, n):  # a norm's wide output: zeros under the centred half
+            return np.tile(np.concatenate([np.zeros(C), bias]), (n, 1))
+
+        for block, n, ffn in ((params.enc1, dims.e0, folds.enc1_ffn), (params.enc2, dims.e1, folds.enc2_ffn), (params.dec, dims.lm, folds.dec_ffn)):
+            ln2_bias, _, b1, _, b2 = ffn
+            np.testing.assert_array_equal(ln2_bias, wide(block.ln2.bias.data, n))
+            np.testing.assert_array_equal(b1, np.tile(block.b1.data, (n, 1)))
+            np.testing.assert_array_equal(b2, wide(block.b2.data, n))
+        np.testing.assert_array_equal(folds.enc1_ln3[1], wide(params.enc1.ln3.bias.data, dims.e0))
+        np.testing.assert_array_equal(folds.enc2_ln3[1], wide(params.enc2.ln3.bias.data, dims.e1))
+        np.testing.assert_array_equal(folds.dec_ln1, wide(params.dec.ln1.bias.data, dims.lm))
+        constant = params.dec.ln3.bias.data @ params.head_w.data + params.head_b.data
+        np.testing.assert_array_equal(folds.dec_head[2], np.full(dims.lm, constant[0]))
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -688,6 +763,59 @@ def _calibrated_detector(dims=SMALL, seed=30, n=RESUME_WARMUP + RESUME_CALIB + 3
     return det
 
 
+class TestSpotCounts:
+    """A load refuses SPOT counts that calibration and `spot_step` never
+    leave, peaks held <= n_peaks_total <= k, naming the file and the field."""
+
+    @staticmethod
+    def _edited(tmp_path, det, edit):
+        path = tmp_path / "counts.npz"
+        det.save(path)
+        meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
+        edit(meta["spot"], arrays)
+        ckpt.write_container(path, ckpt.ENGINE_FORMAT, meta, arrays)
+        return path
+
+    @pytest.mark.parametrize("total", [lambda k: k + 1, lambda k: 10**6], ids=["k+1", "1e6"])
+    def test_more_peaks_counted_than_scores_seen_is_refused(self, tmp_path, total):
+        det = _calibrated_detector()
+        k = det.spot.k
+        path = self._edited(tmp_path, det, lambda spot, arrays: spot.update(n_peaks_total=total(k)))
+        with pytest.raises(ValueError, match=rf"^{path}: spot n_peaks_total {total(k)} exceeds k {k}, the scores seen$"):
+            OnlineDetector.load(path)
+
+    def test_more_peaks_held_than_counted_is_refused(self, tmp_path):
+        det = _calibrated_detector()
+        n = det.spot.n_peaks_total
+        path = self._edited(tmp_path, det, lambda spot, arrays: arrays.update(peaks=np.append(arrays["peaks"], 0.5)))
+        with pytest.raises(ValueError, match=rf"^{path}: spot peaks holds {n + 1} excesses, more than n_peaks_total {n}$"):
+            OnlineDetector.load(path)
+
+    def test_counts_at_their_bounds_load_and_step(self, tmp_path):
+        # every score a peak, and every peak counted still held
+        det = _calibrated_detector()
+        path = self._edited(tmp_path, det, lambda spot, arrays: spot.update(n_peaks_total=spot["k"]))
+        loaded = OnlineDetector.load(path)
+        assert loaded.spot.n_peaks_total == loaded.spot.k
+        t = det.stream.times[-1]
+        for k, v in enumerate(np.random.default_rng(37).normal(size=50)):
+            assert loaded.step(Reading(t + timedelta(minutes=k + 1), v)).error is None
+
+    def test_a_file_saved_at_calibration_may_hold_more_peaks_than_max_peaks(self, tmp_path):
+        # calibration keeps every excess; only `spot_step` trims to max_peaks
+        cfg = EngineConfig(lm=SMALL.lm, gm=SMALL.gm, q=1e-3, calibration_len=RESUME_CALIB, max_peaks=2)
+        readings = _readings(np.random.default_rng(38).normal(size=RESUME_WARMUP + RESUME_CALIB + 60))
+        whole = OnlineDetector(ModelParams(SMALL, seed=39), SeriesStats(mean=0.0, std=1.0, count=1), cfg)
+        want = [format_event(whole.step(r)) for r in readings]
+        det = OnlineDetector(ModelParams(SMALL, seed=39), SeriesStats(mean=0.0, std=1.0, count=1), cfg)
+        cut = RESUME_WARMUP + RESUME_CALIB
+        head = [format_event(det.step(r)) for r in readings[:cut]]
+        assert det.phase == DETECTING and det.spot.peaks.size > det.spot.max_peaks
+        det.save(tmp_path / "calibrated.npz")
+        resumed = OnlineDetector.load(tmp_path / "calibrated.npz")
+        assert head + [format_event(resumed.step(r)) for r in readings[cut:]] == want
+
+
 class TestSharedModel:
     """Detectors of one model share its weights and folds, read-only; each
     owns only its stream windows and SPOT state."""
@@ -816,7 +944,8 @@ class TestSharedModel:
         """Memory gate: each further load of one checkpoint (reference dims,
         1440 calibration scores) adds its stream and SPOT state and little
         else; a per-meter copy of the model (about 30 KiB), of the folds
-        (55 KiB) or of the calibration scores (46 KiB) breaks the bound."""
+        (about 85 KiB traced) or of the calibration scores (46 KiB) breaks
+        the bound."""
         import gc
         import tracemalloc
 

@@ -23,6 +23,7 @@ from evdetect.model import (
     _mha,
     _trd,
     fold_layer_norms,
+    folded_head,
     folded_ln,
     mtr_forward,
     positional_table,
@@ -185,7 +186,8 @@ class TestTRD:
 
 
 class TestFoldedLayerNorm:
-    """`folded_ln` of x @ `fold_layer_norms`(gain) is the layer norm of x."""
+    """`folded_ln` of x @ `fold_layer_norms`(gain) is the layer norm of x,
+    laid out wide after the centred row over its std."""
 
     # a common offset is cancelled inside the fold's matmul, so it costs digits
     @pytest.mark.parametrize("offset, atol", [(0.0, 1e-12), (1e3, 1e-11)])
@@ -195,12 +197,17 @@ class TestFoldedLayerNorm:
         gains, biases = rng.normal(size=(2, 3, C))
         folds = fold_layer_norms(gains)
         assert folds.shape == (3, C, 2 * C)
+        variance = np.zeros((2 * C, 2 * C))
+        variance[:C] = 1.0 / C
         for fold, gain, bias in zip(folds, gains, biases):
             x = rng.normal(size=(16, C)) + offset
-            np.testing.assert_allclose(folded_ln(x @ fold, bias), layer_norm(x, gain, bias, LN_EPS), rtol=0, atol=atol)
+            table = np.tile(np.concatenate([np.zeros(C), bias]), (len(x), 1))
+            got = folded_ln(x @ fold, variance, table)
+            np.testing.assert_allclose(got[:, C:], layer_norm(x, gain, bias, LN_EPS), rtol=0, atol=atol)
+            np.testing.assert_allclose(got[:, :C], layer_norm(x, np.ones(C), np.zeros(C), LN_EPS), rtol=0, atol=atol)
 
     def test_matrix_after_the_gain_passes_through(self):
-        # the decoder's last norm carries the output head: [P/sqrt(C) | P diag(g) w]
+        # the decoder's last norm carries the output head: [P | P diag(g) w]
         rng = np.random.default_rng(61)
         C = 6
         gain, bias = rng.normal(size=(2, C))
@@ -209,7 +216,9 @@ class TestFoldedLayerNorm:
         head = np.concatenate([fold[:, :C], fold[:, C:] @ w], axis=1)
         x = rng.normal(size=(8, C))
         want = layer_norm(x, gain, bias, LN_EPS) @ w + c
-        np.testing.assert_allclose(folded_ln(x @ head, bias @ w + c), want, rtol=0, atol=1e-12)
+        variance = np.append(np.full(C, 1.0 / C), 0.0)
+        got = folded_head(x, head.T.copy(), variance, np.repeat(bias @ w + c, len(x)))
+        np.testing.assert_allclose(got, want[:, 0], rtol=0, atol=1e-12)
 
 
 class TestForward:
