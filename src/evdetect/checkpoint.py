@@ -29,12 +29,15 @@ field, a member that needs a zip version above 6.3. No engine or model file
 comes near the zip64 limits. Each member is then sliced from those bytes, after
 checks that its local header is there, that it is stored (neither compressed
 nor encrypted; `write_container`'s `np.savez` writes only stored members), and
-that its length and CRC-32 match its directory entry. Each npy header goes
+that its length and CRC-32 match its directory entry (a member byte-equal to
+one already verified under the same CRC-32, as the weights of a fleet's files
+are, is not summed again; see `_members`). Each npy header goes
 through the public `np.lib.format` parsers (whose `literal_eval` costs more
 than the rest of a member's read), memoised on the raw header bytes. A
 header records only dtype, order and shape, so across the files of one fleet
 most headers repeat: that of `params` always, those of the other members
-whenever two meters' arrays have the same length. As with
+whenever two meters' arrays have the same length. Header dims are likewise
+checked once per distinct dims (`_header_dims`). As with
 `np.load(allow_pickle=False)`, object dtypes are refused; so is a member whose
 data is shorter or longer than its header says.
 """
@@ -111,9 +114,21 @@ def _npy_array(name: str, member: bytes) -> np.ndarray:
     return np.frombuffer(member, dtype, count, start).reshape(shape, order=order)
 
 
+# (CRC-32, bytes) of the longest member of the archive `_members` last read whole
+_VERIFIED: tuple[int | None, bytes] = (None, b"")
+
+
 def _members(data: bytes):
     """(name, bytes) of each member of the zip archive `data`, sliced from it
-    after the checks the module docstring lists; a failed one raises ValueError."""
+    after the checks the module docstring lists; a failed one raises ValueError.
+
+    A member byte-equal to `_VERIFIED`'s, under the CRC-32 that one was
+    verified against, has that CRC, so it is not computed again: across a
+    fleet's files the weights are such a member."""
+    global _VERIFIED
+    # one read of the one tuple, so a thread never pairs one member's bytes with another's CRC
+    known_crc, known = _VERIFIED
+    longest = (None, b"")
     end = data.rfind(b"PK\x05\x06", max(len(data) - (1 << 16) - _END.size, 0))
     if end < 0:
         raise ValueError("no end-of-central-directory record")
@@ -157,9 +172,12 @@ def _members(data: bytes):
         member = data[start : start + file_size]
         if len(member) != file_size or stored != file_size:
             raise ValueError(f"member {name} has {len(member)} bytes, its directory entry says {file_size}")
-        if zlib.crc32(member) != crc:
+        if not (crc == known_crc and member == known) and zlib.crc32(member) != crc:
             raise ValueError(f"bad CRC-32 for member {name}")
+        if len(member) > len(longest[1]):
+            longest = (crc, member)
         yield name, member
+    _VERIFIED = longest
 
 
 def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -167,8 +185,8 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
 
     The arrays are read-only views of the file's bytes.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     try:
         arrays = {name.removesuffix(".npy"): _npy_array(name, member) for name, member in _members(data)}
     except (ValueError, struct.error) as exc:
@@ -182,6 +200,10 @@ def read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     if meta.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} version {meta.get('version')}: {path}")
     return meta, arrays
+
+
+# `ModelDims` validated once per distinct header dims; typed, so 8, 8.0 and True stay apart
+_header_dims = functools.lru_cache(maxsize=64, typed=True)(ModelDims)
 
 
 def encode_model(params: ModelParams, stats: SeriesStats) -> tuple[dict, dict[str, np.ndarray]]:
@@ -199,7 +221,13 @@ def decode_model(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[ModelDims, 
     takes `ModelParams.shared`'s, decoded only if no live holder has it
     already.
     """
-    return ModelDims(**meta["dims"]), arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
+    fields = meta["dims"]
+    try:
+        dims = _header_dims(**fields)
+    except TypeError:
+        # also a field no cache key can hold (a list, say), which `ModelDims` names
+        dims = ModelDims(**fields)
+    return dims, arrays[PARAMS_KEY], SeriesStats(**meta["stats"])
 
 
 @contextlib.contextmanager

@@ -3,33 +3,10 @@ dynamic thresholding, on the cached branch of the forward for fast inference.
 
 Every reading is scored by the one array forward, `model.mtr_forward`, on its
 cached branch, which reads every input-independent piece from the model's
-folds (`model.ModelFolds`). The folds exploit three facts about the model at
-inference time. Both encoder blocks' queries are learned constants, so their
-post-self-attention query blocks are frozen (`model.self_attend` runs once),
-and so are their per-head queries. The weights are constants, so every
-attention a step runs folds into two per-head (C x C) products once, at
-build, and all four run through the one `model.folded_attention`, with the
-heads side by side: the softmax weights meet the memory first, and one matmul
-against the stacked value-output products then sums the heads. The embedding
-bias and positions are constants too, so a window embeds from pre-added
-tables. And a layer norm's centring and gain are linear, so each
-one folds into the matrices that produce its input (the decoder's last one
-together with the output head); a cached step computes only each norm's row
-variance, the division by its square root and the bias. enc1 attends over the
-embedded global window like the others: folding its logits and values per
-reading into a scale and an offset saved nothing at the reference dims (see
-`model.ModelFolds`).
+folds. `model.ModelFolds` says what they fold (queries, attentions, layer
+norms, embedding tables) and how they are laid out for numpy's per-call cost.
 
-The folds are also laid out for numpy's per-call cost, which at these sizes
-outweighs the arithmetic. Each elementwise call of a cached step takes
-operands of one shape, all contiguous, or a 0-d scalar, which numpy runs on
-its same-shape fast path at about 0.4 µs a call. A bias row broadcast over a
-block costs about 0.95 µs, and a strided half 1.1 µs (2-core Xeon, numpy
-2.4, `timeit`). So each bias a step adds is a table of its site's shape, and
-the one broadcast left is the softmax's max shift (see the note above
-`model._attend`).
-
-State splits in two. Per model: the weights and every fold above, which
+State splits in two. Per model: the weights and their folds, which
 `model.ModelFolds` holds and every detector of the same weights shares (see
 `OnlineDetector`). Per meter: the stream windows and `last_t`, and the SPOT
 state (plus the calibration scores until SPOT is fitted), which is all a
@@ -184,9 +161,10 @@ class OnlineDetector:
     folds, that every detector of the same weights shares and that later
     writes to the caller's weights never reach. Of the caller's model it reads
     only the dims and the vector, so one that `load_model` gave never builds
-    its per-weight tree. A read-only model is kept, so `load` hashes the
-    weights once and decodes a model only if no live detector has it; a deep
-    copy shares the model, and so its folds, as well.
+    its per-weight tree. A read-only model is kept, so `load` decodes a model
+    only if no live detector has it, and hashes no weights when the model is
+    the one `ModelParams.shared` handed out last, as across a fleet's files; a
+    deep copy shares the model, and so its folds, as well.
     """
 
     def __init__(self, params: ModelParams, stats: SeriesStats, config: EngineConfig):
@@ -350,9 +328,10 @@ class OnlineDetector:
             powers, total_seen = arrays["power"], stream["total_seen"]
             if not (powers.shape == (len(times),) and powers.dtype == np.float64):
                 raise ValueError(f"stream has {len(times)} timestamps and {powers.dtype} powers of shape {powers.shape}")
-            # `step`'s own compare, on every saved reading
-            if not (kept := abs(powers - stats.mean) <= MAX_ABS_Z * stats.std).all():
-                raise ValueError(f"stream power {powers[~kept].item(0)} is not finite or has |z| > {MAX_ABS_Z:g}")
+            # `step`'s own compare, on the farthest saved reading (a NaN is the farthest)
+            far, bound = abs(powers - stats.mean), MAX_ABS_Z * stats.std
+            if far.size and not np.maximum.reduce(far) <= bound:
+                raise ValueError(f"stream power {powers[~(far <= bound)].item(0)} is not finite or has |z| > {MAX_ABS_Z:g}")
             if spot is None:
                 scores = arrays["calib_scores"]
                 if fault := _row_fault("calib_scores", scores, -math.inf):

@@ -63,8 +63,10 @@ class StreamState:
             raise ValueError(f"has {n} timestamps but {len(powers)} powers")
         if type(total_seen) is not int or n != min(total_seen, span):
             raise ValueError(f"has {n} readings, not min(total_seen = {total_seen!r}, lm + gm = {span})")
-        self.times = deque(times, maxlen=span)
-        self.power = np.concatenate((np.zeros(span - n), powers))
+        self.times.clear()
+        self.times.extend(times)
+        self.power[: span - n] = 0.0
+        self.power[span - n :] = powers
         self.total_seen = total_seen
 
     def snapshot(self) -> tuple[list[Reading], list[Reading]] | None:

@@ -16,11 +16,8 @@ model's `ModelFolds`, one window at a time; training runs it with a tape and
 then `mtr_backward`, the hand-written reverse pass over that tape, which adds
 every gradient to the flat `ModelParams.grad`.
 
-On the folds' branch numpy's per-call cost outweighs the arithmetic, so the
-folds are laid out so that each elementwise call takes operands of one shape,
-all contiguous, or a 0-d scalar: numpy's same-shape fast path, about 0.4 µs
-a call, against 0.95-1.1 µs for a broadcast row or a strided half (see the
-note above `_attend`).
+On the folds' branch numpy's per-call cost outweighs the arithmetic;
+`ModelFolds` says how the folds are laid out for it.
 """
 
 from __future__ import annotations
@@ -260,13 +257,22 @@ class ModelParams:
 
         The memo is keyed on the dims and the weight bytes and holds its models
         weakly, so a process that loads many distinct models keeps only the
-        live ones. A model is shared only read-only: a write through any of its
-        weights raises, where it would silently change every holder.
+        live ones. The model handed out last is found first, by one compare of
+        the bytes: a fleet's loads then hash no weights. A model is shared only
+        read-only: a write through any of its weights raises, where it would
+        silently change every holder.
         """
-        key = (dims, vector.dtype.str, vector.shape, vector.tobytes())
+        global _LAST_SHARED
+        kind, weights = (dims, vector.dtype.str, vector.shape), vector.tobytes()
+        # one read of the one tuple, so a thread never pairs one model's key with another's
+        last_kind, last_weights, last = _LAST_SHARED
+        if last_kind == kind and last_weights == weights and (params := last()) is not None:
+            return params
+        key = (*kind, weights)
         params = _SHARED_MODELS.get(key)
         if params is None:
             params = _SHARED_MODELS[key] = cls(dims, vector=vector, read_only=True)
+        _LAST_SHARED = (kind, weights, weakref.ref(params))
         return params
 
     def folds(self) -> "ModelFolds":
@@ -306,6 +312,8 @@ class ModelParams:
 
 
 _SHARED_MODELS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (dims, dtype, shape), weight bytes and a weak reference of the model `shared` handed out last
+_LAST_SHARED: tuple = (None, b"", lambda: None)
 
 
 # ---------------------------------------------------------------------------

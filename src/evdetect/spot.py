@@ -15,9 +15,15 @@ starts from the previous fit's theta = gamma_hat/sigma_hat when that lies in
 the span. The previous fit is read from the state alone, so a detector
 resumed from a file refits as an uninterrupted one does.
 
-Peak readings refit, so they set the p99 of a streamed reading's latency,
-and a refit spends its time on Grimshaw's arithmetic alone; grimshaw_fit
-gives the split of a fit's time.
+Every peak reading refits, and a refit spends its time on Grimshaw's
+arithmetic alone; grimshaw_fit gives the split of a fit's time. Refits do not
+set the p99 of a streamed reading's latency by themselves. On `perfbench`'s
+`replay` (seed 1, two passes of its four households, detecting readings,
+three runs on a shared 2-core Xeon) peak readings are 2.2% of the readings
+and take about 2.4 times an ordinary reading's median, 110 µs of it in the
+fit. Ordinary readings' own p99 is 2.2-2.3 times their p50 (200-217 µs
+against 93-95 µs), and taking each reading's fit time out lowers the pooled
+p99 from 235-246 µs to 201-219 µs: refits add 12-19% to it.
 """
 
 from __future__ import annotations

@@ -4,11 +4,14 @@ import io
 import json
 import struct
 import zipfile
+import zlib
 from datetime import datetime, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from evdetect import checkpoint
 from evdetect.checkpoint import (
     ENGINE_FORMAT,
     FORMAT_KEY,
@@ -85,6 +88,28 @@ def test_wrong_size_params_rejected(tmp_path):
         write_container(path, MODEL_FORMAT, meta, {PARAMS_KEY: bad})
         with pytest.raises(ValueError, match="parameter array"):
             load_model(path)
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (8.0, "model size C must be an integer >= 1, got 8.0"),
+        ([8], "model size C must be an integer >= 1, got [8]"),
+        ({"C": 8}, "model size C must be an integer >= 1, got {'C': 8}"),
+        (True, "feature width C must be even (sinusoidal position pairs)"),
+    ],
+    ids=["float", "list", "object", "bool"],
+)
+def test_header_dims_equal_to_loaded_ones_are_still_checked(tmp_path, size, message):
+    # a header whose C equals a loaded model's 8 under ==, or cannot be hashed
+    meta, arrays = encode_model(ModelParams(ModelDims(), seed=0), SeriesStats(mean=0.0, std=1.0, count=1))
+    good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+    write_container(good, MODEL_FORMAT, meta, arrays)
+    write_container(bad, MODEL_FORMAT, {**meta, "dims": {**meta["dims"], "C": size}}, arrays)
+    assert load_model(good)[0].dims == ModelDims()
+    with pytest.raises(ValueError) as refused:
+        load_model(bad)
+    assert str(refused.value) == f"{bad}: {message}"
 
 
 def test_version_one_rejected(tmp_path):
@@ -221,6 +246,43 @@ class TestReadContainer:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="CRC"):
             read_container(path, MODEL_FORMAT)
+
+    def test_a_repeated_member_is_not_checksummed_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.npz"
+        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        read_container(path, MODEL_FORMAT)
+        summed = []
+        monkeypatch.setattr(checkpoint, "zlib", SimpleNamespace(crc32=lambda b: summed.append(len(b)) or zlib.crc32(b)))
+        _, arrays = read_container(path, MODEL_FORMAT)
+        assert arrays[PARAMS_KEY].nbytes > 0 and len(summed) == 1
+        assert summed[0] < arrays[PARAMS_KEY].nbytes  # the header's member only
+
+    def test_a_flipped_weight_byte_after_a_repeat_fails_the_crc(self, tmp_path):
+        path, copy = tmp_path / "model.npz", tmp_path / "flipped.npz"
+        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        raw = bytearray(path.read_bytes())
+        with np.load(path) as npz:
+            at = raw.find(npz[PARAMS_KEY].tobytes())
+        raw[at + 100] ^= 0x01  # the stored CRC-32 is left as it was
+        copy.write_bytes(bytes(raw))
+        for _ in range(2):
+            read_container(path, MODEL_FORMAT)
+        with pytest.raises(ValueError, match=r"bad CRC-32 for member params\.npy"):
+            read_container(copy, MODEL_FORMAT)
+        read_container(path, MODEL_FORMAT)
+
+    def test_intact_weights_under_a_wrong_crc_after_a_repeat_are_refused(self, tmp_path):
+        path, copy = tmp_path / "model.npz", tmp_path / "wrong_crc.npz"
+        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        raw = bytearray(path.read_bytes())
+        entry = raw.rfind(b"PK\x01\x02")  # the directory entry of the last member, params.npy
+        assert raw[entry + 46 : entry + 56] == b"params.npy"
+        struct.pack_into("<L", raw, entry + 16, struct.unpack_from("<L", raw, entry + 16)[0] ^ 1)
+        copy.write_bytes(bytes(raw))
+        for _ in range(2):
+            read_container(path, MODEL_FORMAT)
+        with pytest.raises(ValueError, match=r"bad CRC-32 for member params\.npy"):
+            read_container(copy, MODEL_FORMAT)
 
     @pytest.mark.parametrize(
         "write",

@@ -816,6 +816,45 @@ class TestSpotCounts:
         assert head + [format_event(resumed.step(r)) for r in readings[cut:]] == want
 
 
+class TestSavedPowers:
+    """A load refuses a saved stream power that `step` refuses, naming the
+    first one in the file's order."""
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            pytest.param({0: math.nan}, "nan", id="nan-first"),
+            pytest.param({-1: math.nan}, "nan", id="nan-last"),
+            pytest.param({5: 1e200}, "1e+200", id="huge"),
+            pytest.param({5: -1e200}, "-1e+200", id="huge-negative"),
+            pytest.param({3: 1e200, 9: math.nan}, "1e+200", id="huge-before-nan"),
+            pytest.param({3: math.nan, 9: -1e200}, "nan", id="nan-before-huge"),
+        ],
+    )
+    def test_a_power_step_refuses_is_refused_by_name(self, tmp_path, bad, named):
+        path = tmp_path / "powers.npz"
+        _calibrated_detector().save(path)
+        meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
+        arrays["power"] = arrays["power"].copy()
+        for at, value in bad.items():
+            arrays["power"][at] = value
+        ckpt.write_container(path, ckpt.ENGINE_FORMAT, meta, arrays)
+        with pytest.raises(ValueError) as refused:
+            OnlineDetector.load(path)
+        assert str(refused.value) == f"{path}: stream power {named} is not finite or has |z| > 1e+100"
+
+    def test_powers_at_the_bound_load(self, tmp_path):
+        # |z| = MAX_ABS_Z exactly is what `step` keeps; std 1 and mean 0 make z the power
+        path = tmp_path / "edge.npz"
+        det = _calibrated_detector()
+        det.save(path)
+        meta, arrays = ckpt.read_container(path, ckpt.ENGINE_FORMAT)
+        arrays["power"] = arrays["power"].copy()
+        arrays["power"][[0, -1]] = engine.MAX_ABS_Z, -engine.MAX_ABS_Z
+        ckpt.write_container(path, ckpt.ENGINE_FORMAT, meta, arrays)
+        assert OnlineDetector.load(path).stream.power.tobytes() == arrays["power"].tobytes()
+
+
 class TestSharedModel:
     """Detectors of one model share its weights and folds, read-only; each
     owns only its stream windows and SPOT state."""
@@ -869,6 +908,74 @@ class TestSharedModel:
         assert other.params.vector[7] != base.params.vector[7]
         assert other.params.folds().dec_self[0] is not base.params.folds().dec_self[0]
         assert other.params.folds().dec_self[0] is det.params.folds().dec_self[0]
+
+    def test_loads_of_two_models_in_turn_get_each_files_weights(self, tmp_path):
+        # A, B, A: the model handed out last is not the one asked for
+        files = {}
+        for name, seed in (("a", 40), ("b", 41)):
+            files[name] = tmp_path / f"{name}.npz"
+            _calibrated_detector(seed=seed).save(files[name])
+        order = ["a", "b", "a", "b", "b"]
+        dets = [OnlineDetector.load(files[name]) for name in order]
+        for name, det in zip(order, dets):
+            _, arrays = ckpt.read_container(files[name], ckpt.ENGINE_FORMAT)
+            assert det.params.vector.tobytes() == arrays["params"].tobytes(), name
+        assert dets[0].params is dets[2].params and dets[1].params is dets[3].params is dets[4].params
+        assert dets[0].params is not dets[1].params
+
+    def test_threads_loading_two_models_and_a_corrupt_copy_see_their_own_files(self, tmp_path):
+        # the last model handed out and the last member verified are read as
+        # one tuple each, so no thread pairs one file's bytes with another's
+        import sys
+        import threading
+
+        files = {}
+        for name, seed in (("a", 40), ("b", 41)):
+            files[name] = tmp_path / f"{name}.npz"
+            _calibrated_detector(seed=seed).save(files[name])
+        want = {name: ckpt.read_container(path, ckpt.ENGINE_FORMAT)[1]["params"].tobytes() for name, path in files.items()}
+        raw = bytearray(files["a"].read_bytes())
+        raw[raw.find(want["a"]) + 100] ^= 0x01
+        files["flipped"] = tmp_path / "flipped.npz"
+        files["flipped"].write_bytes(bytes(raw))
+        faults = []
+
+        def worker(k):
+            for i in range(40):
+                name = ("a", "b", "flipped")[(i + k) % 3]
+                try:
+                    det = OnlineDetector.load(files[name])
+                except ValueError as exc:
+                    if name != "flipped" or "bad CRC-32 for member params.npy" not in str(exc):
+                        faults.append((name, str(exc)))
+                    continue
+                if name == "flipped" or det.params.vector.tobytes() != want[name]:
+                    faults.append((name, "loaded another file's weights"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []
+
+    def test_one_weight_vector_under_two_dims_gives_two_models(self):
+        # lm and gm change no weight count, so only the dims tell these apart
+        dims = ModelDims()
+        vector = ModelParams(dims, seed=42).vector
+        for other in (ModelDims(gm=dims.gm + 1), ModelDims(lm=dims.lm - 1)):
+            first = ModelParams.shared(dims, vector)
+            second = ModelParams.shared(other, vector)
+            assert second is not first
+            assert (first.dims, second.dims) == (dims, other)
+            assert second.vector.tobytes() == first.vector.tobytes()
+            assert ModelParams.shared(other, vector) is second and ModelParams.shared(dims, vector) is first
 
     def test_writes_to_the_callers_weights_never_reach_the_detector(self):
         # an in-place Adam step on the weights a detector was built from, mid-stream
