@@ -257,27 +257,25 @@ class TestReadContainer:
         assert arrays[PARAMS_KEY].nbytes > 0 and len(summed) == 1
         assert summed[0] < arrays[PARAMS_KEY].nbytes  # the header's member only
 
-    def test_a_flipped_weight_byte_after_a_repeat_fails_the_crc(self, tmp_path):
-        path, copy = tmp_path / "model.npz", tmp_path / "flipped.npz"
-        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
-        raw = bytearray(path.read_bytes())
+    @staticmethod
+    def _flipped_weight_byte(raw, path):
         with np.load(path) as npz:
-            at = raw.find(npz[PARAMS_KEY].tobytes())
-        raw[at + 100] ^= 0x01  # the stored CRC-32 is left as it was
-        copy.write_bytes(bytes(raw))
-        for _ in range(2):
-            read_container(path, MODEL_FORMAT)
-        with pytest.raises(ValueError, match=r"bad CRC-32 for member params\.npy"):
-            read_container(copy, MODEL_FORMAT)
-        read_container(path, MODEL_FORMAT)
+            raw[raw.find(npz[PARAMS_KEY].tobytes()) + 100] ^= 0x01  # the stored CRC-32 is left as it was
 
-    def test_intact_weights_under_a_wrong_crc_after_a_repeat_are_refused(self, tmp_path):
-        path, copy = tmp_path / "model.npz", tmp_path / "wrong_crc.npz"
-        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
-        raw = bytearray(path.read_bytes())
+    @staticmethod
+    def _wrong_crc(raw, path):
         entry = raw.rfind(b"PK\x01\x02")  # the directory entry of the last member, params.npy
         assert raw[entry + 46 : entry + 56] == b"params.npy"
         struct.pack_into("<L", raw, entry + 16, struct.unpack_from("<L", raw, entry + 16)[0] ^ 1)
+
+    @pytest.mark.parametrize("corrupt", ["_flipped_weight_byte", "_wrong_crc"], ids=["flipped-weight-byte", "wrong-crc"])
+    def test_a_corrupt_copy_read_after_a_repeat_fails_the_crc(self, tmp_path, corrupt):
+        # right after the weights were found equal to the last file's, a copy
+        # whose bytes or whose stored CRC-32 alone changed is still refused
+        path, copy = tmp_path / "model.npz", tmp_path / "corrupt.npz"
+        save_model(path, ModelParams(ModelDims(), seed=2), SeriesStats(mean=0.3, std=0.9, count=5))
+        raw = bytearray(path.read_bytes())
+        getattr(self, corrupt)(raw, path)
         copy.write_bytes(bytes(raw))
         for _ in range(2):
             read_container(path, MODEL_FORMAT)
