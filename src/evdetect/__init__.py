@@ -22,7 +22,7 @@ from .engine import (
 )
 from .evaluation import Confusion, confusion, precision_recall_f1, roc_auc
 from .memory import Reading, StreamState
-from .model import ModelDims, ModelParams, mtr_forward
+from .model import ModelDims, ModelParams, mtr_forward, score_windows
 from .nn import AdamState, Hyper, Tensor, adam_step, grad_check
 from .spot import GpdFit, SpotState, gpd_log_likelihood, gpd_quantile, grimshaw_fit, pot_calibrate, spot_step
 from .training import TrainReport, train

@@ -40,7 +40,7 @@ from .evaluation import confusion, precision_recall_f1, roc_auc
 from .memory import Reading
 from .model import ModelDims
 from .nn import Hyper
-from .spot import ANOMALY, pot_calibrate, spot_step
+from .spot import ANOMALY, MIN_CALIBRATION, pot_calibrate, spot_step
 from .training import MAX_TRAIN_MINUTES, train
 
 
@@ -311,9 +311,10 @@ def _metrics_from_events(events_path, labels_path):
 
 def _spot_trace(path, scores, calib, **calibration):
     """Calibrate SPOT now on `calib` scores for a count above 1, else on that
-    fraction of them but at least 100; return the count and an iterator that
-    steps SPOT over the rest, yielding (score, threshold before, label, k)."""
-    n_calib = int(calib) if calib > 1 else max(100, int(scores.size * calib))
+    fraction of them but at least `MIN_CALIBRATION`; return the count and an
+    iterator that steps SPOT over the rest, yielding (score, threshold before,
+    label, k)."""
+    n_calib = int(calib) if calib > 1 else max(MIN_CALIBRATION, int(scores.size * calib))
     if n_calib >= scores.size:
         raise ValueError(f"{path}: calibration takes {n_calib} scores, leaving none of its {scores.size}")
     state = pot_calibrate(scores[:n_calib], **calibration)

@@ -264,11 +264,11 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("days", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (isinstance(self.duration_minutes, (tuple, list)) and len(self.duration_minutes) == 2):
             raise ValueError(f"duration_minutes must hold two integers (shortest, longest), got {self.duration_minutes!r}")
-        if not all(isinstance(bound, int) for bound in self.duration_minutes):
+        if not all(type(bound) is int for bound in self.duration_minutes):
             raise ValueError(f"duration_minutes must be integers, got {self.duration_minutes!r}")
         if self.days < 1:
             raise ValueError(f"days must be >= 1, got {self.days}")

@@ -28,7 +28,7 @@ from . import checkpoint as ckpt
 from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, normalize
 from .memory import Reading, StreamState
 from .model import ModelParams, _embed, mtr_forward
-from .spot import ANOMALY, GpdFit, SpotState, pot_calibrate, spot_step
+from .spot import ANOMALY, MIN_CALIBRATION, GpdFit, SpotState, pot_calibrate, spot_step
 
 WARMUP = "warmup"
 CALIBRATING = "calibrating"
@@ -55,10 +55,11 @@ class EngineConfig:
     def __post_init__(self):
         for name in ("lm", "gm", "calibration_len", "refit_stride", "max_peaks"):
             count = getattr(self, name)
-            if not (isinstance(count, int) or (name == "max_peaks" and count is None)):
+            # `type`, not `isinstance`, so a bool is refused too
+            if not (type(count) is int or (name == "max_peaks" and count is None)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
-        if self.calibration_len < 100:
-            raise ValueError("calibration_len must be >= 100")
+        if self.calibration_len < MIN_CALIBRATION:
+            raise ValueError(f"calibration_len must be >= {MIN_CALIBRATION}")
         if not (self.lm < self.gm):
             raise ValueError("need lm < gm")
         if not (0.0 < self.q < 1.0):
@@ -100,7 +101,10 @@ def format_event(e: DetectionEvent) -> str:
 
 
 def anomaly_score(lm_values, lm_hat) -> float:
-    """Mean squared error between a local window and its reconstruction."""
+    """Mean squared error between a local window and its reconstruction.
+    Only `perfbench`'s traced path uses it, and it goes with ROADMAP
+    direction 20, as `model.trd_forward` does; `model.score_windows` scores
+    batches of windows and `OnlineDetector.step` its one window inline."""
     a = np.asarray(lm_values, dtype=np.float64)
     b = np.asarray(lm_hat, dtype=np.float64)
     if a.shape != b.shape:
@@ -139,7 +143,7 @@ def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
             return f"{name} must be a finite number, got {x!r}"
     for name, x in {"k": spot.k, "n_peaks_total": spot.n_peaks_total, "_since_refit": spot._since_refit,
                     "n_excesses": fit.n_excesses}.items():
-        if not (isinstance(x, int) and x >= 0):
+        if not (type(x) is int and x >= 0):  # a bool is refused too
             return f"{name} must be a count, got {x!r}"
     # what calibration and every step keep; the first peak past either fails
     # in `gpd_quantile`, which needs no more excesses than scores seen

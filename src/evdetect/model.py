@@ -35,6 +35,7 @@ import numpy as np
 from .nn import Tensor, _normalized, relu, softmax_rows, uniform_init
 
 LN_EPS = 1e-5
+SCORE_CHUNK = 2048  # windows per forward in `score_windows`
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ class ModelDims:
 
     def __post_init__(self):
         for name, size in vars(self).items():
-            if not (isinstance(size, int) and size >= 1):
+            # `type`, not `isinstance`, so a bool is refused too
+            if not (type(size) is int and size >= 1):
                 raise ValueError(f"model size {name} must be an integer >= 1, got {size!r}")
         if self.C % 2 != 0:
             raise ValueError("feature width C must be even (sinusoidal position pairs)")
@@ -641,8 +643,8 @@ def _head(out: np.ndarray, p: ModelParams) -> np.ndarray:
 def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, folds=None, tape=None) -> np.ndarray:
     """The reconstruction of (batched) normalized windows.
 
-    Without `folds` it scores any batch of windows: training's loss and the
-    reference the cached branch is tested against. A `tape` (a list, plain
+    Without `folds` it reconstructs any batch of windows, for training and
+    for `score_windows`, the one batch scorer. A `tape` (a list, plain
     branch only) records what `mtr_backward` needs. With `folds` (`p.folds()`)
     it scores one window, 1-D arrays (a batch raises ValueError), and every
     input-independent piece comes from them; the result equals the plain
@@ -679,6 +681,28 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
     x1 = folded_ln(_decoder_attention(lm_feats, lm_feats, folds.dec_self), variance, folds.dec_ln1)
     u = _folded_ffn(_decoder_attention(x1, encoded, folds.dec_cross), folds.dec_ffn, variance)
     return folded_head(u, *folds.dec_head)
+
+
+def score_windows(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Each window's score, the mean squared error of its local window's
+    reconstruction, as a float64 (n,) array, from the plain forward over
+    (n, lm) and (n, gm) windows.
+
+    It runs at most `SCORE_CHUNK` windows per forward, so beyond the scores
+    memory stays bounded on any number of windows; each score equals that of
+    one forward over every window, bit for bit. It is the one batch scorer:
+    training's loss and the reference the cached step is tested against.
+    """
+    lm_values = np.asarray(lm_values, dtype=np.float64)
+    gm_values = np.asarray(gm_values, dtype=np.float64)
+    if lm_values.ndim != 2 or gm_values.ndim != 2 or len(lm_values) != len(gm_values):
+        raise ValueError(f"need (n, lm) and (n, gm) windows, got local {lm_values.shape} and global {gm_values.shape}")
+    scores = np.empty(len(lm_values))
+    for lo in range(0, len(lm_values), SCORE_CHUNK):
+        s = slice(lo, lo + SCORE_CHUNK)
+        d = mtr_forward(lm_values[s], gm_values[s], p) - lm_values[s]
+        scores[s] = np.add.reduce(d * d, axis=-1) / p.dims.lm
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +812,8 @@ def _project_backward(x: np.ndarray, d: np.ndarray, w: np.ndarray, g_w: np.ndarr
 
 # ---------------------------------------------------------------------------
 # Pieces of the forward on `Tensor`-wrapped arrays. They serve only
-# `perfbench`'s traced path, and go when the benchmark drives the engine's own
-# entry points (ROADMAP direction 1).
+# `perfbench`'s traced path, and go with `Tensor` (ROADMAP direction 20) once
+# the benchmark drives the engine's own entry points (direction 1b).
 # ---------------------------------------------------------------------------
 
 

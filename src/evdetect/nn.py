@@ -146,7 +146,7 @@ class Hyper:
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         for name in ("batch_size", "epochs"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # a bool is refused too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")

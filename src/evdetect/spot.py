@@ -46,6 +46,8 @@ _THETA_RTOL = 4.0 * sys.float_info.epsilon
 _ROOT_STEPS = 200
 # the fewest excesses over the initial threshold a calibration fits a GPD to
 MIN_PEAKS = 10
+# the fewest scores a calibration takes
+MIN_CALIBRATION = 100
 # Largest (points, n) block of the bracket grid evaluated in one broadcast. With
 # temporaries much past 256 KB, one big broadcast measured slower than
 # evaluating the points one at a time.
@@ -346,8 +348,8 @@ def pot_calibrate(
 ) -> SpotState:
     """Fit the initial threshold pair (h, z_q) from a batch of calibration scores."""
     x = np.asarray(scores, dtype=np.float64)
-    if x.size < 100:
-        raise ValueError(f"need at least 100 calibration scores, got {x.size}")
+    if x.size < MIN_CALIBRATION:
+        raise ValueError(f"need at least {MIN_CALIBRATION} calibration scores, got {x.size}")
     if not (0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
     if not (0.0 < init_level < 1.0):

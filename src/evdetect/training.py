@@ -2,7 +2,9 @@
 
 Each batch runs `model.mtr_forward` with a tape, and `model.mtr_backward`
 adds the loss's gradient to the flat `ModelParams.grad` for one Adam update
-of the flat `ModelParams.vector`.
+of the flat `ModelParams.vector`. The loss over a whole window set, before
+the first epoch and after the last, is the mean of `model.score_windows`,
+the one batch scorer.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import WindowBatch
-from .model import ModelDims, ModelParams, mtr_backward, mtr_forward
+from .model import ModelDims, ModelParams, mtr_backward, mtr_forward, score_windows
 from .nn import AdamState, Hyper, adam_step
 
 MAX_TRAIN_MINUTES = 4 * 7 * 1440  # default cap on training history
 DIVERGENCE_LIMIT = 1e6  # a batch loss above this aborts training
-LOSS_SLICE = 2048  # windows per forward when scoring a whole window set
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,16 +62,10 @@ def reconstruction_loss_t(batch: WindowBatch, params: ModelParams) -> BatchLoss:
 
 
 def reconstruction_loss(batch: WindowBatch, params: ModelParams) -> float:
-    """`reconstruction_loss_t`'s value, without a tape, from one forward per
-    `LOSS_SLICE` windows, so memory stays bounded on any number of windows.
-    Up to one slice it is `reconstruction_loss_t`'s arithmetic, bit for bit."""
-    lm, gm = batch.lm_windows, batch.gm_windows
-    total = 0.0
-    for lo in range(0, len(lm), LOSS_SLICE):
-        s = slice(lo, lo + LOSS_SLICE)
-        d = mtr_forward(lm[s], gm[s], params) - lm[s]
-        total += (d * d).sum()
-    loss = float(total / lm.size)
+    """`reconstruction_loss_t`'s value, without a tape: the mean of the
+    batch's `model.score_windows`, so memory stays bounded on any number of
+    windows. It equals the taped loss to rounding, not bit for bit."""
+    loss = float(score_windows(batch.lm_windows, batch.gm_windows, params).mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite reconstruction loss")
     return loss

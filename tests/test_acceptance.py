@@ -15,7 +15,7 @@ from evdetect.data import SynthConfig, WindowBatch, fit_stats, normalize, slidin
 from evdetect.engine import DETECTING, EngineConfig, OnlineDetector
 from evdetect.evaluation import confusion, precision_recall_f1, roc_auc
 from evdetect.memory import Reading, StreamState
-from evdetect.model import ModelDims, ModelParams, _trd, mtr_forward, self_attend
+from evdetect.model import ModelDims, ModelParams, _trd, score_windows, self_attend
 from evdetect.nn import Hyper, grad_check
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 from evdetect.training import reconstruction_loss, reconstruction_loss_t, train
@@ -45,7 +45,7 @@ def test_c01_incremental_inference_equivalence():
     events = [det.step(r) for r in _readings(values)][cfg.lm + cfg.gm - 1 :]
 
     w = sliding_windows(normalize(values, stats), cfg.lm, cfg.gm)
-    ref = np.mean((w.lm_windows - mtr_forward(w.lm_windows, w.gm_windows, params)) ** 2, axis=1)
+    ref = score_windows(w.lm_windows, w.gm_windows, params)
     spot = pot_calibrate(ref[: cfg.calibration_len], q=cfg.q, init_level=cfg.init_level)
     want = [0] * cfg.calibration_len + [int(spot_step(spot, s) == ANOMALY) for s in ref[cfg.calibration_len :]]
     label_flips = sum(e.label != lab for e, lab in zip(events, want))

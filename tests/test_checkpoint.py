@@ -96,7 +96,7 @@ def test_wrong_size_params_rejected(tmp_path):
         (8.0, "model size C must be an integer >= 1, got 8.0"),
         ([8], "model size C must be an integer >= 1, got [8]"),
         ({"C": 8}, "model size C must be an integer >= 1, got {'C': 8}"),
-        (True, "feature width C must be even (sinusoidal position pairs)"),
+        (True, "model size C must be an integer >= 1, got True"),
     ],
     ids=["float", "list", "object", "bool"],
 )

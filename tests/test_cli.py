@@ -794,6 +794,7 @@ class TestDetect:
             pytest.param("dims", "heads", 0, "model size heads must be an integer >= 1, got 0", id="heads-0"),
             pytest.param("dims", "C", -2, "model size C must be an integer >= 1, got -2", id="embed-dim-neg"),
             pytest.param("dims", "heads", 2.0, "model size heads must be an integer >= 1, got 2.0", id="heads-float"),
+            pytest.param("dims", "heads", True, "model size heads must be an integer >= 1, got True", id="heads-true"),
             pytest.param("stats", "mean", "0.5", "stats mean must be a finite number, got '0.5'", id="mean-string"),
             pytest.param("stats", "std", None, "stats std must be a finite positive number, got None", id="std-null"),
             pytest.param("stats", "std", 0.0, "stats std must be a finite positive number, got 0.0", id="std-0"),
@@ -869,9 +870,12 @@ class TestDetect:
              "calib_scores must be finite, got nan"),
             (lambda meta, arrays: (meta.update(spot=None), arrays.update(calib_scores=np.ones((2, 3)))),
              "calib_scores must be a 1-D float64 array, got float64 of shape (2, 3)"),
+            # JSON true is a Python int, but not a count
+            (lambda meta, arrays: meta["spot"].update(k=True), "spot k must be a count, got True"),
+            (lambda meta, arrays: meta["config"].update(refit_stride=True), "refit_stride must be an integer, got True"),
         ],
         ids=["h-string", "z_q-null", "k-string", "refit-stride-0", "q-other", "max-peaks-other",
-             "max-peaks-2.5", "negative-peak", "nan-calib-score", "calib-scores-2d"],
+             "max-peaks-2.5", "negative-peak", "nan-calib-score", "calib-scores-2d", "k-true", "config-refit-stride-true"],
     )
     def test_bad_engine_spot_exits_one(self, workdir, tiny_setup, capsys, edit, message):
         # a detector past calibration, so its engine file holds a SPOT state

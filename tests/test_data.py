@@ -269,7 +269,8 @@ class TestSynth:
             SynthConfig(ev_power=0.0)
         with pytest.raises(ValueError):
             SynthConfig(duration_minutes=(10, 60))
-        for field, value in (("days", 2.5), ("seed", 1.5), ("duration_minutes", (60.5, 240)), ("duration_minutes", (60, 240.0))):
+        for field, value in (("days", 2.5), ("seed", 1.5), ("days", True), ("duration_minutes", (60.5, 240)),
+                             ("duration_minutes", (60, 240.0))):
             with pytest.raises(ValueError, match=f"^{field} must be (an integer|integers), got "):
                 SynthConfig(**{field: value})
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):

@@ -29,7 +29,7 @@ from evdetect.engine import (
     format_event,
 )
 from evdetect.memory import Reading
-from evdetect.model import ModelDims, ModelParams, _embed, folded_attention, mtr_forward
+from evdetect.model import ModelDims, ModelParams, _embed, folded_attention, mtr_forward, score_windows
 from evdetect.nn import AdamState, Hyper, adam_step
 from evdetect.spot import ANOMALY, pot_calibrate, spot_step
 
@@ -84,6 +84,9 @@ class TestAnomalyScore:
         {"refit_stride": 1.5},
         {"calibration_len": 600.0},
         {"lm": 8.0},
+        # a bool is an int, but not a count
+        {"refit_stride": True},
+        {"calibration_len": True},
     ],
 )
 def test_config_rejects_invalid_refit_settings(kwargs):
@@ -538,7 +541,7 @@ class TestDualRunEquivalence:
         det = _detector(seed=12, calibration_len=400)
         events = [det.step(r) for r in _readings(values)][SMALL.lm + SMALL.gm - 1 :]
         w = sliding_windows(values, SMALL.lm, SMALL.gm)
-        ref = np.mean((w.lm_windows - mtr_forward(w.lm_windows, w.gm_windows, det.params)) ** 2, axis=1)
+        ref = score_windows(w.lm_windows, w.gm_windows, det.params)
         np.testing.assert_allclose([e.score for e in events], ref, rtol=0, atol=1e-12)
         spot = pot_calibrate(ref[:400], q=1e-3)
         want = [0] * 400 + [int(spot_step(spot, s) == ANOMALY) for s in ref[400:]]

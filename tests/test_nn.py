@@ -162,7 +162,7 @@ class TestAdam:
             Hyper(epochs=-1)
         assert Hyper(batch_size=1, epochs=0).epochs == 0
         for field in ("batch_size", "epochs"):
-            for value in (2.5, 3.0):
+            for value in (2.5, 3.0, True):
                 with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
                     Hyper(**{field: value})
 

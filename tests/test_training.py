@@ -8,7 +8,7 @@ import pytest
 
 import evdetect.training
 from evdetect.data import SynthConfig, WindowBatch, fit_stats, normalize, sliding_windows, synth_household
-from evdetect.model import ModelDims, ModelParams, mtr_forward
+from evdetect.model import SCORE_CHUNK, ModelDims, ModelParams, mtr_forward, score_windows
 from evdetect.nn import AdamState, Hyper, adam_step, grad_check
 from evdetect.training import TrainingDiverged, reconstruction_loss, reconstruction_loss_t, train
 
@@ -47,30 +47,48 @@ class TestReconstructionLoss:
         assert err < 1e-4
 
     def test_taped_loss_equals_untaped(self):
+        # the untaped loss is a mean of per-window means, so it agrees to rounding
         params = ModelParams(TINY, seed=4)
         batch = _tiny_batch(seed=5, n=3)
-        assert float(reconstruction_loss_t(batch, params).data) == reconstruction_loss(batch, params)
+        taped = float(reconstruction_loss_t(batch, params).data)
+        assert reconstruction_loss(batch, params) == pytest.approx(taped, rel=1e-15, abs=0)
 
     def test_slices_sum_to_the_one_forward_mean(self):
+        # each window's score equals, bit for bit, that of one unchunked
+        # forward, in one chunk or across three
         params = ModelParams(TINY, seed=6)
-        batch = _tiny_batch(seed=7, n=2 * evdetect.training.LOSS_SLICE + 5)
-        d = mtr_forward(batch.lm_windows, batch.gm_windows, params) - batch.lm_windows
-        assert reconstruction_loss(batch, params) == pytest.approx(float((d * d).mean()), rel=1e-14)
+        for n in (3, 2 * SCORE_CHUNK + 5):
+            batch = _tiny_batch(seed=7, n=n)
+            rec = mtr_forward(batch.lm_windows, batch.gm_windows, params)
+            scores = score_windows(batch.lm_windows, batch.gm_windows, params)
+            np.testing.assert_array_equal(scores, np.mean((batch.lm_windows - rec) ** 2, axis=1))
+            assert scores.shape == (n,) and scores.dtype == np.float64
+            assert reconstruction_loss(batch, params) == float(scores.mean())
+
+    @pytest.mark.parametrize(
+        "lm_shape, gm_shape",
+        [((TINY.lm,), (TINY.gm,)), ((3, TINY.lm), (1, TINY.gm)), ((3, TINY.lm), (4, TINY.gm))],
+        ids=["one-window", "one-global-window", "counts-differ"],
+    )
+    def test_scorer_refuses_unpaired_windows(self, lm_shape, gm_shape):
+        # the forward would broadcast these into scores of the wrong windows
+        with pytest.raises(ValueError, match=r"^need \(n, lm\) and \(n, gm\) windows, got local "):
+            score_windows(np.zeros(lm_shape), np.zeros(gm_shape), ModelParams(TINY, seed=8))
 
     def test_memory_does_not_grow_with_the_window_count(self):
         import tracemalloc
 
         params = ModelParams(TINY, seed=8)
         peaks = []
-        for slices in (1, 4):
-            batch = _tiny_batch(seed=9, n=slices * evdetect.training.LOSS_SLICE)
+        for chunks in (1, 4):
+            batch = _tiny_batch(seed=9, n=chunks * SCORE_CHUNK)
             tracemalloc.start()
             try:
-                reconstruction_loss(batch, params)
+                score_windows(batch.lm_windows, batch.gm_windows, params)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0], f"peak {peaks[1]} B for 4 slices against {peaks[0]} B for one"
+        assert peaks[1] < 1.5 * peaks[0], f"peak {peaks[1]} B for 4 chunks against {peaks[0]} B for one"
 
 
 class TestTrain:
@@ -202,10 +220,7 @@ def test_scores_separate_ev_from_non_ev_windows():
     labels = test_series.labels
     z = normalize(test_series.powers, stats)
     batch = sliding_windows(z, dims.lm, dims.gm, stride=5)
-    rec = []
-    for i in range(len(batch)):
-        rec.append(mtr_forward(batch.lm_windows[i], batch.gm_windows[i], params))
-    scores = np.mean((np.stack(rec) - batch.lm_windows) ** 2, axis=1)
+    scores = score_windows(batch.lm_windows, batch.gm_windows, params)
     span = dims.lm + dims.gm
     window_label = np.array(
         [labels[i * 5 + dims.gm : i * 5 + span].max() for i in range(len(batch))]
