@@ -259,8 +259,8 @@ def cmd_detect(args, parser) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     else:
         tasks = {args.out: (source, args.inputs[0], args.out, args.save_engine)}
-    # a pool worker reads no stdin, so a single stream stays in this process
-    if cfg["jobs"] > 1 and len(tasks) > 1:
+    # a pool worker reads no stdin, so a single stream or a run over stdin stays in this process
+    if cfg["jobs"] > 1 and len(tasks) > 1 and "-" not in args.inputs:
         with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
             results = list(pool.map(_run_detection, tasks.values()))
     else:

@@ -35,6 +35,11 @@ class NormalizationWarning(UserWarning):
     pass
 
 
+def is_finite_number(x) -> bool:
+    """Whether `x` is a finite int or float; JSON `true` is a Python int, but no number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass
 class SeriesStats:
     """Mean/std (population) of a training series, used for z-scoring."""
@@ -45,9 +50,9 @@ class SeriesStats:
 
     def __post_init__(self):
         # a checkpoint's header carries these, and every reading divides by std
-        if not (isinstance(self.mean, (int, float)) and math.isfinite(self.mean)):
+        if not is_finite_number(self.mean):
             raise ValueError(f"stats mean must be a finite number, got {self.mean!r}")
-        if not (isinstance(self.std, (int, float)) and math.isfinite(self.std) and self.std > 0):
+        if not (is_finite_number(self.std) and self.std > 0):
             raise ValueError(f"stats std must be a finite positive number, got {self.std!r}")
 
 

@@ -25,7 +25,7 @@ from datetime import datetime
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, normalize
+from .data import MAX_FILL_MINUTES, MINUTE, SeriesStats, is_finite_number, normalize
 from .memory import Reading, StreamState
 from .model import ModelParams, _embed, mtr_forward
 from .spot import ANOMALY, MIN_CALIBRATION, GpdFit, SpotState, pot_calibrate, spot_step
@@ -132,14 +132,15 @@ def _spot_fault(spot: SpotState, config: EngineConfig) -> str | None:
     """Why `spot_step` could not step a resumed SPOT state, or why it is not
     the state its engine's settings calibrate; None for a sound state."""
     for name in ("q", "refit_stride", "max_peaks"):
-        if getattr(spot, name) != getattr(config, name):
-            return f"{name} {getattr(spot, name)!r} differs from the config's {getattr(config, name)!r}"
+        # a config holds no bool, and `True == 1`
+        if (x := getattr(spot, name)) != getattr(config, name) or isinstance(x, bool):
+            return f"{name} {x!r} differs from the config's {getattr(config, name)!r}"
     # excesses over h, each above 0
     if fault := _row_fault("peaks", spot.peaks, 0.0):
         return fault
     fit = spot.fit
     for name, x in {"h": spot.h, "z_q": spot.z_q, "gamma_hat": fit.gamma_hat, "sigma_hat": fit.sigma_hat}.items():
-        if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        if not is_finite_number(x):
             return f"{name} must be a finite number, got {x!r}"
     for name, x in {"k": spot.k, "n_peaks_total": spot.n_peaks_total, "_since_refit": spot._since_refit,
                     "n_excesses": fit.n_excesses}.items():

@@ -201,12 +201,12 @@ class ModelParams:
     length, or with a weight that is not finite, raises ValueError here. `grad`
     is the matching flat gradient, allocated by the first `zero_grad()`. A
     copy or an unpickled model is rebuilt from `vector` (without `grad` or a
-    tree), so it keeps this sharing and is writable. With `read_only` the
-    vector, and so every view of it, refuses writes (`ModelParams.shared`),
-    and `folds()` builds the inference folds once and keeps them.
+    tree), so it keeps this sharing and is writable. A model whose vector
+    refuses writes (`ModelParams.shared`'s) refuses them through every view
+    of it too, and `folds()` builds its inference folds once and keeps them.
     """
 
-    def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None, *, read_only: bool = False):
+    def __init__(self, dims: ModelDims, seed: int = 0, vector: np.ndarray | None = None):
         self.dims = dims
         weights = _weights(dims)
         if vector is None:
@@ -224,8 +224,6 @@ class ModelParams:
             if not finite.all():
                 raise ValueError(f"weight {np.argmin(finite)} of the parameter array is not finite")
             self.vector = vector.copy()
-        # before any view is taken, as a view keeps the flag it was made with
-        self.vector.flags.writeable = not read_only
         self.grad: np.ndarray | None = None
         self._folds: ModelFolds | None = None
         # relative-position rows for the local and global windows (shared, read-only)
@@ -273,7 +271,9 @@ class ModelParams:
         key = (*kind, weights)
         params = _SHARED_MODELS.get(key)
         if params is None:
-            params = _SHARED_MODELS[key] = cls(dims, vector=vector, read_only=True)
+            params = _SHARED_MODELS[key] = cls(dims, vector=vector)
+            # safe only while the tree is lazy: a view made before this keeps its write flag
+            params.vector.flags.writeable = False
         _LAST_SHARED = (kind, weights, weakref.ref(params))
         return params
 
@@ -346,18 +346,6 @@ def _mha(x: np.ndarray, memory: np.ndarray, p: SimpleNamespace, tape: list | Non
     return joined @ p.wo.data
 
 
-def fold_attention(*attns: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
-    """The per-head products of k attentions, each (k, h, C, C):
-    `qk` = wq_h wk_h^T / sqrt(d) and `vo` = wv_h wo_h, with wo_h the rows of
-    `wo` that head h's output meets. Then the attention of queries x over
-    memory m is sum_h softmax(x qk_h m^T) m vo_h (see `_attend`). Only the
-    attentions a step runs are folded; `self_attend` gives the frozen query blocks."""
-    wq, wk, wv = (np.array([getattr(a, name) for a in attns]) for name in ("wq_all", "wk_all", "wv_all"))
-    k, h, C, d = wq.shape
-    qk = wq @ wk.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
-    return qk, wv @ np.array([a.wo.data for a in attns]).reshape(k, h, d, C)
-
-
 # The folded branch runs one window at a time, on 2-D arrays. It multiplies
 # them with `ndarray.dot`, which for 2-D operands is `@` at about half the
 # per-call cost on matrices this small. Each of its elementwise calls takes
@@ -382,37 +370,28 @@ _EPS = _read_only(np.array(LN_EPS))
 _ZERO = _read_only(np.array(0.0))
 
 
-def _attend(logits: np.ndarray, memory: np.ndarray, vo: np.ndarray, ones: np.ndarray) -> np.ndarray:
-    """A folded attention, sum_h softmax(logits_h) @ memory @ vo_h, with the
-    heads side by side: `logits` (m, n*h) holds a column per query and head,
-    each query's h columns in turn, `vo` the per-head blocks stacked (h*w, 2C)
-    and `ones` a block of ones of the memory's shape (m, w).
-
-    With the memory down the rows, each softmax's max is a reduction along
-    axis 0, at about half the cost of a last-axis `keepdims` one on these
-    sizes. The numerators meet the memory first, and the same `.dot` with
-    `ones` gives their sums already tiled to the contexts' shape (n*h, w), so
-    the division is same-shape. Read as (n, h*w), the contexts go through one
-    matmul against the stacked `vo`, which applies every head's value-output
-    product and sums the heads.
-    """
-    e = np.exp(logits - np.maximum.reduce(logits, axis=0)).T
-    return (e.dot(memory) / e.dot(ones)).reshape(-1, len(vo)).dot(vo)
-
-
 def folded_attention(
     memory: np.ndarray, queries: np.ndarray, residual: np.ndarray, vo: np.ndarray, ones: np.ndarray
 ) -> np.ndarray:
-    """`residual` plus the folded attention of `queries` (n*h, w), each
-    query's h per-head rows in turn, over `memory` (m, w), with `vo` and
-    `ones` as `_attend` takes them.
+    """`residual` plus the folded attention sum_h softmax(q qk_h m^T) m vo_h
+    of `queries` (n*h, w), each query's h per-head rows (q qk_h) in turn, over
+    `memory` m (m, w), with `vo` the per-head blocks stacked (h*w, 2C) and
+    `ones` a block of ones of the memory's shape (m, w).
 
     It is the one way the cached branch runs an attention: enc1 over the
     embedded global window, enc2 over enc1's output, and the decoder's self-
-    and cross-attention. enc1 takes no per-reading fold of its own, since one
-    measured no faster (see `ModelFolds`).
+    and cross-attention. The logits (m, n*h) hold a column per query and
+    head, with the memory down the rows, so each softmax's max is a reduction
+    along axis 0, at about half the cost of a last-axis `keepdims` one on
+    these sizes. The numerators meet the memory first, and the same `.dot`
+    with `ones` gives their sums already tiled to the contexts' shape (n*h,
+    w), so the division is same-shape. Read as (n, h*w), the contexts go
+    through one matmul against the stacked `vo`, which applies every head's
+    value-output product and sums the heads.
     """
-    return residual + _attend(memory.dot(queries.T), memory, vo, ones)
+    logits = memory.dot(queries.T)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=0)).T
+    return residual + (e.dot(memory) / e.dot(ones)).reshape(-1, len(vo)).dot(vo)
 
 
 def _decoder_attention(x: np.ndarray, memory: np.ndarray, attention: tuple) -> np.ndarray:
@@ -434,8 +413,7 @@ def fold_layer_norms(gains: np.ndarray) -> np.ndarray:
     which scales each row (`folded_head`).
     """
     C = gains.shape[-1]
-    folds = np.empty((*gains.shape[:-1], C, 2 * C))
-    folds[...] = _centring(C)
+    folds = np.tile(np.eye(C) - 1.0 / C, (*gains.shape[:-1], 1, 2))
     folds[..., C:] *= gains[..., None, :]
     return folds
 
@@ -468,13 +446,6 @@ def folded_head(u: np.ndarray, fold_t: np.ndarray, variance: np.ndarray, bias: n
     return r[-1] / np.sqrt(variance.dot(r * r) + _EPS) + bias
 
 
-@functools.lru_cache(maxsize=64)
-def _centring(C: int) -> np.ndarray:
-    """[P | P], P = I - 1/C, read-only."""
-    centre = np.eye(C) - 1.0 / C
-    return _read_only(np.concatenate([centre, centre], axis=1))
-
-
 def _wide(a: np.ndarray, axis: int) -> np.ndarray:
     """`a` after as many zeros along `axis` as it has there: a matrix that
     meets a norm's wide output gets zero rows for its first half (axis 0 or
@@ -499,18 +470,19 @@ class ModelFolds:
 
     Both encoders' queries are learned constants, so `self_attend` runs their
     self-attention stages once, here. The four attentions a step runs are
-    folded into two per-head products (`fold_attention`), qk and vo, and each
-    runs through `folded_attention`, which contracts the softmax weights with
-    the memory first and then the heads' contexts, side by side, with vo
-    stacked. The seven norms they meet are folded too (`fold_layer_norms`):
-    with fold = [P | P diag(g)], P = I - 1/C, the norm of x is
-    `folded_ln`(x @ fold, ...). Each fold is multiplied into whatever
+    folded into two per-head products each, qk = wq_h wk_h^T / sqrt(d) and
+    vo = wv_h wo_h, with wo_h the rows of `wo` that head h's output meets,
+    and each runs through `folded_attention`, which contracts the softmax
+    weights with the memory first and then the heads' contexts, side by side,
+    with vo stacked. The seven norms they meet are folded too
+    (`fold_layer_norms`): with fold = [P | P diag(g)], P = I - 1/C, the norm
+    of x is `folded_ln`(x @ fold, ...). Each fold is multiplied into whatever
     produces the norm's input: the residual and the attention values (vo @
     fold); ln3's fold takes the FFN's output plus its input.
 
     Every array is contiguous, and they are laid out so that each elementwise
     call of a step has operands of one shape or a 0-d scalar, numpy's
-    same-shape fast path (see the note above `_attend`):
+    same-shape fast path (see the note above `folded_attention`):
     - each bias a step adds is a table of its site's (rows, width);
     - a norm's output is wide, [x_hat | y] (n x 2C), and every matrix that
       meets it has C zero rows on top (`_wide`). Below, w is C where an
@@ -543,21 +515,17 @@ class ModelFolds:
                    output head, as `folded_head` takes them.
     variance:      the wide norms' variance weights (2C x 2C), as `folded_ln`
                    takes them.
-
-    enc1 runs over the embedded global window like every other attention. A
-    global-window feature is affine in its one reading, so enc1's logits and
-    values could fold per model into a scale and an offset each, applied with
-    one multiply-add per entry. That fold saved nothing and was deleted: on a
-    2-core Xeon, enc1's cross-attention took 45.2 µs with it against 44.1 µs
-    through `folded_attention`, the window's embedding included (reference
-    dims, medians of 30 interleaved trials; 117 against 110 µs at gm=256).
     """
 
     def __init__(self, params: ModelParams):
         dims, C = params.dims, params.dims.C
         enc1, enc2, dec = params.enc1, params.enc2, params.dec
         attns = (enc1.cross_attn, enc2.cross_attn, dec.self_attn, dec.cross_attn)
-        qk, vo = fold_attention(*attns)
+        # qk and vo, each (4, h, C, C)
+        wq, wk, wv = (np.array([getattr(a, name) for a in attns]) for name in ("wq_all", "wk_all", "wv_all"))
+        d = wq.shape[-1]
+        qk = wq @ wk.swapaxes(-1, -2) * (1.0 / math.sqrt(d))
+        vo = wv @ np.array([a.wo.data for a in attns]).reshape(len(attns), dims.heads, d, C)
         # the norm each attention's output meets sits at the same place here
         norms = (enc1.ln2, enc2.ln2, dec.ln1, dec.ln2, enc1.ln3, enc2.ln3, dec.ln3)
         folds = fold_layer_norms(np.array([n.gain.data for n in norms]))
@@ -671,13 +639,11 @@ def mtr_forward(lm_values: np.ndarray, gm_values: np.ndarray, p: ModelParams, fo
     # `.dot` is the same one product per entry as the broadcast multiply
     w, variance = p.embed_w.data, folds.variance
     lm_feats = lm_values[:, None].dot(w) + folds.lm_embed
-    gm_feats = gm_values[:, None].dot(w) + folds.gm_embed
-    fold, bias = folds.enc1_ln3
-    u = _folded_ffn(folded_attention(gm_feats, *folds.enc1), folds.enc1_ffn, variance)
-    stage1 = folded_ln(u.dot(fold), variance, bias)
-    fold, bias = folds.enc2_ln3
-    u = _folded_ffn(folded_attention(stage1, *folds.enc2), folds.enc2_ffn, variance)
-    encoded = folded_ln(u.dot(fold), variance, bias)
+    encoded = gm_values[:, None].dot(w) + folds.gm_embed
+    for attention, ffn, (fold, bias) in ((folds.enc1, folds.enc1_ffn, folds.enc1_ln3),
+                                         (folds.enc2, folds.enc2_ffn, folds.enc2_ln3)):
+        u = _folded_ffn(folded_attention(encoded, *attention), ffn, variance)
+        encoded = folded_ln(u.dot(fold), variance, bias)
     x1 = folded_ln(_decoder_attention(lm_feats, lm_feats, folds.dec_self), variance, folds.dec_ln1)
     u = _folded_ffn(_decoder_attention(x1, encoded, folds.dec_cross), folds.dec_ffn, variance)
     return folded_head(u, *folds.dec_head)

@@ -799,6 +799,8 @@ class TestDetect:
             pytest.param("stats", "std", None, "stats std must be a finite positive number, got None", id="std-null"),
             pytest.param("stats", "std", 0.0, "stats std must be a finite positive number, got 0.0", id="std-0"),
             pytest.param("stats", "std", -1.0, "stats std must be a finite positive number, got -1.0", id="std-neg"),
+            pytest.param("stats", "std", True, "stats std must be a finite positive number, got True", id="std-true"),
+            pytest.param("stats", "mean", False, "stats mean must be a finite number, got False", id="mean-false"),
         ],
     )
     def test_bad_model_header_exits_one(self, workdir, tiny_setup, capsys, section, key, value, message):
@@ -873,9 +875,18 @@ class TestDetect:
             # JSON true is a Python int, but not a count
             (lambda meta, arrays: meta["spot"].update(k=True), "spot k must be a count, got True"),
             (lambda meta, arrays: meta["config"].update(refit_stride=True), "refit_stride must be an integer, got True"),
+            (lambda meta, arrays: meta["spot"].update(refit_stride=True),
+             "spot refit_stride True differs from the config's 1"),
+            (lambda meta, arrays: meta["spot"].update(h=True), "spot h must be a finite number, got True"),
+            (lambda meta, arrays: meta["spot"].update(z_q=True), "spot z_q must be a finite number, got True"),
+            (lambda meta, arrays: meta["spot"]["fit"].update(sigma_hat=True),
+             "spot sigma_hat must be a finite number, got True"),
+            (lambda meta, arrays: meta["spot"]["fit"].update(gamma_hat=False),
+             "spot gamma_hat must be a finite number, got False"),
         ],
         ids=["h-string", "z_q-null", "k-string", "refit-stride-0", "q-other", "max-peaks-other",
-             "max-peaks-2.5", "negative-peak", "nan-calib-score", "calib-scores-2d", "k-true", "config-refit-stride-true"],
+             "max-peaks-2.5", "negative-peak", "nan-calib-score", "calib-scores-2d", "k-true", "config-refit-stride-true",
+             "refit-stride-true", "h-true", "z_q-true", "sigma-hat-true", "gamma-hat-false"],
     )
     def test_bad_engine_spot_exits_one(self, workdir, tiny_setup, capsys, edit, message):
         # a detector past calibration, so its engine file holds a SPOT state
@@ -1014,6 +1025,19 @@ class TestDetect:
         two = run_cli(args + ["--jobs", "2"], input=csv.read_text())
         assert (one.returncode, two.returncode) == (0, 0), two.stderr
         assert two.stdout == one.stdout and one.stdout.count("\n") == 1170 + 30 - 39
+
+    def test_out_dir_jobs_two_with_stdin_runs_in_process(self, workdir, tiny_setup):
+        # a run with `-` among several inputs is not pooled, so stdin is read
+        csv = self._holed_csv(workdir, tiny_setup, "stdin_pooled.csv", 1200)
+        args = ["detect", "--checkpoint", str(tiny_setup["ckpt"]), "--calibration-len", "600", "-",
+                str(tiny_setup["detect_csv"])]
+        for jobs in ("1", "2"):
+            done = run_cli(args + ["--out-dir", str(workdir / f"stdin_jobs{jobs}"), "--jobs", jobs], input=csv.read_text())
+            assert done.returncode == 0, done.stderr
+        one, two = workdir / "stdin_jobs1", workdir / "stdin_jobs2"
+        assert (two / "-.jsonl").read_text().count("\n") == 1170 + 30 - 39
+        for name in ("-.jsonl", "detect.jsonl"):
+            assert (two / name).read_bytes() == (one / name).read_bytes()
 
     def test_out_dir_with_one_input_writes_what_out_writes(self, workdir, tiny_setup, capsys):
         csv = self._holed_csv(workdir, tiny_setup, "one_input.csv", 1200)

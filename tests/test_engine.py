@@ -310,7 +310,7 @@ class TestEnc1LogitFolds:
         # per query token, its heads' rows in turn
         assert queries.shape == (SMALL.e0 * SMALL.heads, SMALL.C)
         assert residual.shape == (SMALL.e0, 2 * SMALL.C)
-        # the heads' value-output products stacked, as `_attend` takes them
+        # the heads' value-output products stacked, as `folded_attention` takes them
         assert vo.shape == (SMALL.heads * SMALL.C, 2 * SMALL.C)
         # ones of the memory's shape, the embedded global window's
         np.testing.assert_array_equal(ones, np.ones((SMALL.gm, SMALL.C)))
